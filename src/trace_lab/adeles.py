@@ -32,7 +32,7 @@ from .core import (
     require_prime,
 )
 from .padic import Rational, char_qp, padic_norm, prime_support, valuation
-from .padic_integrals import ball_char_integral, norm_float, shell_char_integral
+from .padic_integrals import ball_char_integral, norm_float, shell_char_kernel
 from .semistable import SemistableLaw, char_fn
 from .semistable import density as semistable_density
 from .real_stable import (
@@ -576,11 +576,6 @@ class ScaledDensity:
         nrm = float(self.norm)
         return EvalResult(base.value * nrm, base.error_bound * nrm, base.terms_used, base.converged)
 
-    def transform_reference(self, y: AdelePoint) -> float:
-        """fhat(a^{-1} y) from the component closed forms."""
-        inv = self.a.inverse()
-        return bs_eval(self.spec, scale_point(inv, y), "transform").value
-
 
 def _real_scaled_mass(rf: RealFactor, a_inf: float, quad: QuadratureConfig) -> EvalResult:
     """int |a| f(a u) du, numerically."""
@@ -702,7 +697,7 @@ def _padic_scaled_transform(
     f0 = semistable_density(law, f.t, Fraction(0), "shell", plan)
     terms = 0
     for n in range(plan.n_min + va, top + 1):
-        s = shell_char_integral(p, n, y_p) if vy != math.inf else norm_float(p, n) * (1 - 1 / p)
+        s = shell_char_kernel(p, n, vy) if vy != math.inf else norm_float(p, n) * (1 - 1 / p)
         if s != 0.0:
             r = semistable_density(law, f.t, a_p * Fraction(p) ** (-n), "shell", plan)
             acc.add(scale * r.value * s)

@@ -66,13 +66,6 @@ def padic_norm(q: Rational, p: int) -> PAdicNorm:
     return PAdicNorm(p, -int(v))
 
 
-def valuation_and_norm(q: Rational, p: int) -> tuple[int | float, PAdicNorm]:
-    v = valuation(q, p)
-    if v == math.inf:
-        return v, PAdicNorm(p, 0, is_zero=True)
-    return v, PAdicNorm(p, -int(v))
-
-
 def frac_part(q: Rational, p: int) -> Rational:
     """The fractional part [q]_p: the unique k/p^m with q - k/p^m in Z_p.
 

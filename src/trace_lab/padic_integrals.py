@@ -7,6 +7,11 @@ function Gamma_p(s) = (1 - p^{s-1})/(1 - p^{-s}) with an independent
 shell-sum oracle, character integrals over balls and shells, and a Monte
 Carlo Haar sampler used as a second oracle.
 
+ball_char_integral is the exact Fraction definition of the character
+integrals.  shell_char_kernel is its bit-identical float form on a shell,
+in closed form on a precomputed valuation; the shell-sum loops call it
+directly, and shell_char_integral wraps it for a bare point x.
+
 RadialFunction evaluators receive the norm as a nonnegative float (p**n
 for shell exponent n, or 0.0 for the zero-norm limit).  Shells are indexed
 by exact integer exponents internally; norms become floats only at the
@@ -195,14 +200,38 @@ def ball_char_integral(p: int, n: int, x: Rational) -> Fraction:
     return Fraction(0)
 
 
+def shell_char_kernel(p: int, n: int, v: int | float) -> float:
+    """Integral of chi_1(x y) over the shell {|y|_p = p^n}, given v = v_p(x).
+
+    v is math.inf for x = 0.  The three branches are p^n(1-1/p) for
+    n <= v, -p^{n-1} for n = v+1 and 0 otherwise.  Each is one correctly
+    rounded int conversion or int true division, so the result is
+    bit-identical to float(ball_char_integral(p, n, x)
+    - ball_char_integral(p, n - 1, x)).  p is not checked.  A branch
+    value beyond double range raises ParameterError.
+    """
+    if n <= v:
+        num = p - 1
+    elif n == v + 1:
+        num = -1
+    else:
+        return 0.0
+    try:
+        if n >= 1:
+            return float(num * p ** (n - 1))
+        return num / p ** (1 - n)
+    except OverflowError:
+        raise ParameterError(f"shell integral at p={p}, n={n} exceeds double range") from None
+
+
 def shell_char_integral(p: int, n: int, x: Rational) -> float:
     """Integral of chi_1(x y) over the shell {|y|_p = p^n}.
 
-    Computed as the difference of the two ball integrals.  The resulting
-    branches: p^n(1-1/p) for |x|_p <= p^{-n}; -p^{n-1} for |x|_p = p^{-n+1};
-    0 for |x|_p >= p^{-n+2}.
+    The float form of ball_char_integral(p, n, x) - ball_char_integral(p,
+    n - 1, x), computed by shell_char_kernel from one valuation of x.
     """
-    return float(ball_char_integral(p, n, x) - ball_char_integral(p, n - 1, x))
+    require_prime(p)
+    return shell_char_kernel(p, n, valuation(x, p))
 
 
 def padic_gamma_closed(p: int, s: float) -> float:
@@ -222,7 +251,8 @@ def padic_gamma(
 ) -> EvalResult:
     """The p-adic gamma function, by closed form or by its defining integral.
 
-    shell_oracle mode evaluates sum_n p^{n(s-1)} * shell_char_integral(p, n, 1)
+    shell_oracle mode evaluates sum_n p^{n(s-1)} * shell_char_kernel(p, n, 0),
+    the shell integrals of chi_1(y) (x = 1, so v = 0),
     shell by shell; the shells n >= 2 vanish and the sum over n <= 0
     converges (geometrically with ratio p^{-s}) exactly for 0 < s < 1,
     the region where the defining integral makes sense.
@@ -246,7 +276,7 @@ def padic_gamma(
     acc = CompensatedSum()
     terms = 0
     for n in range(-depth, 2):
-        acc.add(float(p) ** (n * (s - 1.0)) * shell_char_integral(p, n, Fraction(1)))
+        acc.add(float(p) ** (n * (s - 1.0)) * shell_char_kernel(p, n, 0))
         terms += 1
     # omitted n < -depth: terms p^{ns}(1-1/p), geometric with ratio p^{-s}
     r = float(p) ** (-s)

@@ -14,8 +14,10 @@ is evaluated two independent ways:
   overwhelm double precision.  Both orderings carry rigorous tail bounds.
 
 * shell mode - Fourier inversion shell by shell,
-      f_t(x) = sum_n exp(-Ct p^{n gamma}) * shell_char_integral(p, n, x),
-  which never references Gamma_p.
+      f_t(x) = sum_n exp(-Ct p^{n gamma}) * int_{|y|_p = p^n} chi_1(xy) dy,
+  which never references Gamma_p.  The shell integrals come from
+  shell_char_kernel on the one valuation v_p(x): the closed-form, bit-
+  identical float form of the exact definition ball_char_integral.
 
 Agreement of the two modes is the package's core p-adic cross-check.
 """
@@ -32,7 +34,7 @@ from .padic_integrals import (
     norm_float,
     padic_gamma_closed,
     require_prime,
-    shell_char_integral,
+    shell_char_kernel,
 )
 
 _DEFAULT_PLAN = ShellSumPlan()
@@ -74,15 +76,21 @@ def _density_shell(law: SemistableLaw, t: float, x: Rational, plan: ShellSumPlan
         return integrate_radial(exp_norm_function(ct, g), p, "full", plan)
     v = int(v)
     weight = exp_norm_function(ct, g)
-    acc = CompensatedSum()
-    terms = 0
     # shells above n = v+1 vanish identically (third branch of the
     # shell character integral), so the sum is finite upward
+    terms = max(v + 2 - plan.n_min, 0)
+    # The weights decrease in n.  Once one is 0.0 in double every later
+    # shell adds nothing, and its shell integral, which may exceed double
+    # range, is never formed.  The log-space test keeps a weight that is
+    # 0.0 only because p^n saturated to inf from ending the sum.
+    log_p = math.log(p)
+    log_cut = math.log(745.0 / ct) if ct > 0.0 else math.inf
+    acc = CompensatedSum()
     for n in range(plan.n_min, v + 2):
-        s = shell_char_integral(p, n, x)
-        if s != 0.0:
-            acc.add(weight(norm_float(p, n)) * s)
-        terms += 1
+        w = weight(norm_float(p, n))
+        if w == 0.0 and n * g * log_p > log_cut:
+            break
+        acc.add(w * shell_char_kernel(p, n, v))
     # omitted inner shells: |integrand| <= 1 times remaining ball mass
     bound = norm_float(p, plan.n_min - 1)
     return EvalResult(acc.value, bound, terms, bound <= plan.tail_tolerance)

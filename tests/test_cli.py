@@ -85,6 +85,20 @@ def test_exit_2_on_parameter_errors():
     assert main(["no-such-command"]) == 2
 
 
+def test_large_p_shell_density_exits_cleanly():
+    # at x = 7919^90 the shell integrals near n = v exceed double range;
+    # with gamma = 1 their weights exp(-p^n) are 0.0 and the sum ends first
+    x = str(7919**90)
+    code, rep = run("padic-density", p="7919", gamma="1", method="shell", x=x)
+    _, rep_one = run("padic-density", p="7919", gamma="1", method="shell", x="1")
+    assert code == 0
+    assert rep["results"][0]["converged"] is True
+    assert rep["results"][0]["value"] == rep_one["results"][0]["value"]
+    # with gamma = 0.001 the weights there are not negligible: exit 2
+    args = ["padic-density", "--p", "7919", "--gamma", "0.001", "--method", "shell", "--x", x]
+    assert main(args) == 2
+
+
 def test_exit_3_on_nonconvergence():
     code, rep = run("padic-integral", p="2", gamma="1", tau="1", tol_shell="1e-30")
     assert code == 3

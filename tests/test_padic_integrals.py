@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trace_lab.core import ParameterError, ShellSumPlan
+from trace_lab.padic import valuation
 from trace_lab.padic_integrals import (
     ball_char_integral,
     exp_norm_function,
@@ -21,6 +22,7 @@ from trace_lab.padic_integrals import (
     padic_gamma_closed,
     padic_gamma_reflection_defect,
     shell_char_integral,
+    shell_char_kernel,
     shell_measure,
 )
 
@@ -80,7 +82,33 @@ def test_shell_char_consistency(p, n, y):
     # shell integral = ball(n) - ball(n-1), and summing shells recovers the ball
     lhs = shell_char_integral(p, n, y)
     rhs = float(ball_char_integral(p, n, y) - ball_char_integral(p, n - 1, y))
-    assert lhs == pytest.approx(rhs, abs=1e-12)
+    assert lhs == rhs
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 101, 7919])
+def test_shell_char_kernel_matches_definition(p):
+    # the kernel is the correctly rounded float of the exact Fraction
+    # difference of ball integrals, wherever that difference is finite
+    unit = Fraction(p + 1, p - 1)
+    ks = (-300, -1, 0, 1, 17, 298)
+    xs = [Fraction(0)] + [sgn * unit * Fraction(p) ** k for k in ks for sgn in (1, -1)]
+    for x in xs:
+        v = valuation(x, p)
+        ball = {n: ball_char_integral(p, n, x) for n in range(-301, 301)}
+        for n in range(-300, 301):
+            try:
+                ref = float(ball[n] - ball[n - 1])
+            except OverflowError:
+                with pytest.raises(ParameterError):
+                    shell_char_kernel(p, n, v)
+                continue
+            assert shell_char_kernel(p, n, v) == ref, (p, n, x)
+        if v != math.inf:
+            # the edge shells n = v, v+1, v+2 take the three branches
+            assert ball[v] - ball[v - 1] > 0
+            assert ball[v + 1] - ball[v] < 0
+            assert ball[v + 2] - ball[v + 1] == 0
+            assert shell_char_kernel(p, v + 2, v) == 0.0
 
 
 def test_shell_char_trichotomy():

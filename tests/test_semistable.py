@@ -26,6 +26,14 @@ def test_char_fn_values():
     assert char_fn(law, 1.0, Fraction(0)) == 1.0
 
 
+def test_mass_check_pinned_bits():
+    # digits recorded when the shell integrals were exact Fraction
+    # differences, so any drift of the float shell kernel shows here
+    res = mass_check(SemistableLaw(2, 1.0, 1.0), 1.0).result
+    assert repr(res.value) == "0.9999999999999242"
+    assert repr(res.error_bound) == "7.580108799848702e-14"
+
+
 def test_density_frozen_values():
     # |x|_2 = 1, gamma = 1, Ct = 1
     law = SemistableLaw(2, 1.0, 1.0)
