@@ -74,9 +74,21 @@ from .adeles import (
     scale_point,
     stable_factor,
 )
-from .cli import CommandRequest, replay_report, run_request
 
 __version__ = "0.1.0"
+
+# the CLI names are loaded on first use: importing trace_lab.cli here would
+# make `python -m trace_lab.cli` find the module already imported
+_CLI_NAMES = ("CommandRequest", "replay_report", "run_request")
+
+
+def __getattr__(name: str):
+    if name in _CLI_NAMES:
+        from . import cli
+
+        return getattr(cli, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "AdelePoint",

@@ -16,8 +16,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator
 
+import numpy as np
 from scipy import special
 
 from .core import (
@@ -82,36 +82,21 @@ def stable_law(alpha: float, sigma: float, d: int = 1) -> LatticeLawSpec:
     return LatticeLawSpec("stable", StableSymbol(alpha, sigma, d))
 
 
-def _supnorm_shell(d: int, m: int) -> Iterator[tuple[int, ...]]:
-    """Integer points with sup-norm exactly m."""
-    if m == 0:
-        yield (0,) * d
-        return
-    if d == 1:
-        yield (m,)
-        yield (-m,)
-    elif d == 2:
-        for i in range(-m, m + 1):
-            yield (i, -m)
-            yield (i, m)
-        for j in range(-m + 1, m):
-            yield (-m, j)
-            yield (m, j)
-    elif d == 3:
-        for i in range(-m, m + 1):
-            for j in range(-m, m + 1):
-                yield (i, j, -m)
-                yield (i, j, m)
-        for i in range(-m, m + 1):
-            for k in range(-m + 1, m):
-                yield (i, -m, k)
-                yield (i, m, k)
-        for j in range(-m + 1, m):
-            for k in range(-m + 1, m):
-                yield (-m, j, k)
-                yield (m, j, k)
-    else:
-        raise ParameterError("d <= 3 enforced at the interface")
+def _shell_coords(d: int, m: int) -> list[np.ndarray]:
+    """Coordinates of the points with sup-norm exactly m >= 1, for d >= 2.
+
+    For each face coordinate f, from the last to the first, the points
+    come with the coordinates before f in [-m, m] and those after f in
+    [-m+1, m-1], nested in coordinate order, and n_f = -m, m varying
+    fastest.
+    """
+    full = np.arange(-m, m + 1, dtype=np.int64)
+    inner = full[1:-1]
+    faces = []
+    for f in reversed(range(d)):
+        grid = list(np.meshgrid(*([full] * f + [inner] * (d - 1 - f)), full[[0, -1]], indexing="ij"))
+        faces.append(grid[:f] + grid[-1:] + grid[f:-1])
+    return [np.concatenate([face[i].ravel() for face in faces]) for i in range(d)]
 
 
 def _shell_tail_bound(d: int, c: float, alpha: float, m_next: float) -> float:
@@ -141,33 +126,75 @@ def _normalize_point(x, d: int) -> tuple[float, ...]:
     return tuple(out)
 
 
+def _weight(spec: LatticeLawSpec, t: float, k: int) -> float:
+    """e^{-t eta(n)} at the points n with |n|^2 = k.
+
+    math.hypot(*n) == math.sqrt(k) for every n the default plan reaches
+    (tests/test_lattice.py checks it), so this is the per-point
+    math.exp(-t * eta(n)) bit for bit.
+    """
+    w = t * spec.eta(math.sqrt(k))
+    return math.exp(-w) if w < 745.0 else 0.0
+
+
+def _shell_sums(
+    spec: LatticeLawSpec, t: float, x: tuple[float, ...] | None, coords: list[np.ndarray]
+) -> np.ndarray:
+    """Row sums of e^{-t eta(n)} [cos(2 pi n.x)] over points n laid out by row.
+
+    Each row is summed left to right, as `shell += e` would, and each
+    weight is one scalar math.exp: np.exp takes CPU-dependent SIMD paths,
+    while np.cos on float64 calls the same libm cos as math.cos.
+    """
+    k = sum(c * c for c in coords)
+    ks, inverse = np.unique(k, return_inverse=True)
+    e = np.array([_weight(spec, t, kk) for kk in ks.tolist()])[inverse].reshape(k.shape)
+    if x is not None:
+        phase = coords[0] * x[0]
+        for ci, xi in zip(coords[1:], x[1:]):
+            phase = phase + ci * xi
+        live = e != 0.0
+        e[live] *= np.cos(_TWO_PI * phase[live])
+    return np.add.accumulate(e, axis=-1)[..., -1]
+
+
+# d = 1 shells hold two points, too few for one numpy call each
+_D1_BLOCK = 4096
+
+
 def _spectral_sum(
     spec: LatticeLawSpec, t: float, x: tuple[float, ...] | None, plan: ShellSumPlan
 ) -> EvalResult:
     c = t * spec.symbol.sigma
     alpha = spec.symbol.alpha
     d = spec.d
-    acc = CompensatedSum()
+    # the truncation depends on the shell sizes alone; sum shells 0..shells-1
     points = 0
-    m = 0
+    shells = 0
     while points <= plan.max_terms:
-        shell = 0.0
-        for n in _supnorm_shell(d, m):
-            w = t * spec.eta(n)
-            e = math.exp(-w) if w < 745.0 else 0.0
-            if x is not None and e != 0.0:
-                e *= math.cos(_TWO_PI * sum(ni * xi for ni, xi in zip(n, x)))
-            shell += e
-            points += 1
-        acc.add(shell)
-        m += 1
+        points += (2 * shells + 1) ** d - (2 * shells - 1) ** d if shells else 1
+        shells += 1
         # the first-term-plus-integral comparison needs the shell weight
-        # to be decreasing from m on: c alpha m^alpha >= d suffices
-        if c * alpha * float(m) ** alpha >= d:
-            tail = _shell_tail_bound(d, c, alpha, float(m))
+        # to be decreasing from m = shells on: c alpha m^alpha >= d suffices
+        if c * alpha * float(shells) ** alpha >= d:
+            tail = _shell_tail_bound(d, c, alpha, float(shells))
             if tail < plan.tail_tolerance:
-                return EvalResult(acc.value, tail, points, True)
-    return EvalResult(acc.value, math.inf, points, False)
+                break
+    else:
+        tail = math.inf
+    acc = CompensatedSum()
+    # the shell m = 0 is n = 0, where cos(2 pi n.x) = 1
+    acc.add(_weight(spec, t, 0))
+    if d == 1:
+        # one row per shell, the point m before -m
+        for m0 in range(1, shells, _D1_BLOCK):
+            ms = np.arange(m0, min(m0 + _D1_BLOCK, shells), dtype=np.int64)
+            for s in _shell_sums(spec, t, x, [np.stack([ms, -ms], axis=1)]).tolist():
+                acc.add(s)
+    else:
+        for m in range(1, shells):
+            acc.add(float(_shell_sums(spec, t, x, _shell_coords(d, m))))
+    return EvalResult(acc.value, tail, points, math.isfinite(tail))
 
 
 def spectral_trace(

@@ -2,8 +2,14 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import trace_lab
 
 from trace_lab.cli import (
     CommandRequest,
@@ -214,3 +220,21 @@ def test_help_exits_zero(capsys):
 
 def test_unknown_format_rejected():
     assert main(["theta", "--t", "1", "--format", "yaml"]) == 2
+
+
+def test_module_entry_point_runs_without_warnings():
+    # `python -m trace_lab.cli` warns when importing the package has
+    # already imported trace_lab.cli
+    src = str(Path(trace_lab.__file__).resolve().parent.parent)
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src if not path else src + os.pathsep + path)
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "trace_lab.cli", "theta", "--t", "1"],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    assert json.loads(proc.stdout)["command"] == "theta"

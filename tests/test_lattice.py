@@ -1,14 +1,18 @@
 """Wrapped densities on the torus, spectral traces, and the potential identity."""
 from __future__ import annotations
 
+import itertools
 import math
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trace_lab.core import CapabilityError, ParameterError
+from trace_lab.core import CapabilityError, CompensatedSum, EvalResult, ParameterError, ShellSumPlan
 from trace_lab.lattice import (
+    _TWO_PI,
+    _normalize_point,
+    _shell_tail_bound,
     gaussian_law,
     potential_identity,
     spectral_trace,
@@ -128,3 +132,109 @@ def test_heat_equation_finite_difference_order():
         r1 = residual(f, 0.8, 0.35, 1e-2)
         r2 = residual(f, 0.8, 0.35, 5e-3)
         assert math.log2(r1 / r2) >= 1.8
+
+
+# ---------------------------------------------------------------------------
+# per-point reference for the spectral sum
+# ---------------------------------------------------------------------------
+
+
+def _supnorm_shell(d, m):
+    """Integer points with sup-norm exactly m."""
+    if m == 0:
+        yield (0,) * d
+        return
+    if d == 1:
+        yield (m,)
+        yield (-m,)
+    elif d == 2:
+        for i in range(-m, m + 1):
+            yield (i, -m)
+            yield (i, m)
+        for j in range(-m + 1, m):
+            yield (-m, j)
+            yield (m, j)
+    else:
+        for i in range(-m, m + 1):
+            for j in range(-m, m + 1):
+                yield (i, j, -m)
+                yield (i, j, m)
+        for i in range(-m, m + 1):
+            for k in range(-m + 1, m):
+                yield (i, -m, k)
+                yield (i, m, k)
+        for j in range(-m + 1, m):
+            for k in range(-m + 1, m):
+                yield (-m, j, k)
+                yield (m, j, k)
+
+
+def _spectral_sum_per_point(spec, t, x, plan=ShellSumPlan()):
+    """sum_n e^{-t eta(n)} [cos(2 pi n.x)], one math.exp per lattice point."""
+    c = t * spec.symbol.sigma
+    alpha = spec.symbol.alpha
+    d = spec.d
+    acc = CompensatedSum()
+    points = 0
+    m = 0
+    while points <= plan.max_terms:
+        shell = 0.0
+        for n in _supnorm_shell(d, m):
+            w = t * spec.eta(n)
+            e = math.exp(-w) if w < 745.0 else 0.0
+            if x is not None and e != 0.0:
+                e *= math.cos(_TWO_PI * sum(ni * xi for ni, xi in zip(n, x)))
+            shell += e
+            points += 1
+        acc.add(shell)
+        m += 1
+        if c * alpha * float(m) ** alpha >= d:
+            tail = _shell_tail_bound(d, c, alpha, float(m))
+            if tail < plan.tail_tolerance:
+                return EvalResult(acc.value, tail, points, True)
+    return EvalResult(acc.value, math.inf, points, False)
+
+
+_X_GRID = (None, 0, 0.5, (0.1, 0.2, 0.3), (0.3, 0, 0))
+_SPECTRAL_GRID = (
+    [(gaussian_law(d), t, _X_GRID) for d in (1, 2, 3) for t in (0.005, 0.03, 0.7)]
+    + [(stable_law(a, 1.0), 0.7, _X_GRID) for a in (0.5, 1.0, 1.5, 1.9)]
+    # about 5,500 shells, so the d = 1 shells span more than one block
+    + [(stable_law(1.0, 1.0), 0.005, (None, 0.3))]
+)
+
+
+@pytest.mark.parametrize(
+    "spec, t, xs",
+    _SPECTRAL_GRID,
+    ids=[f"{s.kind}-a{s.symbol.alpha}-d{s.d}-t{t}" for s, t, _ in _SPECTRAL_GRID],
+)
+def test_spectral_sum_matches_per_point_loop(spec, t, xs):
+    # d = 3, t = 0.005 stops at max_terms unconverged; the rest converge
+    for x in xs:
+        if x is None:
+            got = spectral_trace(spec, t)
+        else:
+            x = (x,) * spec.d if isinstance(x, (int, float)) else x[: spec.d]
+            got = wrapped_density(spec, t, x, "spectral")
+        ref = _spectral_sum_per_point(spec, t, None if x is None else _normalize_point(x, spec.d))
+        # repr also tells np.float64 and np.bool_ from float and bool
+        assert got == ref and repr(got) == repr(ref), x
+
+
+@pytest.mark.parametrize("d, bound", [(2, 224), (3, 31)])
+def test_hypot_is_sqrt_of_square_sum(d, bound):
+    # the spectral sum evaluates eta at math.sqrt(|n|^2) where the
+    # per-point loop used math.hypot(*n); the two must agree bit for bit
+    # on every point the default plan reaches.  A shell m is started while
+    # the (2m-1)^d points inside it number at most max_terms.
+    max_terms = ShellSumPlan().max_terms
+    reach = max(m for m in range(1, bound + 2) if (2 * m - 1) ** d <= max_terms)
+    assert reach <= bound
+    # hypot takes absolute values, so nonnegative ordered tuples cover all signs
+    bad = [
+        n
+        for n in itertools.product(range(bound + 1), repeat=d)
+        if math.hypot(*n) != math.sqrt(sum(v * v for v in n))
+    ]
+    assert bad == []
