@@ -31,7 +31,7 @@ from .core import (
     product_results,
     require_prime,
 )
-from .padic import Rational, char_qp, padic_norm, prime_support, valuation
+from .padic import Rational, _int_valuation, char_qp, padic_norm, prime_support, valuation
 from .padic_integrals import ball_char_integral, norm_float, shell_char_kernel
 from .semistable import SemistableLaw, char_fn
 from .semistable import density as semistable_density
@@ -381,35 +381,58 @@ def bs_eval(
     return EvalResult(value, abs(value) * 1e-14, 1, True)
 
 
-def enumerate_D(S: Sequence[int], height: int) -> list[Fraction]:
-    """All r = a/b with |a| <= height, b an S-smooth positive integer
-    <= height, gcd(a, b) = 1, ordered by max(|a|, b) then numerically."""
+def _d_terms(S: Sequence[int], height: int) -> list[tuple[int, int, int, int, tuple[int, ...]]]:
+    """The members a/b of D up to `height`, ordered by max(|a|, b) then
+    numerically.
+
+    Each entry is (max(|a|, b), key, a, b, (v_p(b) for p in sorted S)).
+    The denominators are built as products of the primes of S, so their
+    valuations are known from construction.  The key a * (L // b), with L
+    the lcm of the denominators, is a/b scaled by L: an exact integer that
+    orders the entries of one height as the fractions do.
+    """
     if height < 1:
         raise ParameterError("height must be >= 1")
     primes = sorted({require_prime(int(p)) for p in S})
-    denoms = [1]
-    for p in primes:
+    denoms = [(1, (0,) * len(primes))]
+    for i, p in enumerate(primes):
         extra = []
-        for b in denoms:
-            q = b * p
+        for b, vb in denoms:
+            q, e = b * p, 1
             while q <= height:
-                extra.append(q)
-                q *= p
+                extra.append((q, vb[:i] + (e,) + vb[i + 1 :]))
+                q, e = q * p, e + 1
         denoms.extend(extra)
-    out: list[Fraction] = []
-    for b in sorted(denoms):
+    lcm = math.lcm(*(b for b, _ in denoms))
+    out = []
+    for b, vb in denoms:
+        scale = lcm // b
         for a in range(-height, height + 1):
-            if math.gcd(a, b) == 1 or (a == 0 and b == 1):
-                out.append(Fraction(a, b))
-    out.sort(key=lambda r: (max(abs(r.numerator), r.denominator), r))
+            if math.gcd(a, b) == 1:
+                out.append((max(abs(a), b), a * scale, a, b, vb))
+    # (height, key) pairs are distinct, so the valuations are never compared
+    out.sort()
     return out
 
 
+def enumerate_D(S: Sequence[int], height: int) -> list[Fraction]:
+    """All r = a/b with |a| <= height, b an S-smooth positive integer
+    <= height, gcd(a, b) = 1, ordered by max(|a|, b) then numerically.
+
+    These are the pairs of _d_terms, which rational_char_sum sums over, as
+    fractions.
+    """
+    return [Fraction(a, b) for _, _, a, b, _ in _d_terms(S, height)]
+
+
 def is_in_D(r: Rational, S: Sequence[int]) -> bool:
-    """gamma_p(r) != 0 for every p outside S, i.e. the denominator is S-smooth."""
-    r = Fraction(r)
-    allowed = {int(p) for p in S}
-    return all(p in allowed for p in prime_support(Fraction(1, r.denominator)))
+    """gamma_p(r) != 0 for every p outside S, i.e. the denominator is S-smooth:
+    dividing out the primes of S leaves 1."""
+    b = Fraction(r).denominator
+    for p in {require_prime(int(p)) for p in S}:
+        while b % p == 0:
+            b //= p
+    return b == 1
 
 
 def d_height(r: Fraction) -> int:
@@ -450,6 +473,14 @@ def rational_char_sum(
     all terms are positive, so the partial sums are monotone.  paper_bound
     mode evaluates the two comparison series of the printed bound literally:
     the n-series has terms tending to 1 (it diverges), the m-series converges.
+
+    The direct terms are bs_eval(spec, AdelePoint.diagonal(a/b), "transform")
+    computed from the integer pair (a, b): the real transform at a/b times,
+    for p in sorted S, the factor at p, which depends on v_p(a/b) alone and
+    is read from a table filled by FiniteFactor.transform(p**v) on first use.
+    The indicator factors at primes outside S are identically 1 on D,
+    because every denominator is S-smooth, so they are skipped.  The values
+    and their order of addition are those of the bs_eval loop, bit for bit.
     """
     if mode == "direct":
         if not spec.S:
@@ -457,14 +488,26 @@ def rational_char_sum(
         schedule = sorted({int(h) for h in height_schedule})
         if not schedule or schedule[0] < 1:
             raise ParameterError("height schedule must contain positive integers")
-        rs = enumerate_D(spec.S, schedule[-1])
+        terms = _d_terms(spec.S, schedule[-1])
+        rf = spec.real_factor
+        factors = [(p, f, {}) for p, f in sorted(spec.finite_factors.items())]
         acc = CompensatedSum()
         partials = []
         idx = 0
-        rs_sorted = rs  # already ordered by height key
         for h in schedule:
-            while idx < len(rs_sorted) and d_height(rs_sorted[idx]) <= h:
-                acc.add(bs_eval(spec, AdelePoint.diagonal(rs_sorted[idx]), "transform").value)
+            while idx < len(terms) and terms[idx][0] <= h:
+                _, _, a, b, vb = terms[idx]
+                value = rf.transform(a / b)
+                # at r = 0 every finite factor is char_fn(y=0) = 1.0
+                if a != 0:
+                    for (p, f, table), e in zip(factors, vb):
+                        # a is prime to p whenever p divides b
+                        v = -e if e else _int_valuation(a, p)
+                        w = table.get(v)
+                        if w is None:
+                            w = table[v] = f.transform(Fraction(p) ** v)
+                        value *= w
+                acc.add(value)
                 idx += 1
             partials.append(acc.value)
         diffs = [partials[0]] + [b - a for a, b in zip(partials, partials[1:])]

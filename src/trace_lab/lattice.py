@@ -108,7 +108,8 @@ def _shell_tail_bound(d: int, c: float, alpha: float, m_next: float) -> float:
     first = m_next ** (d - 1) * (math.exp(-w) if w < 745.0 else 0.0)
     s = d / alpha
     integral = special.gammaincc(s, w) * special.gamma(s) * c ** (-s) / alpha
-    return pref * (first + integral)
+    # a Python float, not the numpy scalar scipy hands back
+    return float(pref * (first + integral))
 
 
 def _normalize_point(x, d: int) -> tuple[float, ...]:

@@ -105,13 +105,17 @@ def prime_support(q: Rational) -> tuple[int, ...]:
     out: set[int] = set()
     for n in (q.numerator, q.denominator):
         n = abs(n)
-        d = 2
+        if n > 1 and n % 2 == 0:
+            out.add(2)
+            while n % 2 == 0:
+                n //= 2
+        d = 3
         while d * d <= n:
             if n % d == 0:
                 out.add(d)
                 while n % d == 0:
                     n //= d
-            d += 1
+            d += 2
         if n > 1:
             out.add(n)
     return tuple(sorted(out))

@@ -27,7 +27,7 @@ from trace_lab.adeles import (
     scale_point,
     stable_factor,
 )
-from trace_lab.core import ParameterError
+from trace_lab.core import CompensatedSum, ParameterError
 from trace_lab.semistable import SemistableLaw
 
 rationals = st.fractions(
@@ -194,6 +194,95 @@ def test_enumerate_d_is_complete():
             q = Fraction(num, den)
             if max(abs(q.numerator), q.denominator) <= 12:
                 assert q in rs, q
+
+
+def test_is_in_d_large_prime_denominator():
+    q = Fraction(1, 2 * 1000003)
+    assert not is_in_D(q, [2])
+    assert is_in_D(q, [2, 1000003])
+    assert is_in_D(Fraction(1000003, 2**40), [2])
+    assert is_in_D(Fraction(-7), [3])
+    with pytest.raises(ParameterError):
+        is_in_D(Fraction(1, 4), [4])
+
+
+def _enumerate_D_oracle(S, height):
+    """D up to `height` built from Fractions and sorted by a Fraction key."""
+    primes = sorted({int(p) for p in S})
+    denoms = [1]
+    for p in primes:
+        extra = []
+        for b in denoms:
+            q = b * p
+            while q <= height:
+                extra.append(q)
+                q *= p
+        denoms.extend(extra)
+    out = []
+    for b in sorted(denoms):
+        for a in range(-height, height + 1):
+            if math.gcd(a, b) == 1 or (a == 0 and b == 1):
+                out.append(Fraction(a, b))
+    out.sort(key=lambda r: (max(abs(r.numerator), r.denominator), r))
+    return out
+
+
+def _char_sum_oracle(spec, height_schedule):
+    """The direct character sum as one bs_eval per diagonal point of D."""
+    schedule = sorted({int(h) for h in height_schedule})
+    rs = _enumerate_D_oracle(spec.S, schedule[-1])
+    acc = CompensatedSum()
+    partials = []
+    idx = 0
+    for h in schedule:
+        while idx < len(rs) and d_height(rs[idx]) <= h:
+            acc.add(bs_eval(spec, AdelePoint.diagonal(rs[idx]), "transform").value)
+            idx += 1
+        partials.append(acc.value)
+    diffs = [partials[0]] + [b - a for a, b in zip(partials, partials[1:])]
+    ratios = [b / a if a != 0.0 else math.inf for a, b in zip(diffs, diffs[1:])]
+    return tuple(schedule), tuple(partials), tuple(diffs), tuple(ratios), idx
+
+
+_D_PRIMES = ([2], [3], [2, 3], [2, 3, 5], [7, 11])
+
+
+@pytest.mark.parametrize("S", _D_PRIMES, ids=str)
+def test_enumerate_d_matches_fraction_oracle(S):
+    for height in (1, 2, 3, 12, 100, 512):
+        assert enumerate_D(S, height) == _enumerate_D_oracle(S, height)
+    assert enumerate_D(list(reversed(S)) + S, 30) == _enumerate_D_oracle(S, 30)
+
+
+def _real_factors(t):
+    return [gaussian_factor(t)] + [stable_factor(a, 1.0, t) for a in (0.5, 1.0, 1.5)]
+
+
+@pytest.mark.parametrize("S", _D_PRIMES, ids=str)
+def test_char_sum_direct_matches_bs_eval_oracle(S):
+    # unsorted and duplicated schedules; height 1 holds only -1, 0 and 1
+    schedules = ((1,), (12, 1, 5, 12, 3), (40, 2, 40, 17))
+    for t in (0.1, 1.0, 4.0):
+        for rf in _real_factors(t):
+            # a different (gamma, C) and t at every prime of S
+            factors = {
+                p: FiniteFactor(SemistableLaw(p, 0.5 + 0.25 * i, 1.0 + 0.5 * i), t * (1 + i))
+                for i, p in enumerate(S)
+            }
+            spec = BruhatSchwartzSpec(rf, factors)
+            for schedule in schedules:
+                rep = rational_char_sum(spec, schedule, "direct")
+                got = (rep.heights, rep.partial_sums, rep.differences, rep.ratios, rep.terms_evaluated)
+                assert got == _char_sum_oracle(spec, schedule), (t, rf, schedule)
+
+
+@pytest.mark.parametrize("S", _D_PRIMES, ids=str)
+def test_char_sum_direct_matches_bs_eval_oracle_at_cli_heights(S):
+    spec = make_mu_spec(1.0, 1.0, 1.0, 1.0, 1.0, S)
+    schedule = (8, 16, 32, 64, 128, 256)
+    rep = rational_char_sum(spec, schedule, "direct")
+    got = (rep.heights, rep.partial_sums, rep.differences, rep.ratios, rep.terms_evaluated)
+    assert got == _char_sum_oracle(spec, schedule)
 
 
 # ---------------------------------------------------------------------------

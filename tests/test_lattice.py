@@ -222,6 +222,16 @@ def test_spectral_sum_matches_per_point_loop(spec, t, xs):
         assert got == ref and repr(got) == repr(ref), x
 
 
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_spectral_error_bound_is_a_python_float(d):
+    for got in (
+        spectral_trace(gaussian_law(d), 0.7),
+        wrapped_density(gaussian_law(d), 0.03, (0.1, 0.2, 0.3)[:d], "spectral"),
+    ):
+        assert got.converged
+        assert type(got.error_bound) is float
+
+
 @pytest.mark.parametrize("d, bound", [(2, 224), (3, 31)])
 def test_hypot_is_sqrt_of_square_sum(d, bound):
     # the spectral sum evaluates eta at math.sqrt(|n|^2) where the

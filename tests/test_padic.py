@@ -104,3 +104,32 @@ def test_prime_support():
     assert prime_support(Fraction(12, 35)) == (2, 3, 5, 7)
     assert prime_support(Fraction(1)) == ()
     assert prime_support(Fraction(0)) == ()
+
+
+def _factor_brute(n):
+    """Primes dividing |n|, by trial division by every integer from 2."""
+    n, d, out = abs(n), 2, set()
+    while d * d <= n:
+        while n % d == 0:
+            out.add(d)
+            n //= d
+        d += 1
+    if n > 1:
+        out.add(n)
+    return out
+
+
+def test_prime_support_matches_brute_force():
+    for q in (0, 1, -1):
+        assert prime_support(Fraction(q)) == ()
+    for n in range(2, 5001):
+        want = tuple(sorted(_factor_brute(n)))
+        assert prime_support(Fraction(n)) == want, n
+        assert prime_support(Fraction(-1, n)) == want, n
+    for p in (2, 3, 5, 7, 97, 101, 997):
+        assert prime_support(Fraction(p * p)) == (p,)
+        for k in range(1, 12):
+            assert prime_support(Fraction(2**k * p)) == tuple(sorted({2, p}))
+    for a, b in ((12, 35), (-221, 1024), (3**5 * 11, 2 * 7**3), (1000003 * 4, 9 * 25)):
+        want = tuple(sorted(_factor_brute(a) | _factor_brute(b)))
+        assert prime_support(Fraction(a, b)) == want
