@@ -55,12 +55,23 @@ def _as_real(v) -> float | Fraction:
 
 
 def _check_fill(fill: Fraction, support: tuple[int, ...], deny_numerator: bool) -> None:
-    for p in prime_support(fill):
-        if p not in support:
-            if deny_numerator or fill.denominator % p == 0:
-                raise ParameterError(
-                    f"fill {format_rational(fill)} is not allowed implicitly at p={p}"
-                )
+    # Only the primes of fill outside support can offend: divide the listed
+    # ones out first, so the diagonal of q does not factor q a second time.
+    num, den = abs(fill.numerator), fill.denominator
+    if num == 0:
+        return
+    for p in support:
+        while num % p == 0:
+            num //= p
+        while den % p == 0:
+            den //= p
+    if num == den == 1:
+        return
+    for p in prime_support(Fraction(num, den)):
+        if deny_numerator or den % p == 0:
+            raise ParameterError(
+                f"fill {format_rational(fill)} is not allowed implicitly at p={p}"
+            )
 
 
 @dataclass(frozen=True)

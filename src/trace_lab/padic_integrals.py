@@ -7,6 +7,11 @@ function Gamma_p(s) = (1 - p^{s-1})/(1 - p^{-s}) with an independent
 shell-sum oracle, character integrals over balls and shells, and a Monte
 Carlo Haar sampler used as a second oracle.
 
+The Haar sampler draws the base-p digits of each sample in packed blocks:
+one uniform int64 on Z/p^k holds k digits, k the largest with p^k < 2^63,
+and the valuation is read off the block.  It never uses the shell masses
+p^n(1 - 1/p) it is compared against.
+
 ball_char_integral is the exact Fraction definition of the character
 integrals.  shell_char_kernel is its bit-identical float form on a shell,
 in closed form on a precomputed valuation; the shell-sum loops call it
@@ -293,17 +298,15 @@ def padic_gamma_reflection_defect(p: int, s: float) -> float:
 # Monte Carlo Haar oracle on Z_p
 # ---------------------------------------------------------------------------
 
-_MC_CHUNK = 65_536
-
-
 @dataclass(frozen=True)
 class HaarSample:
     """count Haar-uniform samples of Z_p, reduced to their norm exponents.
 
     valuations[i] = k means the i-th sample has |y|_p = p^{-k}; k = depth
-    means every sampled digit was zero (norm at most p^{-depth}, evaluated
-    as p^{-depth}; the truncation bias is far below statistical error at
-    the default depth of 64).
+    means the first depth base-p digits were all zero (norm at most
+    p^{-depth}, evaluated as p^{-depth}; the truncation bias is far below
+    statistical error at the default depth of 64).  The digits are drawn
+    in packed blocks by mc_haar_zp.
     """
 
     p: int
@@ -343,20 +346,49 @@ class HaarSample:
         return mean, se
 
 
+def _block_valuation(x: np.ndarray, p: int, kk: int) -> np.ndarray:
+    """v_p of each int64 entry of x, with kk for the entries equal to 0.
+
+    A block x uniform on Z/p^kk holds kk base-p digits at once; v_p(x) is
+    the number of its low digits that are zero.
+    """
+    v = np.where(x == 0, kk, 0)
+    idx = np.flatnonzero((x != 0) & (x % p == 0))
+    y = x[idx]
+    while idx.size:
+        y //= p
+        v[idx] += 1
+        keep = y % p == 0
+        idx, y = idx[keep], y[keep]
+    return v
+
+
 def mc_haar_zp(p: int, depth: int = 64, count: int = 100_000, seed: int = 0) -> HaarSample:
-    """Sample Z_p as uniform base-p digit strings; deterministic per seed."""
+    """Sample Z_p as uniform base-p digit strings; deterministic per seed.
+
+    The digits are drawn in blocks of k, the largest k with p^k < 2^63.
+    With done digits drawn so far, the next block is one uniform int64 on
+    Z/p^kk, kk = min(k, depth - done), for each row (in row order) whose
+    earlier blocks were all zero.  A nonzero block gives the valuation
+    done + v_p(block); a row that is zero in every block gets depth.  The valuations come from the
+    digits alone, never from the shell masses p^{-n}(1 - 1/p) they check.
+    """
     require_prime(p)
+    if p >= 2**63:
+        raise ParameterError(f"mc_haar_zp needs p < 2^63, got p={p}")
     if depth < 1 or count < 1:
         raise ParameterError("mc_haar_zp needs depth >= 1 and count >= 1")
+    k = 1
+    while p ** (k + 1) < 2**63:
+        k += 1
     rng = np.random.default_rng(seed)
     out = np.empty(count, dtype=np.int32)
-    pos = 0
-    while pos < count:
-        rows = min(_MC_CHUNK, count - pos)
-        digits = rng.integers(0, p, size=(rows, depth), dtype=np.int64)
-        nonzero = digits != 0
-        val = np.argmax(nonzero, axis=1)
-        val[~nonzero.any(axis=1)] = depth
-        out[pos : pos + rows] = val
-        pos += rows
+    live = np.arange(count)
+    done = 0
+    while done < depth and live.size:
+        kk = min(k, depth - done)
+        x = rng.integers(0, p**kk, size=live.size, dtype=np.int64)
+        out[live] = done + _block_valuation(x, p, kk)
+        live = live[x == 0]
+        done += kk
     return HaarSample(p, depth, count, seed, out)

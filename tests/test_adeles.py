@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from trace_lab import adeles
 from trace_lab.adeles import (
     AdelePoint,
     BruhatSchwartzSpec,
@@ -27,7 +28,8 @@ from trace_lab.adeles import (
     scale_point,
     stable_factor,
 )
-from trace_lab.core import CompensatedSum, ParameterError
+from trace_lab.core import CompensatedSum, ParameterError, format_rational
+from trace_lab.padic import prime_support
 from trace_lab.semistable import SemistableLaw
 
 rationals = st.fractions(
@@ -67,6 +69,56 @@ def test_idele_rejects_zero_components():
         # implicit components must be p-adic units: fill 2 needs 2 explicit
         Idele(1.0, {3: Fraction(1)}, fill=Fraction(2))
     Idele(1.0, {2: Fraction(2)}, fill=Fraction(2))  # fine once explicit
+
+
+def _check_fill_by_full_factorization(fill, support, deny_numerator):
+    """The fill check as a loop over every prime of fill: the oracle."""
+    for p in prime_support(fill):
+        if p not in support:
+            if deny_numerator or fill.denominator % p == 0:
+                raise ParameterError(
+                    f"fill {format_rational(fill)} is not allowed implicitly at p={p}"
+                )
+
+
+def _fill_error(check, fill, support, deny_numerator):
+    try:
+        check(fill, support, deny_numerator)
+    except ParameterError as exc:
+        return str(exc)
+    return None
+
+
+@settings(max_examples=300)
+@given(
+    st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**6),
+    st.sets(st.sampled_from([2, 3, 5, 7, 11, 13, 997])),
+    st.booleans(),
+)
+def test_check_fill_matches_full_factorization(fill, support, deny_numerator):
+    support = tuple(sorted(support))
+    assert _fill_error(adeles._check_fill, fill, support, deny_numerator) == _fill_error(
+        _check_fill_by_full_factorization, fill, support, deny_numerator
+    )
+
+
+def test_diagonal_factors_q_once(monkeypatch):
+    calls = []
+
+    def counting_prime_support(q):
+        calls.append(q)
+        return prime_support(q)
+
+    monkeypatch.setattr(adeles, "prime_support", counting_prime_support)
+    for q in (Fraction(1), Fraction(-1), Fraction(-50, 3), Fraction(2**20 * 999983, 7**5)):
+        for diagonal in (Idele.diagonal, AdelePoint.diagonal):
+            calls.clear()
+            x = diagonal(q)
+            assert calls == [q]
+            assert all(x.component(p) == q for p in (2, 3, 5, 7, 101))
+    calls.clear()
+    AdelePoint.diagonal(0)
+    assert calls == [0]
 
 
 @given(nonzero)

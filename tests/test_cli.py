@@ -105,6 +105,12 @@ def test_large_p_shell_density_exits_cleanly():
     assert main(args) == 2
 
 
+def test_mc_haar_large_p_exits_cleanly():
+    # a block on Z/p^k must fit an int64: p = 2^63 - 25 is the largest prime that works
+    assert main(["mc-haar", "--p", str(2**63 - 25), "--count", "1000"]) == 0
+    assert main(["mc-haar", "--p", "9223372036854775837", "--count", "1000"]) == 2
+
+
 def test_exit_3_on_nonconvergence():
     code, rep = run("padic-integral", p="2", gamma="1", tau="1", tol_shell="1e-30")
     assert code == 3

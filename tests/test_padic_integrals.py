@@ -16,6 +16,7 @@ from trace_lab.padic_integrals import (
     exp_norm_function,
     exp_radial_closed,
     integrate_radial,
+    _block_valuation,
     mc_haar_zp,
     norm_float,
     padic_gamma,
@@ -176,3 +177,99 @@ def test_mc_haar_rejects_bad_params():
         mc_haar_zp(4)
     with pytest.raises(ParameterError):
         mc_haar_zp(2, count=0)
+    with pytest.raises(ParameterError):
+        mc_haar_zp(9223372036854775837)  # the least prime above 2^63
+
+
+# k = the largest integer with p^k < 2^63: one int64 block holds k digits
+_BLOCK_DIGITS = {2: 62, 3: 39, 5: 27, 7919: 4}
+
+
+@pytest.mark.parametrize("p", sorted(_BLOCK_DIGITS))
+def test_block_valuation_matches_padic_valuation(p):
+    k = _BLOCK_DIGITS[p]
+    assert p**k < 2**63 <= p ** (k + 1)
+    m = 2 if p != 2 else 3  # coprime to p
+    values = [0, 1, p**k, 2**62 - 1, m, p - 1, p + 1]
+    values += [p**j * m for j in range(k) if p**j * m < 2**63]
+    values += [p**j for j in range(k)]
+    rng = np.random.default_rng(p)
+    values += rng.integers(0, 2**63 - 1, size=200, dtype=np.int64).tolist()
+    values += rng.integers(0, p**k, size=200, dtype=np.int64).tolist()
+    values += (p * rng.integers(1, 2**40, size=50, dtype=np.int64)).tolist()
+    x = np.array(values, dtype=np.int64)
+    for kk in (1, k):
+        expected = [kk if v == 0 else valuation(v, p) for v in values]
+        assert _block_valuation(x, p, kk).tolist() == expected
+
+
+_REAL_DEFAULT_RNG = np.random.default_rng
+
+
+class _RecordingRng:
+    """A seeded Generator that records every block it draws.
+
+    With zero_every set, it zeroes every zero_every-th entry of each block,
+    so that rows reach later blocks and some rows are zero in all of them.
+    """
+
+    def __init__(self, seed, zero_every=None):
+        self.rng = _REAL_DEFAULT_RNG(seed)
+        self.zero_every = zero_every
+        self.blocks = []
+
+    def integers(self, low, high, size, dtype):
+        x = self.rng.integers(low, high, size=size, dtype=dtype)
+        if self.zero_every:
+            x[:: self.zero_every] = 0
+        self.blocks.append((high, x.copy()))
+        return x
+
+
+def _digit_valuations(p, depth, count, blocks):
+    """Valuations read digit by digit from the recorded blocks."""
+    out = [depth] * count
+    live, done = list(range(count)), 0
+    for high, x in blocks:
+        kk = 0
+        while p**kk < high:
+            kk += 1
+        assert p**kk == high and len(x) == len(live)
+        for row, block in zip(live, x.tolist()):
+            for i in range(kk):
+                block, digit = divmod(block, p)
+                if digit:
+                    out[row] = done + i
+                    break
+        live = [row for row, block in zip(live, x.tolist()) if block == 0]
+        done += kk
+    assert done == depth or not live
+    return out
+
+
+@pytest.mark.parametrize("zero_every", [None, 2])
+@pytest.mark.parametrize(
+    "p, depth",
+    [(2, 1), (2, 62), (2, 63), (2, 200), (7919, 1), (7919, 4), (7919, 5), (7919, 200)],
+)
+def test_mc_haar_block_layout(monkeypatch, p, depth, zero_every):
+    count = 3000
+    recorders = []
+
+    def fake_default_rng(seed):
+        recorders.append(_RecordingRng(seed, zero_every))
+        return recorders[-1]
+
+    monkeypatch.setattr(np.random, "default_rng", fake_default_rng)
+    sample = mc_haar_zp(p, depth=depth, count=count, seed=17)
+    blocks = recorders[0].blocks
+    k = _BLOCK_DIGITS[p]
+    sizes = [round(math.log(high, p)) for high, _ in blocks]
+    assert sizes == [min(k, depth - done) for done in range(0, k * len(sizes), k)]
+    v = sample.valuations
+    assert v.min() >= 0 and v.max() <= depth
+    assert v.tolist() == _digit_valuations(p, depth, count, blocks)
+    if zero_every:
+        assert v[0] == depth  # row 0 is zero in every block
+    elif depth == 1:
+        assert 0 < np.count_nonzero(v == depth) < count
