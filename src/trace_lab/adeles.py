@@ -14,9 +14,10 @@ and the character sums over the S-smooth rationals D.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Mapping, Sequence
+from typing import Callable, ClassVar, Mapping, Sequence
 
 from scipy import integrate
 
@@ -75,26 +76,36 @@ def _check_fill(fill: Fraction, support: tuple[int, ...], deny_numerator: bool) 
 
 
 @dataclass(frozen=True)
-class AdelePoint:
-    """An adele with finite explicit support; unlisted components = fill.
+class _PlaceMap:
+    """A point of the restricted product over the places of Q: a real
+    component, explicit components at finitely many primes, and a rational
+    `fill` for every unlisted prime.
 
-    The default fill 0 gives the plain restricted-product point; the
-    diagonal embedding of q uses fill q with the primes of q explicit.
+    Adeles and ideles differ only in the subring that the unlisted
+    components must lie in: Z_p (`_UNIT` 0) or Z_p^x (`_UNIT` 1).  `real`
+    and `fill` default to the unit.
     """
 
-    real: float | Fraction = 0.0
+    _UNIT: ClassVar[int]
+
+    real: float | Fraction | None = None
     finite: Mapping[int, Fraction] = None  # type: ignore[assignment]
-    fill: Fraction = Fraction(0)
+    fill: Fraction | None = None
 
     def __post_init__(self):
         comps = {} if self.finite is None else dict(self.finite)
         for p in comps:
             require_prime(p)
             comps[p] = Fraction(comps[p])
+        unit = self._UNIT
         object.__setattr__(self, "finite", comps)
-        object.__setattr__(self, "real", _as_real(self.real))
-        object.__setattr__(self, "fill", Fraction(self.fill))
-        _check_fill(self.fill, self.support, deny_numerator=False)
+        object.__setattr__(self, "real", _as_real(float(unit) if self.real is None else self.real))
+        object.__setattr__(self, "fill", Fraction(unit if self.fill is None else self.fill))
+        self._check_nonzero()
+        _check_fill(self.fill, self.support, deny_numerator=unit == 1)
+
+    def _check_nonzero(self) -> None:
+        """Adele components may vanish."""
 
     @property
     def support(self) -> tuple[int, ...]:
@@ -102,6 +113,54 @@ class AdelePoint:
 
     def component(self, p: int) -> Fraction:
         return self.finite.get(p, self.fill)
+
+    def _combine(self, other: "_PlaceMap", op: Callable, cls: type):
+        """cls built componentwise from op(self, other); the real part is
+        exact when both real parts are Fractions, a float otherwise."""
+        ps = set(self.support) | set(other.support)
+        if isinstance(self.real, Fraction) and isinstance(other.real, Fraction):
+            real = op(self.real, other.real)
+        else:
+            real = op(float(self.real), float(other.real))
+        return cls(
+            real,
+            {p: op(self.component(p), other.component(p)) for p in ps},
+            fill=op(self.fill, other.fill),
+        )
+
+    def to_dict(self) -> dict:
+        real = format_rational(self.real) if isinstance(self.real, Fraction) else repr(self.real)
+        out = {"inf": real}
+        for p in self.support:
+            out[str(p)] = format_rational(self.finite[p])
+        if self.fill != self._UNIT:
+            out["fill"] = format_rational(self.fill)
+        return out
+
+    @classmethod
+    def from_dict(cls, data: Mapping[str, str]):
+        real: float | Fraction | None = None
+        fill: Fraction | None = None
+        comps: dict[int, Fraction] = {}
+        for key, raw in data.items():
+            if key == "inf":
+                real = parse_rational(raw) if "/" in str(raw) else float(raw)
+            elif key == "fill":
+                fill = parse_rational(raw)
+            else:
+                comps[require_prime(int(key))] = parse_rational(raw)
+        return cls(real, comps, fill=fill)
+
+
+@dataclass(frozen=True)
+class AdelePoint(_PlaceMap):
+    """An adele with finite explicit support; unlisted components = fill.
+
+    The default fill 0 gives the plain restricted-product point; the
+    diagonal embedding of q uses fill q with the primes of q explicit.
+    """
+
+    _UNIT = 0
 
     @staticmethod
     def diagonal(q: Rational) -> "AdelePoint":
@@ -111,75 +170,21 @@ class AdelePoint:
     def __add__(self, other: "AdelePoint") -> "AdelePoint":
         if not isinstance(other, AdelePoint):
             return NotImplemented
-        ps = set(self.support) | set(other.support)
-        real = (
-            self.real + other.real
-            if isinstance(self.real, Fraction) and isinstance(other.real, Fraction)
-            else float(self.real) + float(other.real)
-        )
-        return AdelePoint(
-            real,
-            {p: self.component(p) + other.component(p) for p in ps},
-            fill=self.fill + other.fill,
-        )
-
-    def to_dict(self) -> dict:
-        out = {"inf": self._format_real()}
-        for p in self.support:
-            out[str(p)] = format_rational(self.finite[p])
-        if self.fill != 0:
-            out["fill"] = format_rational(self.fill)
-        return out
-
-    def _format_real(self) -> str:
-        if isinstance(self.real, Fraction):
-            return format_rational(self.real)
-        return repr(self.real)
-
-    @staticmethod
-    def from_dict(data: Mapping[str, str]) -> "AdelePoint":
-        real: float | Fraction = 0.0
-        fill = Fraction(0)
-        comps: dict[int, Fraction] = {}
-        for key, raw in data.items():
-            if key == "inf":
-                real = parse_rational(raw) if "/" in str(raw) else float(raw)
-            elif key == "fill":
-                fill = parse_rational(raw)
-            else:
-                comps[require_prime(int(key))] = parse_rational(raw)
-        return AdelePoint(real, comps, fill=fill)
+        return self._combine(other, operator.add, AdelePoint)
 
 
 @dataclass(frozen=True)
-class Idele:
+class Idele(_PlaceMap):
     """An idele: all components nonzero, unlisted components = fill (a unit)."""
 
-    real: float | Fraction = 1.0
-    finite: Mapping[int, Fraction] = None  # type: ignore[assignment]
-    fill: Fraction = Fraction(1)
+    _UNIT = 1
 
-    def __post_init__(self):
-        comps = {} if self.finite is None else dict(self.finite)
-        for p in comps:
-            require_prime(p)
-            comps[p] = Fraction(comps[p])
-            if comps[p] == 0:
+    def _check_nonzero(self) -> None:
+        for p, v in self.finite.items():
+            if v == 0:
                 raise ParameterError(f"idele component at p={p} must be nonzero")
-        object.__setattr__(self, "finite", comps)
-        object.__setattr__(self, "real", _as_real(self.real))
-        object.__setattr__(self, "fill", Fraction(self.fill))
         if self.real == 0 or self.fill == 0:
             raise ParameterError("idele components must be nonzero")
-        # implicit components must be units
-        _check_fill(self.fill, self.support, deny_numerator=True)
-
-    @property
-    def support(self) -> tuple[int, ...]:
-        return tuple(sorted(self.finite))
-
-    def component(self, p: int) -> Fraction:
-        return self.finite.get(p, self.fill)
 
     @staticmethod
     def diagonal(q: Rational) -> "Idele":
@@ -195,39 +200,7 @@ class Idele:
     def __mul__(self, other: "Idele") -> "Idele":
         if not isinstance(other, Idele):
             return NotImplemented
-        ps = set(self.support) | set(other.support)
-        real = (
-            self.real * other.real
-            if isinstance(self.real, Fraction) and isinstance(other.real, Fraction)
-            else float(self.real) * float(other.real)
-        )
-        return Idele(
-            real,
-            {p: self.component(p) * other.component(p) for p in ps},
-            fill=self.fill * other.fill,
-        )
-
-    def to_dict(self) -> dict:
-        out = {"inf": format_rational(self.real) if isinstance(self.real, Fraction) else repr(self.real)}
-        for p in self.support:
-            out[str(p)] = format_rational(self.finite[p])
-        if self.fill != 1:
-            out["fill"] = format_rational(self.fill)
-        return out
-
-    @staticmethod
-    def from_dict(data: Mapping[str, str]) -> "Idele":
-        real: float | Fraction = 1.0
-        fill = Fraction(1)
-        comps: dict[int, Fraction] = {}
-        for key, raw in data.items():
-            if key == "inf":
-                real = parse_rational(raw) if "/" in str(raw) else float(raw)
-            elif key == "fill":
-                fill = parse_rational(raw)
-            else:
-                comps[require_prime(int(key))] = parse_rational(raw)
-        return Idele(real, comps, fill=fill)
+        return self._combine(other, operator.mul, Idele)
 
 
 def idele_norm(a: Idele) -> float | Fraction:
@@ -243,17 +216,7 @@ def idele_norm(a: Idele) -> float | Fraction:
 
 def scale_point(a: Idele, x: AdelePoint) -> AdelePoint:
     """Componentwise product ax."""
-    ps = set(a.support) | set(x.support)
-    real = (
-        a.real * x.real
-        if isinstance(a.real, Fraction) and isinstance(x.real, Fraction)
-        else float(a.real) * float(x.real)
-    )
-    return AdelePoint(
-        real,
-        {p: a.component(p) * x.component(p) for p in ps},
-        fill=a.fill * x.fill,
-    )
+    return a._combine(x, operator.mul, AdelePoint)
 
 
 def adele_char(y: AdelePoint, x: AdelePoint) -> complex:

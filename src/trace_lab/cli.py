@@ -17,12 +17,11 @@ import csv
 import io
 import json
 import math
-import os
 import random
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -151,6 +150,18 @@ def _identity_row(
     )
 
 
+def _compare_row(name: str, a: EvalResult, b: EvalResult, tol: float) -> ResultRow:
+    """The identity a = b, judged against the sum of both declared bounds."""
+    return _identity_row(
+        name,
+        a.value,
+        a.error_bound + b.error_bound,
+        b.value,
+        tol,
+        converged=a.converged and b.converged,
+    )
+
+
 def _bool_row(name: str, flag: bool, passed: bool | None = None) -> ResultRow:
     return ResultRow(name, bool(flag), passed=passed)
 
@@ -185,9 +196,28 @@ class _Params:
         self.used: set[str] = set()
         self.echo: dict[str, str] = {}
 
-    def _fetch(self, key: str) -> str | None:
+    def _get(
+        self,
+        key: str,
+        default,
+        required: bool,
+        parse: Callable[[str], object],
+        show: Callable[[object], str] = str,
+    ):
+        """Parse the flag's string, or str(default) when the flag is absent,
+        and echo the value as show(value).  None when the flag is absent,
+        optional and has no default."""
         self.used.add(key)
-        return self.raw.get(key)
+        raw = self.raw.get(key)
+        if raw is None:
+            if default is None:
+                if required:
+                    raise ParameterError(f"missing required parameter --{key}")
+                return None
+            raw = str(default)
+        val = parse(raw)
+        self.echo[key] = show(val)
+        return val
 
     def str_(
         self,
@@ -196,15 +226,9 @@ class _Params:
         choices: Sequence[str] | None = None,
         required: bool = False,
     ) -> str | None:
-        raw = self._fetch(key)
-        val = raw if raw is not None else default
-        if val is None:
-            if required:
-                raise ParameterError(f"missing required parameter --{key}")
-            return None
+        val = self._get(key, default, required, str)
         if choices is not None and val not in choices:
             raise ParameterError(f"--{key} must be one of {', '.join(choices)}; got {val!r}")
-        self.echo[key] = val
         return val
 
     def _float_of(self, key: str, raw: str) -> float:
@@ -213,6 +237,12 @@ class _Params:
         except (ValueError, ZeroDivisionError) as exc:
             raise ParameterError(f"--{key} expects a number, got {raw!r}") from exc
 
+    def _int_of(self, key: str, raw: str) -> int:
+        try:
+            return int(raw)
+        except ValueError as exc:
+            raise ParameterError(f"--{key} expects an integer, got {raw!r}") from exc
+
     def float_(
         self,
         key: str,
@@ -220,18 +250,9 @@ class _Params:
         required: bool = False,
         positive: bool = False,
     ) -> float | None:
-        raw = self._fetch(key)
-        if raw is None:
-            if default is None:
-                if required:
-                    raise ParameterError(f"missing required parameter --{key}")
-                return None
-            val = float(default)
-        else:
-            val = self._float_of(key, raw)
-        if positive and val <= 0:
+        val = self._get(key, default, required, partial(self._float_of, key), repr)
+        if positive and val is not None and val <= 0:
             raise ParameterError(f"--{key} must be positive, got {val}")
-        self.echo[key] = repr(val)
         return val
 
     def int_(
@@ -241,86 +262,53 @@ class _Params:
         required: bool = False,
         minimum: int | None = None,
     ) -> int | None:
-        raw = self._fetch(key)
-        if raw is None:
-            if default is None:
-                if required:
-                    raise ParameterError(f"missing required parameter --{key}")
-                return None
-            val = int(default)
-        else:
-            try:
-                val = int(raw)
-            except ValueError as exc:
-                raise ParameterError(f"--{key} expects an integer, got {raw!r}") from exc
-        if minimum is not None and val < minimum:
+        val = self._get(key, default, required, partial(self._int_of, key))
+        if minimum is not None and val is not None and val < minimum:
             raise ParameterError(f"--{key} must be >= {minimum}, got {val}")
-        self.echo[key] = str(val)
         return val
 
     def rational_(
         self, key: str, default: str | None = None, required: bool = False
     ) -> Fraction | None:
-        raw = self._fetch(key)
-        if raw is None:
-            if default is None:
-                if required:
-                    raise ParameterError(f"missing required parameter --{key}")
-                return None
-            raw = default
-        try:
-            val = parse_rational(raw)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ParameterError(f"--{key} expects a rational a/b, got {raw!r}") from exc
-        self.echo[key] = format_rational(val)
-        return val
+        return self._get(key, default, required, parse_rational, format_rational)
+
+    def _list(
+        self,
+        key: str,
+        default: str,
+        parse_one: Callable[[str], object],
+        show: Callable[[object], str],
+    ) -> list:
+        def parse(raw: str) -> list:
+            vals = [parse_one(part.strip()) for part in raw.split(",") if part.strip()]
+            if not vals:
+                raise ParameterError(f"--{key} expects a comma-separated list")
+            return vals
+
+        return self._get(key, default, True, parse, lambda vals: ",".join(map(show, vals)))
 
     def floats_(self, key: str, default: str) -> list[float]:
-        raw = self._fetch(key)
-        raw = raw if raw is not None else default
-        vals = [self._float_of(key, part.strip()) for part in raw.split(",") if part.strip()]
-        if not vals:
-            raise ParameterError(f"--{key} expects a comma-separated list")
-        self.echo[key] = ",".join(repr(v) for v in vals)
-        return vals
+        return self._list(key, default, partial(self._float_of, key), repr)
 
     def ints_(self, key: str, default: str, minimum: int | None = None) -> list[int]:
-        raw = self._fetch(key)
-        raw = raw if raw is not None else default
-        try:
-            vals = [int(part.strip()) for part in raw.split(",") if part.strip()]
-        except ValueError as exc:
-            raise ParameterError(f"--{key} expects a comma-separated integer list") from exc
-        if not vals:
-            raise ParameterError(f"--{key} expects a comma-separated list")
+        def parse_one(raw: str) -> int:
+            try:
+                return int(raw)
+            except ValueError as exc:
+                raise ParameterError(f"--{key} expects a comma-separated integer list") from exc
+
+        vals = self._list(key, default, parse_one, str)
         if minimum is not None and min(vals) < minimum:
             raise ParameterError(f"--{key} entries must be >= {minimum}")
-        self.echo[key] = ",".join(str(v) for v in vals)
         return vals
 
     def rationals_(self, key: str, default: str) -> list[Fraction]:
-        raw = self._fetch(key)
-        raw = raw if raw is not None else default
-        try:
-            vals = [parse_rational(part.strip()) for part in raw.split(",") if part.strip()]
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ParameterError(f"--{key} expects comma-separated rationals a/b") from exc
-        if not vals:
-            raise ParameterError(f"--{key} expects a comma-separated list")
-        self.echo[key] = ",".join(format_rational(v) for v in vals)
-        return vals
+        return self._list(key, default, parse_rational, format_rational)
 
     def point_(self, key: str, default: str | None = None, required: bool = False):
         """An adele point spec 'inf=0.4,2=1/2,fill=1'."""
-        raw = self._fetch(key)
-        raw = raw if raw is not None else default
-        if raw is None:
-            if required:
-                raise ParameterError(f"missing required parameter --{key}")
-            return None
-        data = _parse_place_map(key, raw)
-        self.echo[key] = raw
-        return data
+        raw = self.str_(key, default, required=required)
+        return None if raw is None else _parse_place_map(key, raw)
 
     def finish(self) -> None:
         unknown = sorted(set(self.raw) - self.used)
@@ -427,14 +415,7 @@ def _cmd_psf_check(P: _Params) -> list[ResultRow]:
     return [
         _info_row("lattice_value", lat),
         _info_row("spectral_value", sp),
-        _identity_row(
-            "poisson_summation",
-            lat.value,
-            lat.error_bound + sp.error_bound,
-            sp.value,
-            tol,
-            converged=lat.converged and sp.converged,
-        ),
+        _compare_row("poisson_summation", lat, sp, tol),
     ]
 
 
@@ -452,16 +433,7 @@ def _cmd_trace_check(P: _Params) -> list[ResultRow]:
     rows = []
     for t in ts:
         rep = trace_defect(spec, t, plan)
-        rows.append(
-            _identity_row(
-                f"t={_g(t)}",
-                rep.lattice_value.value,
-                rep.combined_bound,
-                rep.spectral_value.value,
-                tol,
-                converged=rep.lattice_value.converged and rep.spectral_value.converged,
-            )
-        )
+        rows.append(_compare_row(f"t={_g(t)}", rep.lattice_value, rep.spectral_value, tol))
     return rows
 
 
@@ -548,16 +520,7 @@ def _cmd_padic_integral(P: _Params) -> list[ResultRow]:
             generic = integrate_radial(exp_norm_function(tau, gamma), p, dom, plan)
             rows.append(_info_row(f"{dom}:generic", generic))
         if mode == "both":
-            rows.append(
-                _identity_row(
-                    dom,
-                    closed.value,
-                    closed.error_bound + generic.error_bound,
-                    generic.value,
-                    tol,
-                    converged=closed.converged and generic.converged,
-                )
-            )
+            rows.append(_compare_row(dom, closed, generic, tol))
     return rows
 
 
@@ -584,16 +547,7 @@ def _cmd_padic_density(P: _Params) -> list[ResultRow]:
             shl = semistable_density(law, t, x, "shell", plan)
             rows.append(_info_row(f"{label}:shell", shl))
         if method == "both":
-            rows.append(
-                _identity_row(
-                    label,
-                    ser.value,
-                    ser.error_bound + shl.error_bound,
-                    shl.value,
-                    tol,
-                    converged=ser.converged and shl.converged,
-                )
-            )
+            rows.append(_compare_row(label, ser, shl, tol))
     return rows
 
 
@@ -685,23 +639,8 @@ def _cmd_cauchy_report(P: _Params) -> list[ResultRow]:
     return [
         _info_row("density_sum", rep.density_sum),
         _info_row("transform_sum", rep.transform_sum),
-        _identity_row(
-            "poisson_summation",
-            rep.density_sum.value,
-            rep.density_sum.error_bound + rep.transform_sum.error_bound,
-            rep.transform_sum.value,
-            tol,
-            converged=rep.density_sum.converged and rep.transform_sum.converged,
-        ),
+        _compare_row("poisson_summation", rep.density_sum, rep.transform_sum, tol),
     ]
-
-
-def _idele_from_map(data: Mapping[str, str]) -> Idele:
-    return Idele.from_dict(data)
-
-
-def _point_from_map(data: Mapping[str, str]) -> AdelePoint:
-    return AdelePoint.from_dict(data)
 
 
 def _cmd_idele_norm(P: _Params) -> list[ResultRow]:
@@ -718,7 +657,7 @@ def _cmd_idele_norm(P: _Params) -> list[ResultRow]:
             _identity_row("norm", float(norm), 0.0, 1.0, 0.0),
             _bool_row("product_formula_exact", norm == 1, passed=bool(norm == 1)),
         ]
-    a = _idele_from_map(a_map)
+    a = Idele.from_dict(a_map)
     norm = idele_norm(a)
     rows = [ResultRow("norm", float(norm))]
     if isinstance(norm, Fraction):
@@ -728,9 +667,9 @@ def _cmd_idele_norm(P: _Params) -> list[ResultRow]:
 
 def _cmd_adele_eval(P: _Params) -> list[ResultRow]:
     side = P.str_("side", "density", choices=("density", "transform", "char"))
-    x = _point_from_map(P.point_("x", required=True))
+    x = AdelePoint.from_dict(P.point_("x", required=True))
     if side == "char":
-        y = _point_from_map(P.point_("y", required=True))
+        y = AdelePoint.from_dict(P.point_("y", required=True))
         z = adele_char(y, x)
         return [
             ResultRow("char_real", z.real),
@@ -778,16 +717,7 @@ def _cmd_rr_check(P: _Params) -> list[ResultRow]:
             if lam <= 0:
                 raise ParameterError("--lams entries must be positive")
             rep = adelic_theta_reduction(spec0, lam, height)
-            rows.append(
-                _identity_row(
-                    f"reduction_lambda={_g(lam)}",
-                    rep.lhs.value,
-                    rep.lhs.error_bound + rep.rhs.error_bound,
-                    rep.rhs.value,
-                    tol,
-                    converged=rep.lhs.converged and rep.rhs.converged,
-                )
-            )
+            rows.append(_compare_row(f"reduction_lambda={_g(lam)}", rep.lhs, rep.rhs, tol))
 
     if "product" in parts:
         count = P.int_("count", 100, minimum=1)
@@ -818,7 +748,7 @@ def _cmd_rr_check(P: _Params) -> list[ResultRow]:
         c_coef = P.float_("C", 1.0, positive=True)
         a_map = P.point_("a", "inf=2,2=1/2")
         grid_points = P.int_("grid-points", 12, minimum=1)
-        a = _idele_from_map(a_map)
+        a = Idele.from_dict(a_map)
         s_primes = sorted(set(a.support) | {2})
         spec = BruhatSchwartzSpec(
             gaussian_factor(t),
@@ -859,14 +789,7 @@ def _cmd_adelic_theta(P: _Params) -> list[ResultRow]:
     return [
         _info_row("lhs", rep.lhs),
         _info_row("rhs", rep.rhs),
-        _identity_row(
-            "scaled_summation",
-            rep.lhs.value,
-            rep.lhs.error_bound + rep.rhs.error_bound,
-            rep.rhs.value,
-            tol,
-            converged=rep.lhs.converged and rep.rhs.converged,
-        ),
+        _compare_row("scaled_summation", rep.lhs, rep.rhs, tol),
     ]
 
 
@@ -908,19 +831,6 @@ def _cmd_char_sum(P: _Params) -> list[ResultRow]:
 # ---------------------------------------------------------------------------
 # reproduce-paper
 # ---------------------------------------------------------------------------
-
-
-def _thread_cap() -> int:
-    raw = os.environ.get("TRACE_LAB_THREADS")
-    if raw is None:
-        return min(8, os.cpu_count() or 1)
-    try:
-        cap = int(raw)
-    except ValueError as exc:
-        raise ParameterError(f"TRACE_LAB_THREADS must be an integer, got {raw!r}") from exc
-    if cap < 1:
-        raise ParameterError(f"TRACE_LAB_THREADS must be >= 1, got {cap}")
-    return cap
 
 
 def _reproduce_requests() -> list[tuple[str, str, dict[str, str]]]:
@@ -991,18 +901,9 @@ def _reproduce_requests() -> list[tuple[str, str, dict[str, str]]]:
 
 
 def _cmd_reproduce_paper(P: _Params) -> list[ResultRow]:
-    threads = P.int_("threads", _thread_cap(), minimum=1)
-    items = _reproduce_requests()
-
-    def run_one(item: tuple[str, str, dict[str, str]]):
-        label, sub, params = item
-        _, rep = run_request(CommandRequest(sub, params))
-        return label, rep
-
-    with ThreadPoolExecutor(max_workers=threads) as ex:
-        collected = list(ex.map(run_one, items))
     rows: list[ResultRow] = []
-    for label, rep in collected:
+    for label, sub, params in _reproduce_requests():
+        _, rep = run_request(CommandRequest(sub, params))
         for rd in rep["results"]:
             rows.append(_row_from_dict(f"{label}:{rd['name']}", rd))
     return rows
@@ -1081,8 +982,8 @@ _FLAGS: dict[str, tuple[str, ...]] = {
         "tol",
     ),
     "adelic-theta": ("t", "lam", "height", "tol-shell", "tol"),
-    "char-sum": ("mode", "alpha", "sigma", "gamma", "C", "t", "S", "heights", "A", "M", "tol"),
-    "reproduce-paper": ("threads",),
+    "char-sum": ("mode", "alpha", "sigma", "gamma", "C", "t", "S", "heights", "A", "M"),
+    "reproduce-paper": (),
 }
 
 

@@ -137,7 +137,14 @@ def product_results(parts: Iterable[EvalResult]) -> EvalResult:
     return EvalResult(value, bound, terms, all(r.converged for r in parts))
 
 
+# The 12 Miller-Rabin bases 2..37 below decide primality for every n under
+# psi_12 (Jiang & Deng, Math. Comp. 83, 2014); psi_12 itself is the
+# composite 399165290221 * 798330580441, which all 12 bases pass.
+PROVEN_PRIME_LIMIT = 318665857834031151167461
+
+
 def is_prime(n: int) -> bool:
+    """Miller-Rabin with the bases 2..37: exact for n < PROVEN_PRIME_LIMIT."""
     if n < 2:
         return False
     for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
@@ -163,6 +170,10 @@ def is_prime(n: int) -> bool:
 def require_prime(p: int) -> int:
     if not isinstance(p, int) or isinstance(p, bool) or not is_prime(p):
         raise ParameterError(f"p must be a prime integer, got {p!r}")
+    if p >= PROVEN_PRIME_LIMIT:
+        raise ParameterError(
+            f"p={p} is outside the proven range of the primality test (p < {PROVEN_PRIME_LIMIT})"
+        )
     return p
 
 

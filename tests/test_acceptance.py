@@ -282,7 +282,7 @@ def test_criterion_12_invariant_suites():
 def test_acceptance_reproduce_paper_cli():
     """The consolidated CLI run is green end to end."""
     start = time.perf_counter()
-    code, rep = run_request(CommandRequest("reproduce-paper", {"threads": "4"}))
+    code, rep = run_request(CommandRequest("reproduce-paper", {}))
     elapsed = time.perf_counter() - start
     assert code == 0, json.dumps(
         [r for r in rep["results"] if r.get("pass") is False or r.get("converged") is False][:5],

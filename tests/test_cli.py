@@ -1,6 +1,8 @@
 """CLI contract: report schema, exit codes, rendering, and bit-for-bit replay."""
 from __future__ import annotations
 
+import ast
+import inspect
 import json
 import os
 import subprocess
@@ -10,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import trace_lab
-
+from trace_lab import cli
 from trace_lab.cli import (
     CommandRequest,
     main,
@@ -141,11 +143,10 @@ def test_error_objects_on_stderr(capsys):
     assert "message" in err
 
 
-def test_thread_env_validation(monkeypatch):
-    monkeypatch.setenv("TRACE_LAB_THREADS", "abc")
-    assert main(["reproduce-paper"]) == 2
-    monkeypatch.setenv("TRACE_LAB_THREADS", "0")
-    assert main(["reproduce-paper"]) == 2
+def test_prime_beyond_proven_range_exits_2():
+    # psi_12 = 399165290221 * 798330580441 passes all 12 Miller-Rabin bases
+    psi_12 = "318665857834031151167461"
+    assert main(["padic-gamma", "--p", psi_12, "--s", "0.5", "--mode", "closed"]) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -179,6 +180,16 @@ def test_replay_bit_for_bit(sub, params):
     code2, rep2 = replay_report(rep)
     assert code2 == code
     assert rep2 == rep
+    assert render_report(rep2) == render_report(rep)
+
+
+def test_reproduce_paper_echo_is_empty_and_replays():
+    # the report must not depend on the machine it ran on
+    code, rep = run_request(CommandRequest("reproduce-paper", {}))
+    assert code == 0
+    assert rep["params"] == {}
+    code2, rep2 = replay_report(rep)
+    assert (code2, rep2) == (code, rep)
     assert render_report(rep2) == render_report(rep)
 
 
@@ -222,6 +233,39 @@ def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     assert main(["theta", "--help"]) == 0
     capsys.readouterr()
+
+
+def _keys_read(funcs: dict[str, ast.FunctionDef], name: str) -> set[str]:
+    """The literal keys of the P.<getter>("key") calls in funcs[name],
+    following the calls to _lattice_spec."""
+    keys = set()
+    for node in ast.walk(funcs[name]):
+        if not isinstance(node, ast.Call):
+            continue
+        f = node.func
+        if isinstance(f, ast.Name) and f.id == "_lattice_spec":
+            keys |= _keys_read(funcs, "_lattice_spec")
+        elif (
+            isinstance(f, ast.Attribute)
+            and isinstance(f.value, ast.Name)
+            and f.value.id == "P"
+            and node.args
+            and isinstance(node.args[0], ast.Constant)
+            and isinstance(node.args[0].value, str)
+        ):
+            keys.add(node.args[0].value)
+    return keys
+
+
+def test_flags_match_the_keys_each_handler_reads():
+    # _FLAGS is both the --help text and the argv check, so a stale entry
+    # advertises a flag that the handler then rejects
+    tree = ast.parse(inspect.getsource(cli))
+    funcs = {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)}
+    assert set(cli._FLAGS) == set(cli._HANDLERS)
+    for sub, handler in cli._HANDLERS.items():
+        assert set(cli._FLAGS[sub]) == _keys_read(funcs, handler.__name__), sub
+    assert main(["char-sum", "--tol", "1e-9"]) == 2
 
 
 def test_unknown_format_rejected():

@@ -45,6 +45,18 @@ def test_is_prime_small():
         require_prime(91)  # 7 * 13
 
 
+def test_require_prime_stops_at_proven_range():
+    # the 12 Miller-Rabin bases are proven only below psi_12, which is
+    # itself a composite that passes all of them
+    psi_12 = 318665857834031151167461
+    assert psi_12 == 399165290221 * 798330580441
+    assert is_prime(psi_12)
+    with pytest.raises(ParameterError, match="proven range"):
+        require_prime(psi_12)
+    below = next(n for n in range(psi_12 - 2, 0, -2) if is_prime(n))
+    assert require_prime(below) == below
+
+
 @given(st.integers(-10**6, 10**6), st.integers(1, 10**6))
 def test_rational_round_trip(num, den):
     q = Fraction(num, den)
