@@ -34,7 +34,7 @@ from .core import (
 )
 from .padic import Rational, _int_valuation, char_qp, padic_norm, prime_support, valuation
 from .padic_integrals import ball_char_integral, norm_float, shell_char_kernel
-from .semistable import SemistableLaw, char_fn
+from .semistable import SemistableLaw, _ShellTable, char_fn
 from .semistable import density as semistable_density
 from .real_stable import (
     StableSymbol,
@@ -648,79 +648,83 @@ def _real_scaled_mass(rf: RealFactor, a_inf: float, quad: QuadratureConfig) -> E
     return EvalResult(v + tail_val, e + 10.0 * tail_err, int(info["neval"]), True)
 
 
-def _padic_scaled_mass(
-    f: FiniteFactor, a_p: Fraction, plan: ShellSumPlan
-) -> EvalResult:
-    """int |a_p| f_p(a_p x) dx over Q_p, shell by shell in x."""
-    law = f.law
-    p = law.p
-    va = valuation(a_p, p)
-    scale = norm_float(p, -int(va))
-    w_unit = 1.0 - 1.0 / p
-    f0 = semistable_density(law, f.t, Fraction(0), "shell", plan)
+class _ScaledShells:
+    """Shell densities of one finite factor f_p under x -> a_p x.
 
-    def shell_density(m: int) -> EvalResult:
-        deep = ShellSumPlan(
-            n_min=plan.n_min - max(m - int(va), 0),
-            n_max=plan.n_max,
-            tail_tolerance=plan.tail_tolerance,
-            max_terms=plan.max_terms,
-        )
-        point = a_p * Fraction(p) ** (-m)
-        return semistable_density(law, f.t, point, "shell", deep)
+    The density at a_p p^{-m} is a window of the factor's shell table at
+    v = va - m, so the mass check and the transform at every grid point
+    read their densities off one table, and f_t(0) is formed once.
+    """
 
-    acc = CompensatedSum()
-    bound = 0.0
-    terms = 0
-    n_lo = plan.n_min + int(va)
-    for m in range(n_lo, int(va) + 1):
-        r = shell_density(m)
-        acc.add(scale * r.value * norm_float(p, m) * w_unit)
-        bound += scale * r.error_bound * norm_float(p, m) * w_unit
-        terms += 1
-    bound += scale * (f0.value + f0.error_bound) * norm_float(p, n_lo - 1)
+    def __init__(self, f: FiniteFactor, a_p: Fraction, plan: ShellSumPlan):
+        self.p = f.law.p
+        self.gamma = f.law.gamma
+        self.plan = plan
+        self.va = int(valuation(a_p, self.p))
+        self.scale = norm_float(self.p, -self.va)
+        self.table = _ShellTable(f.law, f.t)
+        self.f0 = semistable_density(f.law, f.t, Fraction(0), "shell", plan)
 
-    prev = math.inf
-    m = int(va) + 1
-    converged = False
-    while terms < plan.max_terms:
-        r = shell_density(m)
-        term = scale * r.value * norm_float(p, m) * w_unit
-        acc.add(term)
-        bound += scale * r.error_bound * norm_float(p, m) * w_unit
-        terms += 1
-        if abs(term) < plan.tail_tolerance / 10.0 and abs(term) < prev:
-            ratio = max(abs(term) / prev if prev > 0 else 0.0, float(p) ** (-law.gamma))
-            if ratio < 1.0:
-                bound += abs(term) * ratio / (1.0 - ratio)
-                converged = True
-                break
-        prev = abs(term) if term != 0.0 else prev
-        m += 1
-    return EvalResult(acc.value, bound if converged else math.inf, terms, converged)
+    def mass(self) -> EvalResult:
+        """int |a_p| f_p(a_p x) dx over Q_p, shell by shell in x."""
+        p, plan, va, scale, f0 = self.p, self.plan, self.va, self.scale, self.f0
+        w_unit = 1.0 - 1.0 / p
+        acc = CompensatedSum()
+        bound = 0.0
+        terms = 0
+        # inner shells m <= va: every window starts at n_min
+        n_lo = plan.n_min + va
+        inner = self.table.walk(plan.n_min, range(0, 1 - plan.n_min), plan.tail_tolerance)
+        for m in range(n_lo, va + 1):
+            r = inner[va - m]
+            acc.add(scale * r.value * norm_float(p, m) * w_unit)
+            bound += scale * r.error_bound * norm_float(p, m) * w_unit
+            terms += 1
+        bound += scale * (f0.value + f0.error_bound) * norm_float(p, n_lo - 1)
 
+        # outer shells deepen the window with m - va
+        prev = math.inf
+        m = va + 1
+        converged = False
+        while terms < plan.max_terms:
+            r = self.table.walk(plan.n_min - (m - va), [va - m], plan.tail_tolerance)[0]
+            term = scale * r.value * norm_float(p, m) * w_unit
+            acc.add(term)
+            bound += scale * r.error_bound * norm_float(p, m) * w_unit
+            terms += 1
+            if abs(term) < plan.tail_tolerance / 10.0 and abs(term) < prev:
+                ratio = max(abs(term) / prev if prev > 0 else 0.0, float(p) ** (-self.gamma))
+                if ratio < 1.0:
+                    bound += abs(term) * ratio / (1.0 - ratio)
+                    converged = True
+                    break
+            prev = abs(term) if term != 0.0 else prev
+            m += 1
+        return EvalResult(acc.value, bound if converged else math.inf, terms, converged)
 
-def _padic_scaled_transform(
-    f: FiniteFactor, a_p: Fraction, y_p: Fraction, plan: ShellSumPlan
-) -> EvalResult:
-    """Transform of |a_p| f_p(a_p .) at y_p via shell character integrals."""
-    law = f.law
-    p = law.p
-    va = int(valuation(a_p, p))
-    scale = norm_float(p, -va)
-    vy = valuation(y_p, p)
-    top = plan.n_max if vy == math.inf else int(vy) + 1
-    acc = CompensatedSum()
-    f0 = semistable_density(law, f.t, Fraction(0), "shell", plan)
-    terms = 0
-    for n in range(plan.n_min + va, top + 1):
-        s = shell_char_kernel(p, n, vy) if vy != math.inf else norm_float(p, n) * (1 - 1 / p)
-        if s != 0.0:
-            r = semistable_density(law, f.t, a_p * Fraction(p) ** (-n), "shell", plan)
-            acc.add(scale * r.value * s)
-        terms += 1
-    bound = scale * (f0.value + f0.error_bound) * norm_float(p, plan.n_min + va - 1)
-    return EvalResult(acc.value, bound + 1e-13, terms, True)
+    def transforms(self, ys: Sequence[Fraction]) -> list[EvalResult]:
+        """Transform of |a_p| f_p(a_p .) at each y_p via shell character integrals."""
+        p, plan, va, scale, f0 = self.p, self.plan, self.va, self.scale, self.f0
+        vys = [valuation(y, p) for y in ys]
+        tops = [plan.n_max if vy == math.inf else int(vy) + 1 for vy in vys]
+        if not tops:
+            return []
+        # shell n reads the density at a_p p^{-n}: the window from n_min
+        # at v = va - n, so one walk serves every grid point
+        v_lo = va - max(tops)
+        dens = self.table.walk(plan.n_min, range(v_lo, 1 - plan.n_min), plan.tail_tolerance)
+        bound = scale * (f0.value + f0.error_bound) * norm_float(p, plan.n_min + va - 1)
+        out = []
+        for vy, top in zip(vys, tops):
+            acc = CompensatedSum()
+            terms = 0
+            for n in range(plan.n_min + va, top + 1):
+                s = shell_char_kernel(p, n, vy) if vy != math.inf else norm_float(p, n) * (1 - 1 / p)
+                if s != 0.0:
+                    acc.add(scale * dens[va - n - v_lo].value * s)
+                terms += 1
+            out.append(EvalResult(acc.value, bound + 1e-13, terms, True))
+        return out
 
 
 @dataclass(frozen=True)
@@ -783,8 +787,9 @@ def scale_by_idele(
     rf = spec.real_factor
     m_inf = _real_scaled_mass(rf, float(a.real), quad)
     masses.append(ComponentCheck("inf", m_inf.value, m_inf.error_bound, 1.0))
-    for p, f in sorted(spec.finite_factors.items()):
-        r = _padic_scaled_mass(f, a.component(p), plan)
+    shells = {p: _ScaledShells(f, a.component(p), plan) for p, f in sorted(spec.finite_factors.items())}
+    for p, sh in shells.items():
+        r = sh.mass()
         masses.append(ComponentCheck(str(p), r.value, r.error_bound, 1.0))
     for p in a.support:
         if p not in spec.finite_factors:
@@ -796,11 +801,13 @@ def scale_by_idele(
 
     fourier: list[ComponentCheck] = []
     a_inv = a.inverse()
-    for y in _fourier_grid(spec, a, grid_points):
+    grid = _fourier_grid(spec, a, grid_points)
+    transforms = {p: sh.transforms([y.component(p) for y in grid]) for p, sh in shells.items()}
+    for i, y in enumerate(grid):
         lhs_parts: list[EvalResult] = []
         lhs_parts.append(_real_scaled_transform(rf, float(a.real), float(y.real), quad))
-        for p, f in sorted(spec.finite_factors.items()):
-            lhs_parts.append(_padic_scaled_transform(f, a.component(p), y.component(p), plan))
+        for p in shells:
+            lhs_parts.append(transforms[p][i])
         for p in y.support:
             if p not in spec.finite_factors:
                 va = int(valuation(a.component(p), p))

@@ -16,8 +16,16 @@ is evaluated two independent ways:
 * shell mode - Fourier inversion shell by shell,
       f_t(x) = sum_n exp(-Ct p^{n gamma}) * int_{|y|_p = p^n} chi_1(xy) dy,
   which never references Gamma_p.  The shell integrals come from
-  shell_char_kernel on the one valuation v_p(x): the closed-form, bit-
-  identical float form of the exact definition ball_char_integral.
+  shell_char_kernel, the closed-form, bit-identical float form of the
+  exact definition ball_char_integral: on v = v_p(x) they are
+  p^n (1 - 1/p) for n <= v, -p^v at n = v+1 and 0 above, so each density
+  is a compensated sum over a window [n_min, v+1].  A shell table forms
+  each weight and each n <= v term once per law and t.  Windows that start
+  at the same n_min share one accumulation, and each takes its n = v+1
+  term on a copy of the state; the additions and their order are those of
+  summing the window alone, so the values are bit-identical to it.
+  mass_check and the idele scaling checks read all their densities off
+  one table.
 
 Agreement of the two modes is the package's core p-adic cross-check.
 """
@@ -69,32 +77,93 @@ def char_fn(law: SemistableLaw, t: float, y: Rational) -> float:
     return math.exp(-w) if w < 745.0 else 0.0
 
 
+class _ShellTable:
+    """Shell weights and shell terms of one law at one t, each formed once.
+
+    Shell m has the weight w_m = exp(-Ct p^{m gamma}).  For every v >= m
+    its kernel value is K_m = p^m (1 - 1/p), so its term w_m K_m does not
+    depend on x.  The density at v_p(x) = v on the window [lo, v + 1] is
+    the compensated sum of the terms lo..v followed by w_{v+1} (-p^v).
+    """
+
+    def __init__(self, law: SemistableLaw, t: float):
+        self.p = law.p
+        ct = law.C * t
+        self._weight_fn = exp_norm_function(ct, law.gamma)
+        self._gamma = law.gamma
+        self._log_p = math.log(law.p)
+        self._log_cut = math.log(745.0 / ct) if ct > 0.0 else math.inf
+        self._w: dict[int, float | None] = {}
+        self._t: dict[int, float] = {}
+
+    def _weight(self, m: int) -> float | None:
+        """w_m, or None where a window reaching shell m ends before it.
+
+        The weights decrease in n.  Once one is 0.0 in double every later
+        shell adds nothing, and its kernel value, which may exceed double
+        range, is never formed.  The log-space test keeps a weight that is
+        0.0 only because p^n saturated to inf from ending the sum.
+        """
+        if m not in self._w:
+            w = self._weight_fn(norm_float(self.p, m))
+            ends = w == 0.0 and m * self._gamma * self._log_p > self._log_cut
+            self._w[m] = None if ends else w
+        return self._w[m]
+
+    def walk(self, lo: int, vs, tail_tolerance: float) -> list[EvalResult]:
+        """Shell-mode densities at v_p(x) = v for each v of the ascending vs.
+
+        Every window starts at lo, so one compensated accumulation runs
+        upward from lo, and at each v a copy of its state takes the n = v+1
+        term.  The additions and their order are those of summing each
+        window on its own.  The error bound p^{lo - 1} covers the omitted
+        inner shells: |integrand| <= 1 times the remaining ball mass.
+        """
+        p, terms = self.p, self._t
+        bound = norm_float(p, lo - 1)
+        converged = bound <= tail_tolerance
+        s = c = 0.0
+        m = lo
+        ended = False
+        out = []
+        for v in vs:
+            while m <= v and not ended:
+                x = terms.get(m)
+                if x is None:
+                    w = self._weight(m)
+                    if w is None:
+                        ended = True
+                        break
+                    x = terms[m] = w * shell_char_kernel(p, m, math.inf)
+                u = s + x
+                if abs(s) >= abs(x):
+                    c += (s - u) + x
+                else:
+                    c += (x - u) + s
+                s = u
+                m += 1
+            w = None if ended or m != v + 1 else self._weight(m)
+            if w is None:
+                value = s + c
+            else:
+                x = w * shell_char_kernel(p, m, v)
+                u = s + x
+                if abs(s) >= abs(x):
+                    value = u + (c + ((s - u) + x))
+                else:
+                    value = u + (c + ((x - u) + s))
+            # shells above n = v+1 vanish identically (third branch of the
+            # shell character integral), so the sum is finite upward
+            out.append(EvalResult(value, bound, max(v + 2 - lo, 0), converged))
+        return out
+
+
 def _density_shell(law: SemistableLaw, t: float, x: Rational, plan: ShellSumPlan) -> EvalResult:
-    p, g, ct = law.p, law.gamma, law.C * t
-    v = valuation(x, p)
+    v = valuation(x, law.p)
     if v == math.inf:
         # f_t(0) is the full radial integral of the characteristic function
-        return integrate_radial(exp_norm_function(ct, g), p, "full", plan)
-    v = int(v)
-    weight = exp_norm_function(ct, g)
-    # shells above n = v+1 vanish identically (third branch of the
-    # shell character integral), so the sum is finite upward
-    terms = max(v + 2 - plan.n_min, 0)
-    # The weights decrease in n.  Once one is 0.0 in double every later
-    # shell adds nothing, and its shell integral, which may exceed double
-    # range, is never formed.  The log-space test keeps a weight that is
-    # 0.0 only because p^n saturated to inf from ending the sum.
-    log_p = math.log(p)
-    log_cut = math.log(745.0 / ct) if ct > 0.0 else math.inf
-    acc = CompensatedSum()
-    for n in range(plan.n_min, v + 2):
-        w = weight(norm_float(p, n))
-        if w == 0.0 and n * g * log_p > log_cut:
-            break
-        acc.add(w * shell_char_kernel(p, n, v))
-    # omitted inner shells: |integrand| <= 1 times remaining ball mass
-    bound = norm_float(p, plan.n_min - 1)
-    return EvalResult(acc.value, bound, terms, bound <= plan.tail_tolerance)
+        return integrate_radial(exp_norm_function(law.C * t, law.gamma), law.p, "full", plan)
+    return _ShellTable(law, t).walk(plan.n_min, [int(v)], plan.tail_tolerance)[0]
 
 
 def _density_series_direct(
@@ -204,18 +273,7 @@ def mass_check(law: SemistableLaw, t: float, plan: ShellSumPlan = _DEFAULT_PLAN)
         raise ParameterError("mass_check needs t > 0")
     p = law.p
     w_unit = 1.0 - 1.0 / p
-
-    def eval_at_shell(n: int) -> EvalResult:
-        # deepen the density cutoff with the shell so the evaluation
-        # error stays below p^{n_min - 1} after the measure weight p^n
-        deep = ShellSumPlan(
-            n_min=plan.n_min - max(n, 0),
-            n_max=plan.n_max,
-            tail_tolerance=plan.tail_tolerance,
-            max_terms=plan.max_terms,
-        )
-        return _density_shell(law, t, Rational(p) ** (-n), deep)
-
+    table = _ShellTable(law, t)
     f0 = _density_shell(law, t, Rational(0), plan)
 
     acc = CompensatedSum()
@@ -224,11 +282,14 @@ def mass_check(law: SemistableLaw, t: float, plan: ShellSumPlan = _DEFAULT_PLAN)
     min_shell = 0
     eval_bound = 0.0
 
-    # inner shells: density is bounded by f_t(0), so the omitted ball
-    # below n_lo carries mass at most f_t(0) p^{n_lo - 1}
+    # inner shells n <= 0: x = p^{-n} has v = -n, and every window starts
+    # at n_min, so one walk gives them all; the density is bounded by
+    # f_t(0), so the omitted ball below n_lo carries mass at most
+    # f_t(0) p^{n_lo - 1}
     n_lo = plan.n_min
+    inner = table.walk(n_lo, range(0, 1 - n_lo), plan.tail_tolerance)
     for n in range(n_lo, 1):
-        fr = eval_at_shell(n)
+        fr = inner[-n]
         if fr.value < min_density:
             min_density, min_shell = fr.value, n
         acc.add(fr.value * norm_float(p, n) * w_unit)
@@ -242,7 +303,9 @@ def mass_check(law: SemistableLaw, t: float, plan: ShellSumPlan = _DEFAULT_PLAN)
     converged_out = False
     n = 1
     while terms < plan.max_terms:
-        fr = eval_at_shell(n)
+        # deepen the window with the shell so the evaluation error stays
+        # below p^{n_min - 1} after the measure weight p^n
+        fr = table.walk(plan.n_min - n, [-n], plan.tail_tolerance)[0]
         if fr.value < min_density:
             min_density, min_shell = fr.value, n
         term = fr.value * norm_float(p, n) * w_unit

@@ -193,6 +193,26 @@ def test_reproduce_paper_echo_is_empty_and_replays():
     assert render_report(rep2) == render_report(rep)
 
 
+def test_reproduce_paper_mass_and_rr_rows_match_the_benchmark_snapshot():
+    # perfbench records the rows the seed commit gave for every request of
+    # reproduce-paper; the p-adic mass checks and the idele scaling
+    # (rr-check) must keep them field for field
+    snapshot = Path(__file__).resolve().parents[1] / "perfbench" / "reference" / "paper_battery.json"
+    with open(snapshot) as fh:
+        ref = json.load(fh)
+    code, rep = run_request(CommandRequest("reproduce-paper", {}))
+    assert code == 0
+    labels = [k for k in ref if k.startswith("mass[") or k == "rr"]
+    assert len(labels) == 28
+    for label in labels:
+        rows = [
+            {**row, "name": row["name"][len(label) + 1 :]}
+            for row in rep["results"]
+            if row["name"].startswith(f"{label}:")
+        ]
+        assert rows == ref[label]["rows"], label
+
+
 def test_replay_seeded_rr_check():
     code, rep = run_request(CommandRequest("rr-check", {"parts": "reduction,product"}))
     assert code == 0

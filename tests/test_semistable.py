@@ -8,8 +8,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trace_lab.core import ParameterError
-from trace_lab.semistable import SemistableLaw, char_fn, density, mass_check
+from trace_lab import adeles
+from trace_lab.adeles import BruhatSchwartzSpec, FiniteFactor, Idele, gaussian_factor, scale_by_idele
+from trace_lab.core import (
+    CompensatedSum,
+    EvalResult,
+    ParameterError,
+    QuadratureConfig,
+    ShellSumPlan,
+    product_results,
+)
+from trace_lab.padic import Rational, padic_norm, valuation
+from trace_lab.padic_integrals import (
+    ball_char_integral,
+    exp_norm_function,
+    integrate_radial,
+    norm_float,
+    shell_char_kernel,
+)
+from trace_lab.semistable import MassCheck, SemistableLaw, char_fn, density, mass_check
 
 laws = st.builds(
     SemistableLaw,
@@ -130,3 +147,300 @@ def test_density_rejects_bad_input():
         density(law, 1.0, Fraction(1), "quadrature")
     with pytest.raises(ParameterError):
         SemistableLaw(6, 1.0, 1.0)
+
+
+# ---------------------------------------------------------------------------
+# per-window reference for the shell-mode density
+# ---------------------------------------------------------------------------
+#
+# Each shell-mode density used to sum its own window of shells, and every
+# caller formed every density on its own.  The shell table shares one
+# accumulation among the windows that start together; these copies of the
+# per-window code are the oracle it must match bit for bit.
+
+
+def _density_shell_per_window(law, t, x, plan):
+    p, g, ct = law.p, law.gamma, law.C * t
+    v = valuation(x, p)
+    if v == math.inf:
+        return integrate_radial(exp_norm_function(ct, g), p, "full", plan)
+    v = int(v)
+    weight = exp_norm_function(ct, g)
+    terms = max(v + 2 - plan.n_min, 0)
+    log_p = math.log(p)
+    log_cut = math.log(745.0 / ct) if ct > 0.0 else math.inf
+    acc = CompensatedSum()
+    for n in range(plan.n_min, v + 2):
+        w = weight(norm_float(p, n))
+        if w == 0.0 and n * g * log_p > log_cut:
+            break
+        acc.add(w * shell_char_kernel(p, n, v))
+    bound = norm_float(p, plan.n_min - 1)
+    return EvalResult(acc.value, bound, terms, bound <= plan.tail_tolerance)
+
+
+def _deeper(plan, k):
+    return ShellSumPlan(
+        n_min=plan.n_min - max(k, 0),
+        n_max=plan.n_max,
+        tail_tolerance=plan.tail_tolerance,
+        max_terms=plan.max_terms,
+    )
+
+
+def _mass_check_per_window(law, t, plan=ShellSumPlan()):
+    p = law.p
+    w_unit = 1.0 - 1.0 / p
+
+    def eval_at_shell(n):
+        return _density_shell_per_window(law, t, Rational(p) ** (-n), _deeper(plan, n))
+
+    f0 = _density_shell_per_window(law, t, Rational(0), plan)
+    acc = CompensatedSum()
+    terms = 0
+    min_density = f0.value
+    min_shell = 0
+    eval_bound = 0.0
+    n_lo = plan.n_min
+    for n in range(n_lo, 1):
+        fr = eval_at_shell(n)
+        if fr.value < min_density:
+            min_density, min_shell = fr.value, n
+        acc.add(fr.value * norm_float(p, n) * w_unit)
+        eval_bound += fr.error_bound * norm_float(p, n) * w_unit
+        terms += 1
+    inner_tail = (f0.value + f0.error_bound) * norm_float(p, n_lo - 1)
+    prev_term = math.inf
+    outer_tail = math.inf
+    converged_out = False
+    n = 1
+    while terms < plan.max_terms:
+        fr = eval_at_shell(n)
+        if fr.value < min_density:
+            min_density, min_shell = fr.value, n
+        term = fr.value * norm_float(p, n) * w_unit
+        acc.add(term)
+        eval_bound += fr.error_bound * norm_float(p, n) * w_unit
+        terms += 1
+        if abs(term) < plan.tail_tolerance / 10.0 and abs(term) < prev_term:
+            ratio = abs(term) / prev_term if prev_term > 0 else 0.0
+            ratio = max(ratio, float(p) ** (-law.gamma))
+            if ratio < 1.0:
+                outer_tail = abs(term) * ratio / (1.0 - ratio)
+                converged_out = True
+                break
+        prev_term = abs(term) if term != 0.0 else prev_term
+        n += 1
+    bound = inner_tail + outer_tail + eval_bound if converged_out else math.inf
+    converged = converged_out and bound <= 10.0 * plan.tail_tolerance
+    return MassCheck(EvalResult(acc.value, bound, terms, converged), min_density, min_shell)
+
+
+def _padic_scaled_mass_per_window(f, a_p, plan):
+    law = f.law
+    p = law.p
+    va = valuation(a_p, p)
+    scale = norm_float(p, -int(va))
+    w_unit = 1.0 - 1.0 / p
+    f0 = _density_shell_per_window(law, f.t, Fraction(0), plan)
+
+    def shell_density(m):
+        point = a_p * Fraction(p) ** (-m)
+        return _density_shell_per_window(law, f.t, point, _deeper(plan, m - int(va)))
+
+    acc = CompensatedSum()
+    bound = 0.0
+    terms = 0
+    n_lo = plan.n_min + int(va)
+    for m in range(n_lo, int(va) + 1):
+        r = shell_density(m)
+        acc.add(scale * r.value * norm_float(p, m) * w_unit)
+        bound += scale * r.error_bound * norm_float(p, m) * w_unit
+        terms += 1
+    bound += scale * (f0.value + f0.error_bound) * norm_float(p, n_lo - 1)
+    prev = math.inf
+    m = int(va) + 1
+    converged = False
+    while terms < plan.max_terms:
+        r = shell_density(m)
+        term = scale * r.value * norm_float(p, m) * w_unit
+        acc.add(term)
+        bound += scale * r.error_bound * norm_float(p, m) * w_unit
+        terms += 1
+        if abs(term) < plan.tail_tolerance / 10.0 and abs(term) < prev:
+            ratio = max(abs(term) / prev if prev > 0 else 0.0, float(p) ** (-law.gamma))
+            if ratio < 1.0:
+                bound += abs(term) * ratio / (1.0 - ratio)
+                converged = True
+                break
+        prev = abs(term) if term != 0.0 else prev
+        m += 1
+    return EvalResult(acc.value, bound if converged else math.inf, terms, converged)
+
+
+def _padic_scaled_transform_per_window(f, a_p, y_p, plan):
+    law = f.law
+    p = law.p
+    va = int(valuation(a_p, p))
+    scale = norm_float(p, -va)
+    vy = valuation(y_p, p)
+    top = plan.n_max if vy == math.inf else int(vy) + 1
+    acc = CompensatedSum()
+    f0 = _density_shell_per_window(law, f.t, Fraction(0), plan)
+    terms = 0
+    for n in range(plan.n_min + va, top + 1):
+        s = shell_char_kernel(p, n, vy) if vy != math.inf else norm_float(p, n) * (1 - 1 / p)
+        if s != 0.0:
+            r = _density_shell_per_window(law, f.t, a_p * Fraction(p) ** (-n), plan)
+            acc.add(scale * r.value * s)
+        terms += 1
+    bound = scale * (f0.value + f0.error_bound) * norm_float(p, plan.n_min + va - 1)
+    return EvalResult(acc.value, bound + 1e-13, terms, True)
+
+
+def _scale_by_idele_per_window(spec, a, quad, plan, grid_points):
+    masses = []
+    rf = spec.real_factor
+    m_inf = adeles._real_scaled_mass(rf, float(a.real), quad)
+    masses.append(adeles.ComponentCheck("inf", m_inf.value, m_inf.error_bound, 1.0))
+    for p, f in sorted(spec.finite_factors.items()):
+        r = _padic_scaled_mass_per_window(f, a.component(p), plan)
+        masses.append(adeles.ComponentCheck(str(p), r.value, r.error_bound, 1.0))
+    for p in a.support:
+        if p not in spec.finite_factors:
+            v = padic_norm(a.component(p), p).as_fraction() * Fraction(p) ** int(
+                valuation(a.component(p), p)
+            )
+            masses.append(adeles.ComponentCheck(f"{p} (unit-ball factor)", float(v), 0.0, 1.0))
+    fourier = []
+    a_inv = a.inverse()
+    for y in adeles._fourier_grid(spec, a, grid_points):
+        lhs_parts = [adeles._real_scaled_transform(rf, float(a.real), float(y.real), quad)]
+        for p, f in sorted(spec.finite_factors.items()):
+            lhs_parts.append(
+                _padic_scaled_transform_per_window(f, a.component(p), y.component(p), plan)
+            )
+        for p in y.support:
+            if p not in spec.finite_factors:
+                va = int(valuation(a.component(p), p))
+                val = padic_norm(a.component(p), p).as_fraction() * ball_char_integral(
+                    p, va, y.component(p)
+                )
+                lhs_parts.append(EvalResult(float(val), 0.0, 1, True))
+        lhs = product_results(lhs_parts)
+        rhs = adeles.bs_eval(spec, adeles.scale_point(a_inv, y), "transform").value
+        fourier.append(adeles.ComponentCheck(repr(y.to_dict()), lhs.value, lhs.error_bound, rhs))
+    return tuple(masses), tuple(fourier)
+
+
+@st.composite
+def _shell_windows(draw):
+    n_min = draw(st.integers(-80, 5))
+    return n_min, draw(st.integers(n_min - 3, 70))
+
+
+@given(
+    st.sampled_from([2, 3, 5, 7, 101]),
+    st.floats(0.05, 4.0),
+    # Ct >= 745 makes the weights 0.0 below n = 0, so the early exit fires
+    st.one_of(st.floats(1e-3, 50.0), st.floats(745.0, 1e6)),
+    _shell_windows(),
+)
+@settings(max_examples=300, deadline=None)
+def test_shell_density_matches_per_window_loop(p, gamma, ct, window):
+    n_min, v = window
+    law = SemistableLaw(p, gamma, ct)
+    plan = ShellSumPlan(n_min=n_min, n_max=max(n_min, 60))
+    for x in (Fraction(p) ** (-v), (1 + p) * Fraction(p) ** (-v)):
+        got = density(law, 1.0, x, "shell", plan)
+        ref = _density_shell_per_window(law, 1.0, x, plan)
+        assert got == ref and repr(got) == repr(ref)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ParameterError as exc:
+        return repr(exc)
+
+
+@pytest.mark.parametrize("gamma", [1.0, 0.01, 0.001])
+@pytest.mark.parametrize("v", [80, 89, 90, 91])
+def test_shell_density_matches_per_window_loop_past_double_range(gamma, v):
+    # near n = v the shell integrals of p = 7919 exceed double range: with
+    # gamma = 1 the zero weights end the sum first, with gamma = 0.001 the
+    # kernel raises, and both forms must do the same
+    law, x, plan = SemistableLaw(7919, gamma, 1.0), Fraction(7919) ** v, ShellSumPlan()
+    got = _outcome(density, law, 1.0, x, "shell", plan)
+    assert got == _outcome(_density_shell_per_window, law, 1.0, x, plan)
+
+
+_PAPER_MASS_CASES = [
+    (p, g, c) for p in (2, 3, 5) for g in (0.5, 1.0, 2.0) for c in (0.5, 1.0, 2.0)
+]
+
+
+@pytest.mark.parametrize("p, gamma, ct", _PAPER_MASS_CASES)
+def test_mass_check_matches_per_window_loop(p, gamma, ct):
+    law = SemistableLaw(p, gamma, ct)
+    got = mass_check(law, 1.0)
+    ref = _mass_check_per_window(law, 1.0)
+    assert got == ref and repr(got) == repr(ref)
+
+
+def test_mass_check_matches_per_window_loop_off_the_default_plan():
+    # a shallow window never converges and runs to max_terms; a window
+    # above n = 0 has no inner shells
+    law = SemistableLaw(3, 0.7, 2.0)
+    for plan in (
+        ShellSumPlan(n_min=-50, tail_tolerance=1e-9),
+        ShellSumPlan(n_min=-5, max_terms=300),
+        ShellSumPlan(n_min=3, n_max=5, max_terms=50),
+    ):
+        got = mass_check(law, 1.0, plan)
+        assert got == _mass_check_per_window(law, 1.0, plan), plan
+
+
+@pytest.mark.parametrize(
+    "a_map",
+    [{2: Fraction(1, 2)}, {2: Fraction(4), 3: Fraction(1, 9)}],
+    ids=["2=1/2", "2=4,3=1/9"],
+)
+def test_scale_by_idele_matches_per_window_loop(a_map):
+    a = Idele(2.0, a_map)
+    spec = BruhatSchwartzSpec(
+        gaussian_factor(1.0),
+        {q: FiniteFactor(SemistableLaw(q, 1.0, 1.0), 1.0) for q in sorted(set(a.support) | {2})},
+    )
+    quad, plan = QuadratureConfig(), ShellSumPlan()
+    rep = scale_by_idele(spec, a, quad, plan, 12)
+    masses, fourier = _scale_by_idele_per_window(spec, a, quad, plan, 12)
+    assert rep.mass_checks == masses and repr(rep.mass_checks) == repr(masses)
+    assert rep.fourier_checks == fourier and repr(rep.fourier_checks) == repr(fourier)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="the declared bound covers the omitted inner shells, not the rounding "
+    "of the window sum (ROADMAP item 5)",
+)
+@pytest.mark.parametrize(
+    "p, gamma, ct, n", [(5, 2.0, 0.5, 11), (3, 0.5, 1.0, 53), (2, 1.0, 1.0, 17)]
+)
+def test_outer_shell_density_bound_covers_rounding(p, gamma, ct, n):
+    # outer shells of the paper mass checks: x = p^{-n} on the window
+    # [n_min - n, 1 - n].  For |x|_p large the density is far below the
+    # terms p^m it is summed from, so rounding dominates its error.
+    mpmath = pytest.importorskip("mpmath")
+    x = Fraction(p) ** (-n)
+    got = density(SemistableLaw(p, gamma, ct), 1.0, x, "shell", ShellSumPlan(n_min=-60 - n))
+    with mpmath.workdps(60):
+        P, g = mpmath.mpf(p), mpmath.mpf(gamma)
+
+        def w(m):
+            return mpmath.exp(-ct * P ** (m * g))
+
+        ref = mpmath.fsum(w(m) * P**m * (1 - 1 / P) for m in range(-n - 400, -n + 1))
+        ref -= w(1 - n) * P ** (-n)
+        assert abs(got.value - ref) <= got.error_bound
