@@ -19,8 +19,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, ClassVar, Mapping, Sequence
 
-from scipy import integrate
-
 from .core import (
     CompensatedSum,
     EvalResult,
@@ -595,12 +593,15 @@ class ScaledDensity:
 
 
 def _real_scaled_mass(rf: RealFactor, a_inf: float, quad: QuadratureConfig) -> EvalResult:
-    """int |a| f(a u) du, numerically."""
+    """int |a| f(a u) du, numerically; converged is False when QUADPACK
+    warns, which it does by returning more than three items."""
+    from scipy import integrate
+
     aa = abs(a_inf)
     if rf.kind == "gaussian" or rf.alpha == 2.0:
         sig = rf.t * (math.pi if rf.kind == "gaussian" else rf.sigma)
         half = math.sqrt(sig * math.log(1.0 / quad.envelope_cutoff)) / math.pi / aa
-        v, e, info = integrate.quad(
+        out = integrate.quad(
             lambda u: aa * rf.density(a_inf * u).value,
             -half,
             half,
@@ -608,13 +609,14 @@ def _real_scaled_mass(rf: RealFactor, a_inf: float, quad: QuadratureConfig) -> E
             epsrel=1e-13,
             limit=quad.panel_limit,
             full_output=1,
-        )[:3]
+        )
+        v, e, info = out[:3]
         tail = 2.0 * quad.envelope_cutoff * half * aa
-        return EvalResult(v, e + tail, int(info["neval"]), True)
+        return EvalResult(v, e + tail, int(info["neval"]), len(out) == 3)
     if rf.alpha == 1.0:
         c = rf.t * rf.sigma
         half = 64.0 * c / aa
-        v, e, info = integrate.quad(
+        out = integrate.quad(
             lambda u: aa * rf.density(a_inf * u).value,
             -half,
             half,
@@ -623,14 +625,15 @@ def _real_scaled_mass(rf: RealFactor, a_inf: float, quad: QuadratureConfig) -> E
             epsrel=1e-13,
             limit=quad.panel_limit,
             full_output=1,
-        )[:3]
+        )
+        v, e, info = out[:3]
         # closed tail of the Cauchy integral beyond the panel
         tail_val = 1.0 - 2.0 * math.atan(_TWO_PI * half * aa / c) / math.pi
-        return EvalResult(v + tail_val, e + 1e-14, int(info["neval"]), True)
+        return EvalResult(v + tail_val, e + 1e-14, int(info["neval"]), len(out) == 3)
     # numeric density: direct panel plus asymptotic-series tail integral
     half = 32.0 / aa
     sym = rf.symbol
-    v, e, info = integrate.quad(
+    out = integrate.quad(
         lambda u: aa * stable_density_numeric(sym, rf.t, a_inf * u).value,
         -half,
         half,
@@ -638,14 +641,15 @@ def _real_scaled_mass(rf: RealFactor, a_inf: float, quad: QuadratureConfig) -> E
         epsrel=1e-11,
         limit=quad.panel_limit,
         full_output=1,
-    )[:3]
+    )
+    v, e, info = out[:3]
     coeffs = stable_asymptotic_coefficients(sym, rf.t, 7)
     edge = half * aa
     tail_val = 2.0 * sum(
         ck * edge ** (-sym.alpha * k) / (sym.alpha * k) for k, ck in enumerate(coeffs[:-1], 1)
     ) / math.pi
     tail_err = 2.0 * abs(coeffs[-1]) * edge ** (-sym.alpha * 7) / (sym.alpha * 7) / math.pi
-    return EvalResult(v + tail_val, e + 10.0 * tail_err, int(info["neval"]), True)
+    return EvalResult(v + tail_val, e + 10.0 * tail_err, int(info["neval"]), len(out) == 3)
 
 
 class _ScaledShells:
@@ -689,6 +693,8 @@ class _ScaledShells:
         while terms < plan.max_terms:
             r = self.table.walk(plan.n_min - (m - va), [va - m], plan.tail_tolerance)[0]
             term = scale * r.value * norm_float(p, m) * w_unit
+            if not math.isfinite(term):  # as in mass_check
+                break
             acc.add(term)
             bound += scale * r.error_bound * norm_float(p, m) * w_unit
             terms += 1
@@ -827,6 +833,8 @@ def _real_scaled_transform(
     rf: RealFactor, a_inf: float, y: float, quad: QuadratureConfig
 ) -> EvalResult:
     """Transform of |a| f(a .) at y by quadrature against cos(2 pi u y)."""
+    from scipy import integrate
+
     aa = abs(a_inf)
     if rf.kind == "gaussian" or rf.alpha == 2.0:
         sig = rf.t * (math.pi if rf.kind == "gaussian" else rf.sigma)
@@ -865,7 +873,7 @@ def _real_scaled_transform(
         return aa * rf.density(a_inf * u).value
 
     if abs(y) * half < 0.5:
-        v, e, info = integrate.quad(
+        out = integrate.quad(
             lambda u: g(u) * math.cos(_TWO_PI * u * y),
             0.0,
             half,
@@ -873,9 +881,9 @@ def _real_scaled_transform(
             epsrel=1e-13,
             limit=quad.panel_limit,
             full_output=1,
-        )[:3]
+        )
     else:
-        v, e, info = integrate.quad(
+        out = integrate.quad(
             g,
             0.0,
             half,
@@ -886,5 +894,6 @@ def _real_scaled_transform(
             limit=quad.panel_limit,
             maxp1=100,
             full_output=1,
-        )[:3]
-    return EvalResult(2.0 * v + tail_val, 2.0 * e + tail_err, int(info["neval"]), True)
+        )
+    v, e, info = out[:3]
+    return EvalResult(2.0 * v + tail_val, 2.0 * e + tail_err, int(info["neval"]), len(out) == 3)

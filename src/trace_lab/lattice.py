@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy import special
 
 from .core import (
     CapabilityError,
@@ -100,6 +99,8 @@ def _shell_coords(d: int, m: int) -> list[np.ndarray]:
 
 
 def _shell_tail_bound(d: int, c: float, alpha: float, m_next: float) -> float:
+    from scipy import special
+
     # every point of sup-norm m has Euclidean norm >= m, and there are
     # at most 2 d 3^{d-1} m^{d-1} of them; the m-sum is bounded by its
     # first term plus the integral once u^{d-1} e^{-c u^alpha} decreases
@@ -268,6 +269,8 @@ def _wrapped_stable_numeric_1d(
     direct_radius: int = 32,
     k_max: int = 6,
 ) -> EvalResult:
+    from scipy import special
+
     alpha = symbol.alpha
     acc = CompensatedSum()
     bound = 0.0
@@ -410,5 +413,7 @@ def potential_identity(
     if kind == "gaussian":
         reference = math.pi / 3.0
     else:
+        from scipy import special
+
         reference = 2.0 * float(special.zeta(alpha, 1.0)) / sigma
     return PotentialReport(alpha, sigma, False, value, reference)

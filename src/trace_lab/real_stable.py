@@ -12,8 +12,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy import integrate, special
-
 from .core import (
     CompensatedSum,
     EvalResult,
@@ -106,6 +104,8 @@ def theta_potential_integral(
     2 theta(1/u^2) - 2u; the (1,inf) piece decays like e^{-pi t}.
     interval selects "lower" (0,1], "upper" (1,inf) or "full".
     """
+    from scipy import integrate
+
     if interval not in ("full", "lower", "upper"):
         raise ParameterError(f"unknown interval {interval!r}")
     value = 0.0
@@ -155,6 +155,8 @@ def stable_density_numeric(
     Always takes the numeric path, so it doubles as an oracle against the
     closed forms at alpha in {1, 2}.
     """
+    from scipy import integrate, special
+
     if t <= 0:
         raise ParameterError("stable_density_numeric needs t > 0")
     if symbol.d != 1:
@@ -227,6 +229,8 @@ def stable_asymptotic_coefficients(symbol: StableSymbol, t: float, k_max: int) -
     a' = t sigma / (2 pi)^alpha.  At alpha = 1 this is exactly the geometric
     expansion of the Cauchy closed form.
     """
+    from scipy import special
+
     alpha = symbol.alpha
     ap = t * symbol.sigma / _TWO_PI**alpha
     out = []
@@ -328,6 +332,8 @@ def gaussian_transform_numeric(
     t: float, y: float, quad: QuadratureConfig = _DEFAULT_QUAD
 ) -> EvalResult:
     """Quadrature of int gaussian_density(t,x) e^{-2 pi i x y} dx (real part)."""
+    from scipy import integrate
+
     if t <= 0:
         raise ParameterError("gaussian_transform_numeric needs t > 0")
     half = math.sqrt(t * math.log(1.0 / quad.envelope_cutoff) / math.pi)

@@ -309,6 +309,8 @@ def mass_check(law: SemistableLaw, t: float, plan: ShellSumPlan = _DEFAULT_PLAN)
         if fr.value < min_density:
             min_density, min_shell = fr.value, n
         term = fr.value * norm_float(p, n) * w_unit
+        if not math.isfinite(term):  # p^n overflowed: the terms never fell below tol
+            break
         acc.add(term)
         eval_bound += fr.error_bound * norm_float(p, n) * w_unit
         terms += 1

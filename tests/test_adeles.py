@@ -28,7 +28,13 @@ from trace_lab.adeles import (
     scale_point,
     stable_factor,
 )
-from trace_lab.core import CompensatedSum, ParameterError, format_rational
+from trace_lab.core import (
+    CompensatedSum,
+    ParameterError,
+    QuadratureConfig,
+    ShellSumPlan,
+    format_rational,
+)
 from trace_lab.padic import prime_support
 from trace_lab.semistable import SemistableLaw
 
@@ -372,6 +378,28 @@ def test_scale_by_idele_checks():
     for chk in rep.fourier_checks:
         assert chk.defect <= chk.error_bound + 1e-8, chk.label
     assert rep.scaled.norm == pytest.approx(float(idele_norm(a)))
+
+
+def test_real_scaled_quadrature_reports_quadpack_warnings():
+    # ten panels cannot reach abs_tol 1e-30: QUADPACK then appends a
+    # warning to its output, and converged must say so
+    rf = adeles.RealFactor("stable", 1.0, 1.0, 1.0)
+    starved = QuadratureConfig(abs_tol=1e-30, panel_limit=10)
+    mass = adeles._real_scaled_mass(rf, 2.0, starved)
+    assert not mass.converged and mass.error_bound > 0.1
+    assert not adeles._real_scaled_transform(rf, 2.0, 0.1, starved).converged
+    assert adeles._real_scaled_mass(rf, 2.0, QuadratureConfig()).converged
+    assert adeles._real_scaled_transform(rf, 2.0, 0.1, QuadratureConfig()).converged
+
+
+def test_scaled_shell_mass_stops_below_the_rounding_floor():
+    # the outer terms never fall below tol/10; the loop must end when p^m
+    # overflows, not run on to max_terms
+    f = FiniteFactor(SemistableLaw(2, 1.0, 1.0), 1.0)
+    res = adeles._ScaledShells(f, Fraction(1), ShellSumPlan(tail_tolerance=1e-20)).mass()
+    assert not res.converged and res.error_bound == math.inf
+    assert abs(res.value - 1.0) <= 1e-12
+    assert res.terms_used < 1100
 
 
 def test_scaled_density_pointwise():

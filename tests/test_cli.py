@@ -119,6 +119,12 @@ def test_exit_3_on_nonconvergence():
     assert any(r.get("converged") is False for r in rep["results"])
 
 
+def test_padic_mass_below_the_rounding_floor_exits_3():
+    code, rep = run("padic-mass", p="2", gamma="1", tol_shell="1e-20")
+    assert code == 3
+    assert rep["results"][0]["converged"] is False
+
+
 def test_exit_4_on_identity_failure():
     code, rep = run(
         "padic-density",

@@ -114,6 +114,15 @@ def test_mass_is_one(law, t):
     assert mc.min_density >= -1e-12
 
 
+def test_mass_check_stops_below_the_rounding_floor():
+    # the outer terms stall near the rounding floor above tol/10; the loop
+    # must end when p^n overflows (n = 1024), not run on to max_terms
+    mc = mass_check(SemistableLaw(2, 1.0, 1.0), 1.0, ShellSumPlan(tail_tolerance=1e-20))
+    assert not mc.result.converged and mc.result.error_bound == math.inf
+    assert abs(mc.result.value - 1.0) <= 1e-12
+    assert mc.result.terms_used < 1100
+
+
 @given(laws, st.integers(-3, 3))
 @settings(max_examples=40, deadline=None)
 def test_scaling_identity(law, k):
