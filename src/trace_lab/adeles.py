@@ -32,7 +32,7 @@ from .core import (
 )
 from .padic import Rational, _int_valuation, char_qp, padic_norm, prime_support, valuation
 from .padic_integrals import ball_char_integral, norm_float, shell_char_kernel
-from .semistable import SemistableLaw, _ShellTable, char_fn
+from .semistable import SemistableLaw, _ShellTable, _shell_mass, char_fn
 from .semistable import density as semistable_density
 from .real_stable import (
     StableSymbol,
@@ -504,20 +504,20 @@ def rational_char_sum(
     first = CompensatedSum()
     last = 0.0
     for n in range(1, M + 1):
-        last = rf.transform(abs(A) / float(p0) ** n)
+        last = rf.transform(abs(A) / norm_float(p0, n))
         first.add(last)
     second = CompensatedSum()
     ct = f0.law.C * f0.t
     g = f0.law.gamma
     term = 0.0
     for m in range(1, M + 1):
-        w = ct * float(p0) ** (m * g)
+        w = ct * norm_float(p0, m * g)
         term = math.exp(-w) if w < 745.0 else 0.0
         second.add(term)
-    nxt = ct * float(p0) ** ((M + 1) * g)
+    nxt = ct * norm_float(p0, (M + 1) * g)
     # ratio of consecutive omitted terms keeps shrinking, so once it is
     # below 1/2 the whole tail is under twice the first omitted term
-    drop = nxt * (float(p0) ** g - 1.0)
+    drop = nxt * (norm_float(p0, g) - 1.0)
     if drop >= math.log(2.0):
         tail = math.exp(-nxt) * 2.0 if nxt < 745.0 else 0.0
     else:
@@ -662,7 +662,6 @@ class _ScaledShells:
 
     def __init__(self, f: FiniteFactor, a_p: Fraction, plan: ShellSumPlan):
         self.p = f.law.p
-        self.gamma = f.law.gamma
         self.plan = plan
         self.va = int(valuation(a_p, self.p))
         self.scale = norm_float(self.p, -self.va)
@@ -671,42 +670,7 @@ class _ScaledShells:
 
     def mass(self) -> EvalResult:
         """int |a_p| f_p(a_p x) dx over Q_p, shell by shell in x."""
-        p, plan, va, scale, f0 = self.p, self.plan, self.va, self.scale, self.f0
-        w_unit = 1.0 - 1.0 / p
-        acc = CompensatedSum()
-        bound = 0.0
-        terms = 0
-        # inner shells m <= va: every window starts at n_min
-        n_lo = plan.n_min + va
-        inner = self.table.walk(plan.n_min, range(0, 1 - plan.n_min), plan.tail_tolerance)
-        for m in range(n_lo, va + 1):
-            r = inner[va - m]
-            acc.add(scale * r.value * norm_float(p, m) * w_unit)
-            bound += scale * r.error_bound * norm_float(p, m) * w_unit
-            terms += 1
-        bound += scale * (f0.value + f0.error_bound) * norm_float(p, n_lo - 1)
-
-        # outer shells deepen the window with m - va
-        prev = math.inf
-        m = va + 1
-        converged = False
-        while terms < plan.max_terms:
-            r = self.table.walk(plan.n_min - (m - va), [va - m], plan.tail_tolerance)[0]
-            term = scale * r.value * norm_float(p, m) * w_unit
-            if not math.isfinite(term):  # as in mass_check
-                break
-            acc.add(term)
-            bound += scale * r.error_bound * norm_float(p, m) * w_unit
-            terms += 1
-            if abs(term) < plan.tail_tolerance / 10.0 and abs(term) < prev:
-                ratio = max(abs(term) / prev if prev > 0 else 0.0, float(p) ** (-self.gamma))
-                if ratio < 1.0:
-                    bound += abs(term) * ratio / (1.0 - ratio)
-                    converged = True
-                    break
-            prev = abs(term) if term != 0.0 else prev
-            m += 1
-        return EvalResult(acc.value, bound if converged else math.inf, terms, converged)
+        return _shell_mass(self.table, self.f0, self.plan, self.va, self.scale).result
 
     def transforms(self, ys: Sequence[Fraction]) -> list[EvalResult]:
         """Transform of |a_p| f_p(a_p .) at each y_p via shell character integrals."""
@@ -739,6 +703,7 @@ class ComponentCheck:
     value: float
     error_bound: float
     reference: float
+    converged: bool
 
     @property
     def defect(self) -> float:
@@ -792,18 +757,18 @@ def scale_by_idele(
     masses: list[ComponentCheck] = []
     rf = spec.real_factor
     m_inf = _real_scaled_mass(rf, float(a.real), quad)
-    masses.append(ComponentCheck("inf", m_inf.value, m_inf.error_bound, 1.0))
+    masses.append(ComponentCheck("inf", m_inf.value, m_inf.error_bound, 1.0, m_inf.converged))
     shells = {p: _ScaledShells(f, a.component(p), plan) for p, f in sorted(spec.finite_factors.items())}
     for p, sh in shells.items():
         r = sh.mass()
-        masses.append(ComponentCheck(str(p), r.value, r.error_bound, 1.0))
+        masses.append(ComponentCheck(str(p), r.value, r.error_bound, 1.0, r.converged))
     for p in a.support:
         if p not in spec.finite_factors:
             # |a_p| * vol(a_p^{-1} Z_p) is exactly 1
             v = padic_norm(a.component(p), p).as_fraction() * Fraction(p) ** int(
                 valuation(a.component(p), p)
             )
-            masses.append(ComponentCheck(f"{p} (unit-ball factor)", float(v), 0.0, 1.0))
+            masses.append(ComponentCheck(f"{p} (unit-ball factor)", float(v), 0.0, 1.0, True))
 
     fourier: list[ComponentCheck] = []
     a_inv = a.inverse()
@@ -824,7 +789,7 @@ def scale_by_idele(
         lhs = product_results(lhs_parts)
         rhs = bs_eval(spec, scale_point(a_inv, y), "transform").value
         fourier.append(
-            ComponentCheck(repr(y.to_dict()), lhs.value, lhs.error_bound, rhs)
+            ComponentCheck(repr(y.to_dict()), lhs.value, lhs.error_bound, rhs, lhs.converged)
         )
     return IdeleScalingReport(scaled, tuple(masses), tuple(fourier))
 

@@ -471,6 +471,7 @@ def _cmd_padic_gamma(P: _Params) -> list[ResultRow]:
     mode = P.str_("mode", "both", choices=("closed", "shell", "both"))
     tol_shell = P.float_("tol-shell", _TOL_SHELL, positive=True)
     tol = P.float_("tol", tol_shell, positive=True)
+    plan = _shell_plan(tol_shell)
     rows = []
     for s in ss:
         label = f"s={_g(s)}"
@@ -480,9 +481,6 @@ def _cmd_padic_gamma(P: _Params) -> list[ResultRow]:
         if mode in ("shell", "both"):
             if not 0.0 < s < 1.0:
                 raise ParameterError("shell oracle needs 0 < s < 1")
-            # geometric ratio p^{-s}: size the window for the tolerance
-            depth = int(math.ceil((math.log(1.0 / tol_shell) + 5.0) / (s * math.log(p))))
-            plan = ShellSumPlan(n_min=-depth, tail_tolerance=tol_shell)
             shell = padic_gamma(p, s, "shell_oracle", plan)
             rows.append(_info_row(f"{label}:shell", shell))
         if mode == "both":
@@ -763,6 +761,7 @@ def _cmd_rr_check(P: _Params) -> list[ResultRow]:
                     chk.error_bound,
                     chk.reference,
                     tol_quad,
+                    converged=chk.converged,
                 )
             )
         for i, chk in enumerate(rep.fourier_checks):
@@ -773,6 +772,7 @@ def _cmd_rr_check(P: _Params) -> list[ResultRow]:
                     chk.error_bound,
                     chk.reference,
                     tol_quad,
+                    converged=chk.converged,
                 )
             )
     return rows

@@ -45,7 +45,7 @@ RadialFunction = Callable[[float], float]
 _DEFAULT_PLAN = ShellSumPlan()
 
 
-def norm_float(p: int, n: int) -> float:
+def norm_float(p: int, n: float) -> float:
     """p**n as a float; overflow saturates to inf, underflow to 0.0."""
     try:
         return float(p) ** n
@@ -260,7 +260,9 @@ def padic_gamma(
     the shell integrals of chi_1(y) (x = 1, so v = 0),
     shell by shell; the shells n >= 2 vanish and the sum over n <= 0
     converges (geometrically with ratio p^{-s}) exactly for 0 < s < 1,
-    the region where the defining integral makes sense.
+    the region where the defining integral makes sense.  The window starts
+    deep enough for the omitted tail to fall below plan.tail_tolerance
+    (1e-12 without a plan); plan.n_min is not read.
     """
     require_prime(p)
     if mode == "closed":
@@ -271,12 +273,10 @@ def padic_gamma(
         raise ParameterError("shell_oracle mode requires 0 < s < 1")
 
     tol = plan.tail_tolerance if plan is not None else 1e-12
-    if plan is None:
-        depth = int(math.ceil((math.log(1.0 / tol) + 5.0) / (s * math.log(p))))
-    else:
-        depth = -plan.n_min
-    # keep p^{depth(1-s)} and p^{-depth} inside double range
+    # geometric ratio p^{-s}: size the window for the tolerance, keeping
+    # p^{depth(1-s)} and p^{-depth} inside double range
     lp = math.log(p)
+    depth = int(math.ceil((math.log(1.0 / tol) + 5.0) / (s * lp)))
     depth = min(depth, int(700.0 / (lp * max(1.0 - s, 1e-9))), int(740.0 / lp))
     acc = CompensatedSum()
     terms = 0

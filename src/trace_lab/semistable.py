@@ -25,7 +25,9 @@ is evaluated two independent ways:
   term on a copy of the state; the additions and their order are those of
   summing the window alone, so the values are bit-identical to it.
   mass_check and the idele scaling checks read all their densities off
-  one table.
+  one table, and both run one shell-mass loop: with n = m - v_p(a), the
+  mass of |a|_p f_t(a x) over the shells |x|_p = p^m is the mass check's
+  own sum, scaled by |a|_p.
 
 Agreement of the two modes is the package's core p-adic cross-check.
 """
@@ -73,8 +75,7 @@ def char_fn(law: SemistableLaw, t: float, y: Rational) -> float:
     v = valuation(y, law.p)
     if t == 0 or v == math.inf:
         return 1.0
-    w = law.C * t * norm_float(law.p, -int(v)) ** law.gamma
-    return math.exp(-w) if w < 745.0 else 0.0
+    return exp_norm_function(law.C * t, law.gamma)(norm_float(law.p, -int(v)))
 
 
 class _ShellTable:
@@ -90,7 +91,7 @@ class _ShellTable:
         self.p = law.p
         ct = law.C * t
         self._weight_fn = exp_norm_function(ct, law.gamma)
-        self._gamma = law.gamma
+        self.gamma = law.gamma
         self._log_p = math.log(law.p)
         self._log_cut = math.log(745.0 / ct) if ct > 0.0 else math.inf
         self._w: dict[int, float | None] = {}
@@ -106,7 +107,7 @@ class _ShellTable:
         """
         if m not in self._w:
             w = self._weight_fn(norm_float(self.p, m))
-            ends = w == 0.0 and m * self._gamma * self._log_p > self._log_cut
+            ends = w == 0.0 and m * self.gamma * self._log_p > self._log_cut
             self._w[m] = None if ends else w
         return self._w[m]
 
@@ -271,58 +272,68 @@ def mass_check(law: SemistableLaw, t: float, plan: ShellSumPlan = _DEFAULT_PLAN)
     """
     if t <= 0:
         raise ParameterError("mass_check needs t > 0")
-    p = law.p
-    w_unit = 1.0 - 1.0 / p
-    table = _ShellTable(law, t)
-    f0 = _density_shell(law, t, Rational(0), plan)
+    return _shell_mass(_ShellTable(law, t), _density_shell(law, t, Rational(0), plan), plan)
 
+
+def _shell_mass(
+    table: _ShellTable, f0: EvalResult, plan: ShellSumPlan, va: int = 0, scale: float = 1.0
+) -> MassCheck:
+    """Radial integral of scale * f(a x) over Q_p, shell by shell in x, with
+    v_p(a) = va; the idele scaling check passes scale = |a|_p = p^{-va}.
+
+    Shell m of x reads the density at v_p(a x) = va - m; with n = m - va
+    this is the sum of the mass check itself, and multiplying by
+    scale = 1.0 is exact, so mass_check keeps its bits.
+    """
+    p = table.p
+    w_unit = 1.0 - 1.0 / p
     acc = CompensatedSum()
     terms = 0
     min_density = f0.value
     min_shell = 0
     eval_bound = 0.0
 
-    # inner shells n <= 0: x = p^{-n} has v = -n, and every window starts
-    # at n_min, so one walk gives them all; the density is bounded by
-    # f_t(0), so the omitted ball below n_lo carries mass at most
-    # f_t(0) p^{n_lo - 1}
-    n_lo = plan.n_min
-    inner = table.walk(n_lo, range(0, 1 - n_lo), plan.tail_tolerance)
-    for n in range(n_lo, 1):
-        fr = inner[-n]
+    # inner shells m <= va: a x has v = va - m >= 0, and every window
+    # starts at n_min, so one walk gives them all; the density is bounded
+    # by f_t(0), so the omitted ball below n_lo carries mass at most
+    # scale f_t(0) p^{n_lo - 1}
+    n_lo = plan.n_min + va
+    inner = table.walk(plan.n_min, range(0, 1 - plan.n_min), plan.tail_tolerance)
+    for m in range(n_lo, va + 1):
+        fr = inner[va - m]
         if fr.value < min_density:
-            min_density, min_shell = fr.value, n
-        acc.add(fr.value * norm_float(p, n) * w_unit)
-        eval_bound += fr.error_bound * norm_float(p, n) * w_unit
+            min_density, min_shell = fr.value, m
+        acc.add(scale * fr.value * norm_float(p, m) * w_unit)
+        eval_bound += scale * fr.error_bound * norm_float(p, m) * w_unit
         terms += 1
-    inner_tail = (f0.value + f0.error_bound) * norm_float(p, n_lo - 1)
+    inner_tail = scale * (f0.value + f0.error_bound) * norm_float(p, n_lo - 1)
 
     # outer shells: extend until the terms decay geometrically below tolerance
     prev_term = math.inf
     outer_tail = math.inf
     converged_out = False
-    n = 1
+    m = va + 1
     while terms < plan.max_terms:
-        # deepen the window with the shell so the evaluation error stays
-        # below p^{n_min - 1} after the measure weight p^n
-        fr = table.walk(plan.n_min - n, [-n], plan.tail_tolerance)[0]
+        # deepen the window with n = m - va so the evaluation error stays
+        # below p^{n_min - 1} after the measure weight scale p^m = p^n
+        fr = table.walk(plan.n_min - (m - va), [va - m], plan.tail_tolerance)[0]
         if fr.value < min_density:
-            min_density, min_shell = fr.value, n
-        term = fr.value * norm_float(p, n) * w_unit
-        if not math.isfinite(term):  # p^n overflowed: the terms never fell below tol
+            min_density, min_shell = fr.value, m
+        term = scale * fr.value * norm_float(p, m) * w_unit
+        if not math.isfinite(term):  # p^m overflowed: the terms never fell below tol
             break
         acc.add(term)
-        eval_bound += fr.error_bound * norm_float(p, n) * w_unit
+        eval_bound += scale * fr.error_bound * norm_float(p, m) * w_unit
         terms += 1
         if abs(term) < plan.tail_tolerance / 10.0 and abs(term) < prev_term:
             ratio = abs(term) / prev_term if prev_term > 0 else 0.0
-            ratio = max(ratio, float(p) ** (-law.gamma))
+            ratio = max(ratio, float(p) ** (-table.gamma))
             if ratio < 1.0:
                 outer_tail = abs(term) * ratio / (1.0 - ratio)
                 converged_out = True
                 break
         prev_term = abs(term) if term != 0.0 else prev_term
-        n += 1
+        m += 1
 
     bound = inner_tail + outer_tail + eval_bound if converged_out else math.inf
     converged = converged_out and bound <= 10.0 * plan.tail_tolerance

@@ -123,6 +123,11 @@ def test_padic_mass_below_the_rounding_floor_exits_3():
     code, rep = run("padic-mass", p="2", gamma="1", tol_shell="1e-20")
     assert code == 3
     assert rep["results"][0]["converged"] is False
+    # rr-check's scaled mass is the same shell sum and must stop the same way
+    code, rep = run("rr-check", parts="scaling", tol_shell="1e-20")
+    assert code == 3
+    row = next(r for r in rep["results"] if r["name"] == "scaled_mass[2]")
+    assert row["error_bound"] == float("inf") and row["converged"] is False
 
 
 def test_exit_4_on_identity_failure():
@@ -178,6 +183,11 @@ def test_prime_beyond_proven_range_exits_2():
         ("adele-eval", {"side": "char", "y": "inf=1,fill=1", "x": "inf=0,2=1/2"}),
         ("char-sum", {"S": "2", "mode": "paper_bound"}),
         ("adelic-theta", {"t": "1", "lam": "2"}),
+        # p0^{m gamma} and p0^M past double range saturate instead of raising
+        ("char-sum", {"S": "2", "mode": "paper_bound", "gamma": "20"}),
+        ("char-sum", {"S": "2", "mode": "paper_bound", "M": "1024"}),
+        # |y|_2^2 = 2^1200 past double range: the character weight is 0.0
+        ("adele-eval", {"side": "transform", "gamma": "2", "x": f"inf=0,2=1/{2**600}"}),
     ],
 )
 def test_replay_bit_for_bit(sub, params):
@@ -201,15 +211,16 @@ def test_reproduce_paper_echo_is_empty_and_replays():
 
 def test_reproduce_paper_mass_and_rr_rows_match_the_benchmark_snapshot():
     # perfbench records the rows the seed commit gave for every request of
-    # reproduce-paper; the p-adic mass checks and the idele scaling
-    # (rr-check) must keep them field for field
+    # reproduce-paper; every request but the Monte Carlo one (haar-mc, whose
+    # draws may change within their 3-sigma bounds) must keep them field
+    # for field
     snapshot = Path(__file__).resolve().parents[1] / "perfbench" / "reference" / "paper_battery.json"
     with open(snapshot) as fh:
         ref = json.load(fh)
     code, rep = run_request(CommandRequest("reproduce-paper", {}))
     assert code == 0
-    labels = [k for k in ref if k.startswith("mass[") or k == "rr"]
-    assert len(labels) == 28
+    labels = [k for k in ref if k != "haar-mc"]
+    assert len(labels) == 103
     for label in labels:
         rows = [
             {**row, "name": row["name"][len(label) + 1 :]}

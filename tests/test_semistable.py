@@ -18,7 +18,7 @@ from trace_lab.core import (
     ShellSumPlan,
     product_results,
 )
-from trace_lab.padic import Rational, padic_norm, valuation
+from trace_lab.padic import padic_norm, valuation
 from trace_lab.padic_integrals import (
     ball_char_integral,
     exp_norm_function,
@@ -41,6 +41,8 @@ def test_char_fn_values():
     assert char_fn(law, 1.0, Fraction(1)) == pytest.approx(math.exp(-1.0))
     assert char_fn(law, 2.0, Fraction(1, 4)) == pytest.approx(math.exp(-8.0))
     assert char_fn(law, 1.0, Fraction(0)) == 1.0
+    # |y|_2^gamma = 2^1200 overflows a double: the weight is 0.0, not a raise
+    assert char_fn(SemistableLaw(2, 2.0, 1.0), 1.0, Fraction(1, 2**600)) == 0.0
 
 
 def test_mass_check_pinned_bits():
@@ -197,39 +199,43 @@ def _deeper(plan, k):
     )
 
 
-def _mass_check_per_window(law, t, plan=ShellSumPlan()):
+def _shell_mass_per_window(law, t, a_p, plan=ShellSumPlan()):
+    # the mass of |a_p| f_t(a_p x), shell by shell in x; a_p = 1 is mass_check
     p = law.p
+    va = int(valuation(a_p, p))
+    scale = norm_float(p, -va)
     w_unit = 1.0 - 1.0 / p
 
-    def eval_at_shell(n):
-        return _density_shell_per_window(law, t, Rational(p) ** (-n), _deeper(plan, n))
+    def eval_at_shell(m):
+        point = a_p * Fraction(p) ** (-m)
+        return _density_shell_per_window(law, t, point, _deeper(plan, m - va))
 
-    f0 = _density_shell_per_window(law, t, Rational(0), plan)
+    f0 = _density_shell_per_window(law, t, Fraction(0), plan)
     acc = CompensatedSum()
     terms = 0
     min_density = f0.value
     min_shell = 0
     eval_bound = 0.0
-    n_lo = plan.n_min
-    for n in range(n_lo, 1):
-        fr = eval_at_shell(n)
+    n_lo = plan.n_min + va
+    for m in range(n_lo, va + 1):
+        fr = eval_at_shell(m)
         if fr.value < min_density:
-            min_density, min_shell = fr.value, n
-        acc.add(fr.value * norm_float(p, n) * w_unit)
-        eval_bound += fr.error_bound * norm_float(p, n) * w_unit
+            min_density, min_shell = fr.value, m
+        acc.add(scale * fr.value * norm_float(p, m) * w_unit)
+        eval_bound += scale * fr.error_bound * norm_float(p, m) * w_unit
         terms += 1
-    inner_tail = (f0.value + f0.error_bound) * norm_float(p, n_lo - 1)
+    inner_tail = scale * (f0.value + f0.error_bound) * norm_float(p, n_lo - 1)
     prev_term = math.inf
     outer_tail = math.inf
     converged_out = False
-    n = 1
+    m = va + 1
     while terms < plan.max_terms:
-        fr = eval_at_shell(n)
+        fr = eval_at_shell(m)
         if fr.value < min_density:
-            min_density, min_shell = fr.value, n
-        term = fr.value * norm_float(p, n) * w_unit
+            min_density, min_shell = fr.value, m
+        term = scale * fr.value * norm_float(p, m) * w_unit
         acc.add(term)
-        eval_bound += fr.error_bound * norm_float(p, n) * w_unit
+        eval_bound += scale * fr.error_bound * norm_float(p, m) * w_unit
         terms += 1
         if abs(term) < plan.tail_tolerance / 10.0 and abs(term) < prev_term:
             ratio = abs(term) / prev_term if prev_term > 0 else 0.0
@@ -239,52 +245,10 @@ def _mass_check_per_window(law, t, plan=ShellSumPlan()):
                 converged_out = True
                 break
         prev_term = abs(term) if term != 0.0 else prev_term
-        n += 1
+        m += 1
     bound = inner_tail + outer_tail + eval_bound if converged_out else math.inf
     converged = converged_out and bound <= 10.0 * plan.tail_tolerance
     return MassCheck(EvalResult(acc.value, bound, terms, converged), min_density, min_shell)
-
-
-def _padic_scaled_mass_per_window(f, a_p, plan):
-    law = f.law
-    p = law.p
-    va = valuation(a_p, p)
-    scale = norm_float(p, -int(va))
-    w_unit = 1.0 - 1.0 / p
-    f0 = _density_shell_per_window(law, f.t, Fraction(0), plan)
-
-    def shell_density(m):
-        point = a_p * Fraction(p) ** (-m)
-        return _density_shell_per_window(law, f.t, point, _deeper(plan, m - int(va)))
-
-    acc = CompensatedSum()
-    bound = 0.0
-    terms = 0
-    n_lo = plan.n_min + int(va)
-    for m in range(n_lo, int(va) + 1):
-        r = shell_density(m)
-        acc.add(scale * r.value * norm_float(p, m) * w_unit)
-        bound += scale * r.error_bound * norm_float(p, m) * w_unit
-        terms += 1
-    bound += scale * (f0.value + f0.error_bound) * norm_float(p, n_lo - 1)
-    prev = math.inf
-    m = int(va) + 1
-    converged = False
-    while terms < plan.max_terms:
-        r = shell_density(m)
-        term = scale * r.value * norm_float(p, m) * w_unit
-        acc.add(term)
-        bound += scale * r.error_bound * norm_float(p, m) * w_unit
-        terms += 1
-        if abs(term) < plan.tail_tolerance / 10.0 and abs(term) < prev:
-            ratio = max(abs(term) / prev if prev > 0 else 0.0, float(p) ** (-law.gamma))
-            if ratio < 1.0:
-                bound += abs(term) * ratio / (1.0 - ratio)
-                converged = True
-                break
-        prev = abs(term) if term != 0.0 else prev
-        m += 1
-    return EvalResult(acc.value, bound if converged else math.inf, terms, converged)
 
 
 def _padic_scaled_transform_per_window(f, a_p, y_p, plan):
@@ -311,16 +275,16 @@ def _scale_by_idele_per_window(spec, a, quad, plan, grid_points):
     masses = []
     rf = spec.real_factor
     m_inf = adeles._real_scaled_mass(rf, float(a.real), quad)
-    masses.append(adeles.ComponentCheck("inf", m_inf.value, m_inf.error_bound, 1.0))
+    masses.append(adeles.ComponentCheck("inf", m_inf.value, m_inf.error_bound, 1.0, m_inf.converged))
     for p, f in sorted(spec.finite_factors.items()):
-        r = _padic_scaled_mass_per_window(f, a.component(p), plan)
-        masses.append(adeles.ComponentCheck(str(p), r.value, r.error_bound, 1.0))
+        r = _shell_mass_per_window(f.law, f.t, a.component(p), plan).result
+        masses.append(adeles.ComponentCheck(str(p), r.value, r.error_bound, 1.0, r.converged))
     for p in a.support:
         if p not in spec.finite_factors:
             v = padic_norm(a.component(p), p).as_fraction() * Fraction(p) ** int(
                 valuation(a.component(p), p)
             )
-            masses.append(adeles.ComponentCheck(f"{p} (unit-ball factor)", float(v), 0.0, 1.0))
+            masses.append(adeles.ComponentCheck(f"{p} (unit-ball factor)", float(v), 0.0, 1.0, True))
     fourier = []
     a_inv = a.inverse()
     for y in adeles._fourier_grid(spec, a, grid_points):
@@ -338,7 +302,9 @@ def _scale_by_idele_per_window(spec, a, quad, plan, grid_points):
                 lhs_parts.append(EvalResult(float(val), 0.0, 1, True))
         lhs = product_results(lhs_parts)
         rhs = adeles.bs_eval(spec, adeles.scale_point(a_inv, y), "transform").value
-        fourier.append(adeles.ComponentCheck(repr(y.to_dict()), lhs.value, lhs.error_bound, rhs))
+        fourier.append(
+            adeles.ComponentCheck(repr(y.to_dict()), lhs.value, lhs.error_bound, rhs, lhs.converged)
+        )
     return tuple(masses), tuple(fourier)
 
 
@@ -393,7 +359,7 @@ _PAPER_MASS_CASES = [
 def test_mass_check_matches_per_window_loop(p, gamma, ct):
     law = SemistableLaw(p, gamma, ct)
     got = mass_check(law, 1.0)
-    ref = _mass_check_per_window(law, 1.0)
+    ref = _shell_mass_per_window(law, 1.0, Fraction(1))
     assert got == ref and repr(got) == repr(ref)
 
 
@@ -407,7 +373,7 @@ def test_mass_check_matches_per_window_loop_off_the_default_plan():
         ShellSumPlan(n_min=3, n_max=5, max_terms=50),
     ):
         got = mass_check(law, 1.0, plan)
-        assert got == _mass_check_per_window(law, 1.0, plan), plan
+        assert got == _shell_mass_per_window(law, 1.0, Fraction(1), plan), plan
 
 
 @pytest.mark.parametrize(
