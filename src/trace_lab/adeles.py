@@ -30,8 +30,17 @@ from .core import (
     product_results,
     require_prime,
 )
-from .padic import Rational, _int_valuation, char_qp, padic_norm, prime_support, valuation
+from .padic import (
+    Rational,
+    _int_valuation,
+    char_qp,
+    padic_norm,
+    prime_support,
+    rational_float,
+    valuation,
+)
 from .padic_integrals import ball_char_integral, norm_float, shell_char_kernel
+from .quadrature import cos_panel, panel
 from .semistable import SemistableLaw, _ShellTable, _shell_mass, char_fn
 from .semistable import density as semistable_density
 from .real_stable import (
@@ -202,14 +211,17 @@ class Idele(_PlaceMap):
 
 
 def idele_norm(a: Idele) -> float | Fraction:
-    """|a_inf| * prod over the support of |a_p|_p; exact for rational a_inf."""
-    if isinstance(a.real, Fraction):
-        norm: float | Fraction = abs(a.real)
-    else:
-        norm = abs(float(a.real))
+    """|a_inf| * prod over the support of |a_p|_p; exact for rational a_inf.
+
+    For a float a_inf the finite product is formed exactly and rounded
+    once, saturating to inf beyond double range.
+    """
+    finite = Fraction(1)
     for p in a.support:
-        norm = norm * padic_norm(a.finite[p], p).as_fraction()
-    return norm
+        finite *= padic_norm(a.finite[p], p).as_fraction()
+    if isinstance(a.real, Fraction):
+        return abs(a.real) * finite
+    return abs(float(a.real)) * rational_float(finite)
 
 
 def scale_point(a: Idele, x: AdelePoint) -> AdelePoint:
@@ -338,7 +350,7 @@ def bs_eval(
             parts.append(f.density(x.component(p), plan))
         for p in x.support:
             if p not in spec.finite_factors:
-                if padic_norm(x.component(p), p).as_float() > 1.0:
+                if valuation(x.component(p), p) < 0:
                     return EvalResult(0.0, 0.0, 1, True)
         return product_results(parts)
     if side != "transform":
@@ -348,7 +360,7 @@ def bs_eval(
         value *= f.transform(x.component(p))
     for p in x.support:
         if p not in spec.finite_factors:
-            if padic_norm(x.component(p), p).as_float() > 1.0:
+            if valuation(x.component(p), p) < 0:
                 value = 0.0
     return EvalResult(value, abs(value) * 1e-14, 1, True)
 
@@ -593,63 +605,43 @@ class ScaledDensity:
 
 
 def _real_scaled_mass(rf: RealFactor, a_inf: float, quad: QuadratureConfig) -> EvalResult:
-    """int |a| f(a u) du, numerically; converged is False when QUADPACK
-    warns, which it does by returning more than three items."""
-    from scipy import integrate
-
+    """int |a| f(a u) du, numerically; converged is False when QUADPACK warns."""
     aa = abs(a_inf)
+
+    def g(u: float) -> float:
+        return aa * rf.density(a_inf * u).value
+
     if rf.kind == "gaussian" or rf.alpha == 2.0:
         sig = rf.t * (math.pi if rf.kind == "gaussian" else rf.sigma)
         half = math.sqrt(sig * math.log(1.0 / quad.envelope_cutoff)) / math.pi / aa
-        out = integrate.quad(
-            lambda u: aa * rf.density(a_inf * u).value,
-            -half,
-            half,
-            epsabs=quad.abs_tol / 8.0,
-            epsrel=1e-13,
-            limit=quad.panel_limit,
-            full_output=1,
-        )
-        v, e, info = out[:3]
+        v, e, neval, ok = panel(g, -half, half, quad, 8.0, 1e-13)
         tail = 2.0 * quad.envelope_cutoff * half * aa
-        return EvalResult(v, e + tail, int(info["neval"]), len(out) == 3)
+        return EvalResult(v, e + tail, neval, ok)
     if rf.alpha == 1.0:
         c = rf.t * rf.sigma
         half = 64.0 * c / aa
-        out = integrate.quad(
-            lambda u: aa * rf.density(a_inf * u).value,
-            -half,
-            half,
-            points=[0.0],
-            epsabs=quad.abs_tol / 8.0,
-            epsrel=1e-13,
-            limit=quad.panel_limit,
-            full_output=1,
-        )
-        v, e, info = out[:3]
+        v, e, neval, ok = panel(g, -half, half, quad, 8.0, 1e-13, points=[0.0])
         # closed tail of the Cauchy integral beyond the panel
         tail_val = 1.0 - 2.0 * math.atan(_TWO_PI * half * aa / c) / math.pi
-        return EvalResult(v + tail_val, e + 1e-14, int(info["neval"]), len(out) == 3)
+        return EvalResult(v + tail_val, e + 1e-14, neval, ok)
     # numeric density: direct panel plus asymptotic-series tail integral
     half = 32.0 / aa
     sym = rf.symbol
-    out = integrate.quad(
+    v, e, neval, ok = panel(
         lambda u: aa * stable_density_numeric(sym, rf.t, a_inf * u).value,
         -half,
         half,
-        epsabs=quad.abs_tol / 4.0,
-        epsrel=1e-11,
-        limit=quad.panel_limit,
-        full_output=1,
+        quad,
+        4.0,
+        1e-11,
     )
-    v, e, info = out[:3]
     coeffs = stable_asymptotic_coefficients(sym, rf.t, 7)
     edge = half * aa
     tail_val = 2.0 * sum(
         ck * edge ** (-sym.alpha * k) / (sym.alpha * k) for k, ck in enumerate(coeffs[:-1], 1)
     ) / math.pi
     tail_err = 2.0 * abs(coeffs[-1]) * edge ** (-sym.alpha * 7) / (sym.alpha * 7) / math.pi
-    return EvalResult(v + tail_val, e + 10.0 * tail_err, int(info["neval"]), len(out) == 3)
+    return EvalResult(v + tail_val, e + 10.0 * tail_err, neval, ok)
 
 
 class _ScaledShells:
@@ -688,12 +680,16 @@ class _ScaledShells:
         for vy, top in zip(vys, tops):
             acc = CompensatedSum()
             terms = 0
+            converged = True
             for n in range(plan.n_min + va, top + 1):
                 s = shell_char_kernel(p, n, vy) if vy != math.inf else norm_float(p, n) * (1 - 1 / p)
                 if s != 0.0:
-                    acc.add(scale * dens[va - n - v_lo].value * s)
+                    window = dens[va - n - v_lo]
+                    acc.add(scale * window.value * s)
+                    converged = converged and window.converged
                 terms += 1
-            out.append(EvalResult(acc.value, bound + 1e-13, terms, True))
+            converged = converged and math.isfinite(acc.value)
+            out.append(EvalResult(acc.value, bound + 1e-13, terms, converged))
         return out
 
 
@@ -798,8 +794,6 @@ def _real_scaled_transform(
     rf: RealFactor, a_inf: float, y: float, quad: QuadratureConfig
 ) -> EvalResult:
     """Transform of |a| f(a .) at y by quadrature against cos(2 pi u y)."""
-    from scipy import integrate
-
     aa = abs(a_inf)
     if rf.kind == "gaussian" or rf.alpha == 2.0:
         sig = rf.t * (math.pi if rf.kind == "gaussian" else rf.sigma)
@@ -834,31 +828,5 @@ def _real_scaled_transform(
             "fourier scaling grid needs a closed-form real density (alpha in {1, 2})"
         )
 
-    def g(u: float) -> float:
-        return aa * rf.density(a_inf * u).value
-
-    if abs(y) * half < 0.5:
-        out = integrate.quad(
-            lambda u: g(u) * math.cos(_TWO_PI * u * y),
-            0.0,
-            half,
-            epsabs=quad.abs_tol / 8.0,
-            epsrel=1e-13,
-            limit=quad.panel_limit,
-            full_output=1,
-        )
-    else:
-        out = integrate.quad(
-            g,
-            0.0,
-            half,
-            weight="cos",
-            wvar=_TWO_PI * abs(y),
-            epsabs=quad.abs_tol / 8.0,
-            epsrel=1e-13,
-            limit=quad.panel_limit,
-            maxp1=100,
-            full_output=1,
-        )
-    v, e, info = out[:3]
-    return EvalResult(2.0 * v + tail_val, 2.0 * e + tail_err, int(info["neval"]), len(out) == 3)
+    v, e, neval, ok = cos_panel(lambda u: aa * rf.density(a_inf * u).value, half, y, quad)
+    return EvalResult(2.0 * v + tail_val, 2.0 * e + tail_err, neval, ok)

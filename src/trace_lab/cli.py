@@ -51,6 +51,7 @@ from .core import (
     parse_rational,
 )
 from .lattice import gaussian_law, potential_identity, stable_law, trace_defect, wrapped_density
+from .padic import rational_float
 from .padic_integrals import (
     exp_norm_function,
     exp_radial_closed,
@@ -657,7 +658,7 @@ def _cmd_idele_norm(P: _Params) -> list[ResultRow]:
         ]
     a = Idele.from_dict(a_map)
     norm = idele_norm(a)
-    rows = [ResultRow("norm", float(norm))]
+    rows = [ResultRow("norm", rational_float(norm))]
     if isinstance(norm, Fraction):
         rows.append(ResultRow("norm_exact", format_rational(norm)))
     return rows

@@ -28,6 +28,7 @@ from .core import (
     ShellSumPlan,
     product_results,
 )
+from .quadrature import hurwitz_zeta, stretched_exp_tail
 from .real_stable import (
     StableSymbol,
     stable_asymptotic_coefficients,
@@ -99,18 +100,13 @@ def _shell_coords(d: int, m: int) -> list[np.ndarray]:
 
 
 def _shell_tail_bound(d: int, c: float, alpha: float, m_next: float) -> float:
-    from scipy import special
-
     # every point of sup-norm m has Euclidean norm >= m, and there are
     # at most 2 d 3^{d-1} m^{d-1} of them; the m-sum is bounded by its
     # first term plus the integral once u^{d-1} e^{-c u^alpha} decreases
     pref = 2.0 * d * 3.0 ** (d - 1)
     w = c * m_next**alpha
     first = m_next ** (d - 1) * (math.exp(-w) if w < 745.0 else 0.0)
-    s = d / alpha
-    integral = special.gammaincc(s, w) * special.gamma(s) * c ** (-s) / alpha
-    # a Python float, not the numpy scalar scipy hands back
-    return float(pref * (first + integral))
+    return pref * (first + stretched_exp_tail(d, c, alpha, m_next))
 
 
 def _normalize_point(x, d: int) -> tuple[float, ...]:
@@ -269,8 +265,6 @@ def _wrapped_stable_numeric_1d(
     direct_radius: int = 32,
     k_max: int = 6,
 ) -> EvalResult:
-    from scipy import special
-
     alpha = symbol.alpha
     acc = CompensatedSum()
     bound = 0.0
@@ -287,7 +281,7 @@ def _wrapped_stable_numeric_1d(
     q_left = direct_radius + 1 - x0
     for q in (q_right, q_left):
         tail = sum(
-            ck * float(special.zeta(alpha * k + 1.0, q))
+            ck * hurwitz_zeta(alpha * k + 1.0, q)
             for k, ck in enumerate(coeffs[:-1], start=1)
         )
         acc.add(tail / math.pi)
@@ -296,13 +290,11 @@ def _wrapped_stable_numeric_1d(
     # expansion against direct quadrature at the nearest omitted point,
     # propagated with the worst-case decay u^{-(alpha+1)}
     q_min = min(q_right, q_left)
-    next_order = (
-        abs(coeffs[-1]) * float(special.zeta(alpha * (k_max + 1) + 1.0, q_min)) / math.pi
-    )
+    next_order = abs(coeffs[-1]) * hurwitz_zeta(alpha * (k_max + 1) + 1.0, q_min) / math.pi
     asym, _ = stable_asymptotic_density(symbol, t, q_min, k_max)
     probe = stable_density_numeric(symbol, t, q_min, quad)
     mismatch = abs(asym - probe.value) + probe.error_bound
-    cal = mismatch * float(special.zeta(alpha + 1.0, q_min)) * q_min ** (alpha + 1.0)
+    cal = mismatch * hurwitz_zeta(alpha + 1.0, q_min) * q_min ** (alpha + 1.0)
     bound += 2.0 * (next_order + cal)
     return EvalResult(acc.value, bound, neval, bound < math.inf)
 
@@ -410,10 +402,5 @@ def potential_identity(
     err = alpha * (alpha + 1.0) * (alpha + 2.0) / 720.0 * nf ** (-alpha - 3.0)
     acc.add(tail)
     value = EvalResult(2.0 * acc.value / sigma, 2.0 * err / sigma, cutoff, True)
-    if kind == "gaussian":
-        reference = math.pi / 3.0
-    else:
-        from scipy import special
-
-        reference = 2.0 * float(special.zeta(alpha, 1.0)) / sigma
+    reference = math.pi / 3.0 if kind == "gaussian" else 2.0 * hurwitz_zeta(alpha, 1.0) / sigma
     return PotentialReport(alpha, sigma, False, value, reference)

@@ -24,17 +24,20 @@ class PAdicNorm:
     exponent: int
     is_zero: bool = False
 
-    def as_float(self) -> float:
-        if self.is_zero:
-            return 0.0
-        return float(self.p) ** self.exponent
-
     def as_fraction(self) -> Fraction:
         if self.is_zero:
             return Fraction(0)
         if self.exponent >= 0:
             return Fraction(self.p**self.exponent)
         return Fraction(1, self.p ** (-self.exponent))
+
+
+def rational_float(q: Rational) -> float:
+    """float(q), saturating to +-inf where the quotient overflows a float."""
+    try:
+        return float(q)
+    except OverflowError:
+        return math.inf if q > 0 else -math.inf
 
 
 def _int_valuation(n: int, p: int) -> int:

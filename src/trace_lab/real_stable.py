@@ -19,6 +19,7 @@ from .core import (
     QuadratureConfig,
     ShellSumPlan,
 )
+from .quadrature import cos_panel, gamma, panel, stretched_exp_tail
 
 _DEFAULT_PLAN = ShellSumPlan()
 _DEFAULT_QUAD = QuadratureConfig()
@@ -104,13 +105,8 @@ def theta_potential_integral(
     2 theta(1/u^2) - 2u; the (1,inf) piece decays like e^{-pi t}.
     interval selects "lower" (0,1], "upper" (1,inf) or "full".
     """
-    from scipy import integrate
-
     if interval not in ("full", "lower", "upper"):
         raise ParameterError(f"unknown interval {interval!r}")
-    value = 0.0
-    err = 0.0
-    neval = 0
 
     def lower_integrand(u: float) -> float:
         # theta(1/u^2) - 1 < e^{-pi/u^2}, already 0.0 in doubles below ~0.06
@@ -118,32 +114,18 @@ def theta_potential_integral(
             return 2.0 - 2.0 * u
         return 2.0 * _theta_value(1.0 / (u * u)) - 2.0 * u
 
+    panels = []
     if interval in ("full", "lower"):
-        v, e, info = integrate.quad(
-            lower_integrand,
-            0.0,
-            1.0,
-            epsabs=quad.abs_tol / 4.0,
-            epsrel=1e-12,
-            limit=quad.panel_limit,
-            full_output=1,
-        )[:3]
-        value += v
-        err += e
-        neval += info["neval"]
+        panels.append(panel(lower_integrand, 0.0, 1.0, quad, 4.0, 1e-12))
     if interval in ("full", "upper"):
-        v, e, info = integrate.quad(
-            lambda s: _theta_value(s) - 1.0,
-            1.0,
-            math.inf,
-            epsabs=quad.abs_tol / 4.0,
-            epsrel=1e-12,
-            limit=quad.panel_limit,
-            full_output=1,
-        )[:3]
+        panels.append(panel(lambda s: _theta_value(s) - 1.0, 1.0, math.inf, quad, 4.0, 1e-12))
+    value = 0.0
+    err = 0.0
+    neval = 0
+    for v, e, n, _ in panels:
         value += v
         err += e
-        neval += info["neval"]
+        neval += n
     return EvalResult(value, err, neval, err <= quad.abs_tol)
 
 
@@ -155,8 +137,6 @@ def stable_density_numeric(
     Always takes the numeric path, so it doubles as an oracle against the
     closed forms at alpha in {1, 2}.
     """
-    from scipy import integrate, special
-
     if t <= 0:
         raise ParameterError("stable_density_numeric needs t > 0")
     if symbol.d != 1:
@@ -169,38 +149,11 @@ def stable_density_numeric(
     def env(y: float) -> float:
         return _safe_exp(-a * y**alpha)
 
-    if xx * cut < 0.5:
-        v, e, info = integrate.quad(
-            lambda y: env(y) * math.cos(_TWO_PI * xx * y),
-            0.0,
-            cut,
-            epsabs=quad.abs_tol / 8.0,
-            epsrel=1e-13,
-            limit=quad.panel_limit,
-            full_output=1,
-        )[:3]
-    else:
-        v, e, info = integrate.quad(
-            env,
-            0.0,
-            cut,
-            weight="cos",
-            wvar=_TWO_PI * xx,
-            epsabs=quad.abs_tol / 8.0,
-            epsrel=1e-13,
-            limit=quad.panel_limit,
-            maxp1=100,
-            full_output=1,
-        )[:3]
+    v, e, neval, _ = cos_panel(env, cut, xx, quad)
     # |omitted tail| <= int_Y^inf e^{-a y^alpha} dy, an upper incomplete gamma
-    tail = (
-        special.gammaincc(1.0 / alpha, a * cut**alpha)
-        * special.gamma(1.0 / alpha)
-        * a ** (-1.0 / alpha)
-        / alpha
-    )
+    tail = stretched_exp_tail(1, a, alpha, cut)
     bound = 2.0 * (e + tail)
-    return EvalResult(2.0 * v, bound, int(info["neval"]), bound <= quad.abs_tol)
+    return EvalResult(2.0 * v, bound, neval, bound <= quad.abs_tol)
 
 
 def stable_density(
@@ -229,15 +182,13 @@ def stable_asymptotic_coefficients(symbol: StableSymbol, t: float, k_max: int) -
     a' = t sigma / (2 pi)^alpha.  At alpha = 1 this is exactly the geometric
     expansion of the Cauchy closed form.
     """
-    from scipy import special
-
     alpha = symbol.alpha
     ap = t * symbol.sigma / _TWO_PI**alpha
     out = []
     for k in range(1, k_max + 1):
         c = (
             (-1.0) ** (k + 1)
-            * special.gamma(alpha * k + 1.0)
+            * gamma(alpha * k + 1.0)
             / math.factorial(k)
             * math.sin(math.pi * alpha * k / 2.0)
             * ap**k
@@ -332,20 +283,12 @@ def gaussian_transform_numeric(
     t: float, y: float, quad: QuadratureConfig = _DEFAULT_QUAD
 ) -> EvalResult:
     """Quadrature of int gaussian_density(t,x) e^{-2 pi i x y} dx (real part)."""
-    from scipy import integrate
-
     if t <= 0:
         raise ParameterError("gaussian_transform_numeric needs t > 0")
     half = math.sqrt(t * math.log(1.0 / quad.envelope_cutoff) / math.pi)
-    v, e, info = integrate.quad(
-        lambda x: gaussian_density(t, x) * math.cos(_TWO_PI * x * y),
-        -half,
-        half,
-        epsabs=quad.abs_tol / 8.0,
-        epsrel=1e-13,
-        limit=quad.panel_limit,
-        full_output=1,
-    )[:3]
+    v, e, neval, _ = panel(
+        lambda x: gaussian_density(t, x) * math.cos(_TWO_PI * x * y), -half, half, quad, 8.0, 1e-13
+    )
     tail = 2.0 * quad.envelope_cutoff * half
     bound = e + tail
-    return EvalResult(v, bound, int(info["neval"]), bound <= quad.abs_tol)
+    return EvalResult(v, bound, neval, bound <= quad.abs_tol)

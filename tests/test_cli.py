@@ -128,6 +128,30 @@ def test_padic_mass_below_the_rounding_floor_exits_3():
     assert code == 3
     row = next(r for r in rep["results"] if r["name"] == "scaled_mass[2]")
     assert row["error_bound"] == float("inf") and row["converged"] is False
+    # every transform reads density windows whose bound 2^-61 exceeds 1e-20
+    fourier = [r for r in rep["results"] if r["name"].startswith("fourier[")]
+    assert fourier and all(r["converged"] is False for r in fourier)
+
+
+def test_bruhat_schwartz_value_outside_the_unit_ball_is_zero():
+    # |x_3|_3 = 3^700 is beyond double range; only v_3(x_3) < 0 matters
+    for side in ("density", "transform"):
+        code, rep = run("adele-eval", side=side, S="2", x=f"inf=0,3=1/{3**700}")
+        assert code == 0
+        assert rep["results"][0]["value"] == 0.0
+
+
+def test_idele_norm_beyond_double_range_saturates():
+    big = 2**1100
+    code, rep = run("idele-norm", a=f"inf=2/1,2=1/{big}")
+    assert code == 0
+    assert [(r["name"], r["value"]) for r in rep["results"]] == [
+        ("norm", float("inf")),
+        ("norm_exact", str(2 * big)),
+    ]
+    code, rep = run("idele-norm", a=f"inf=2.5,2=1/{big}")
+    assert code == 0
+    assert [(r["name"], r["value"]) for r in rep["results"]] == [("norm", float("inf"))]
 
 
 def test_exit_4_on_identity_failure():

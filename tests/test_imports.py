@@ -1,6 +1,7 @@
 """scipy loads only where real-line or torus quadrature runs."""
 from __future__ import annotations
 
+import ast
 import json
 import os
 import subprocess
@@ -55,3 +56,36 @@ def test_scipy_loads_only_for_quadrature():
     for sub, _ in _SCIPY_FREE:
         assert out[sub] == [0, False], sub
     assert out["psf-check"] == [0, True]
+
+
+def _scipy_imports(tree: ast.AST) -> list[tuple[int, bool]]:
+    """(line, inside a function body) of every import that names scipy."""
+    found = []
+
+    def visit(node: ast.AST, in_function: bool) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Import):
+                names = [alias.name for alias in child.names]
+            elif isinstance(child, ast.ImportFrom):
+                names = [child.module or ""]
+            else:
+                names = []
+            if any(n == "scipy" or n.startswith("scipy.") for n in names):
+                found.append((child.lineno, in_function))
+            visit(child, in_function or isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)))
+
+    visit(tree, False)
+    return found
+
+
+def test_only_the_quadrature_module_imports_scipy_and_only_in_functions():
+    package = Path(trace_lab.__file__).resolve().parent
+    seen = False
+    for path in sorted(package.glob("*.py")):
+        imports = _scipy_imports(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
+        if path.name == "quadrature.py":
+            seen = bool(imports)
+            assert all(in_function for _, in_function in imports), imports
+        else:
+            assert imports == [], (path.name, imports)
+    assert seen
