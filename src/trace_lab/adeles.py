@@ -33,6 +33,8 @@ from .core import (
 from .padic import (
     Rational,
     _int_valuation,
+    _norm_ratio,
+    _valuation,
     char_qp,
     padic_norm,
     prime_support,
@@ -56,9 +58,13 @@ _DEFAULT_QUAD = QuadratureConfig()
 _TWO_PI = 2.0 * math.pi
 
 
+def _as_fraction(v) -> Fraction:
+    return v if isinstance(v, Fraction) else Fraction(v)
+
+
 def _as_real(v) -> float | Fraction:
     if isinstance(v, (Fraction, int)):
-        return Fraction(v)
+        return _as_fraction(v)
     return float(v)
 
 
@@ -101,13 +107,14 @@ class _PlaceMap:
 
     def __post_init__(self):
         comps = {} if self.finite is None else dict(self.finite)
-        for p in comps:
+        # the one primality check of each listed prime
+        for p, v in comps.items():
             require_prime(p)
-            comps[p] = Fraction(comps[p])
+            comps[p] = _as_fraction(v)
         unit = self._UNIT
         object.__setattr__(self, "finite", comps)
         object.__setattr__(self, "real", _as_real(float(unit) if self.real is None else self.real))
-        object.__setattr__(self, "fill", Fraction(unit if self.fill is None else self.fill))
+        object.__setattr__(self, "fill", _as_fraction(unit if self.fill is None else self.fill))
         self._check_nonzero()
         _check_fill(self.fill, self.support, deny_numerator=unit == 1)
 
@@ -155,7 +162,7 @@ class _PlaceMap:
             elif key == "fill":
                 fill = parse_rational(raw)
             else:
-                comps[require_prime(int(key))] = parse_rational(raw)
+                comps[int(key)] = parse_rational(raw)
         return cls(real, comps, fill=fill)
 
 
@@ -171,7 +178,7 @@ class AdelePoint(_PlaceMap):
 
     @staticmethod
     def diagonal(q: Rational) -> "AdelePoint":
-        q = Fraction(q)
+        q = _as_fraction(q)
         return AdelePoint(q, {p: q for p in prime_support(q)}, fill=q)
 
     def __add__(self, other: "AdelePoint") -> "AdelePoint":
@@ -195,7 +202,7 @@ class Idele(_PlaceMap):
 
     @staticmethod
     def diagonal(q: Rational) -> "Idele":
-        q = Fraction(q)
+        q = _as_fraction(q)
         if q == 0:
             raise ParameterError("diagonal idele needs q != 0")
         return Idele(q, {p: q for p in prime_support(q)}, fill=q)
@@ -213,15 +220,14 @@ class Idele(_PlaceMap):
 def idele_norm(a: Idele) -> float | Fraction:
     """|a_inf| * prod over the support of |a_p|_p; exact for rational a_inf.
 
-    For a float a_inf the finite product is formed exactly and rounded
-    once, saturating to inf beyond double range.
+    The finite product is formed in integers from v_p of each component,
+    whose prime was checked when the idele was built.  For a float a_inf
+    it is rounded once, saturating to inf beyond double range.
     """
-    finite = Fraction(1)
-    for p in a.support:
-        finite *= padic_norm(a.finite[p], p).as_fraction()
+    num, den = _norm_ratio(a.finite.items())
     if isinstance(a.real, Fraction):
-        return abs(a.real) * finite
-    return abs(float(a.real)) * rational_float(finite)
+        return Fraction(abs(a.real.numerator) * num, a.real.denominator * den)
+    return abs(float(a.real)) * rational_float(Fraction(num, den))
 
 
 def scale_point(a: Idele, x: AdelePoint) -> AdelePoint:
@@ -350,7 +356,7 @@ def bs_eval(
             parts.append(f.density(x.component(p), plan))
         for p in x.support:
             if p not in spec.finite_factors:
-                if valuation(x.component(p), p) < 0:
+                if _valuation(x.component(p), p) < 0:
                     return EvalResult(0.0, 0.0, 1, True)
         return product_results(parts)
     if side != "transform":
@@ -360,7 +366,7 @@ def bs_eval(
         value *= f.transform(x.component(p))
     for p in x.support:
         if p not in spec.finite_factors:
-            if valuation(x.component(p), p) < 0:
+            if _valuation(x.component(p), p) < 0:
                 value = 0.0
     return EvalResult(value, abs(value) * 1e-14, 1, True)
 
@@ -599,9 +605,18 @@ class ScaledDensity:
         return idele_norm(self.a)
 
     def eval(self, x: AdelePoint, plan: ShellSumPlan = _DEFAULT_PLAN) -> EvalResult:
+        """||a|| f(ax).  A norm beyond double range saturates to inf; the
+        value is then +-inf, unconverged, unless f(ax) is 0."""
         base = bs_eval(self.spec, scale_point(self.a, x), "density", plan)
-        nrm = float(self.norm)
-        return EvalResult(base.value * nrm, base.error_bound * nrm, base.terms_used, base.converged)
+        nrm = rational_float(self.norm)
+        if math.isfinite(nrm):
+            return EvalResult(base.value * nrm, base.error_bound * nrm, base.terms_used, base.converged)
+        if base.value == 0.0:
+            # the exact norm is finite, so times an exact 0 it is 0; a
+            # nonzero bound on that 0 is left unbounded by the huge norm
+            exact = base.error_bound == 0.0
+            return EvalResult(0.0, 0.0 if exact else math.inf, base.terms_used, base.converged and exact)
+        return EvalResult(base.value * nrm, math.inf, base.terms_used, False)
 
 
 def _real_scaled_mass(rf: RealFactor, a_inf: float, quad: QuadratureConfig) -> EvalResult:
@@ -655,7 +670,7 @@ class _ScaledShells:
     def __init__(self, f: FiniteFactor, a_p: Fraction, plan: ShellSumPlan):
         self.p = f.law.p
         self.plan = plan
-        self.va = int(valuation(a_p, self.p))
+        self.va = int(_valuation(a_p, self.p))
         self.scale = norm_float(self.p, -self.va)
         self.table = _ShellTable(f.law, f.t)
         self.f0 = semistable_density(f.law, f.t, Fraction(0), "shell", plan)
@@ -667,7 +682,7 @@ class _ScaledShells:
     def transforms(self, ys: Sequence[Fraction]) -> list[EvalResult]:
         """Transform of |a_p| f_p(a_p .) at each y_p via shell character integrals."""
         p, plan, va, scale, f0 = self.p, self.plan, self.va, self.scale, self.f0
-        vys = [valuation(y, p) for y in ys]
+        vys = [_valuation(y, p) for y in ys]
         tops = [plan.n_max if vy == math.inf else int(vy) + 1 for vy in vys]
         if not tops:
             return []

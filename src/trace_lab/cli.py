@@ -730,7 +730,7 @@ def _cmd_rr_check(P: _Params) -> list[ResultRow]:
             q = Fraction(num, den)
             norm = idele_norm(Idele.diagonal(q))
             all_exact = all_exact and norm == 1
-            worst = max(worst, abs(Fraction(norm) - 1))
+            worst = max(worst, abs(norm - 1))
         rows.append(
             ResultRow(
                 "product_formula_max_defect",

@@ -141,20 +141,27 @@ def product_results(parts: Iterable[EvalResult]) -> EvalResult:
 # psi_12 (Jiang & Deng, Math. Comp. 83, 2014); psi_12 itself is the
 # composite 399165290221 * 798330580441, which all 12 bases pass.
 PROVEN_PRIME_LIMIT = 318665857834031151167461
+_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# psi_4 = 3215031751 is the least strong pseudoprime to the bases 2, 3, 5
+# and 7 (Jaeschke, Math. Comp. 61, 1993), so below it those four decide
+_PSI_4 = 3215031751
 
 
 def is_prime(n: int) -> bool:
     """Miller-Rabin with the bases 2..37: exact for n < PROVEN_PRIME_LIMIT."""
     if n < 2:
         return False
-    for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for q in _BASES:
         if n % q == 0:
             return n == q
+    if n < 37 * 37:
+        # no prime factor up to 37, so none up to sqrt(n)
+        return True
     d, s = n - 1, 0
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for a in _BASES[:4] if n < _PSI_4 else _BASES:
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue

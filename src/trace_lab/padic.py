@@ -1,8 +1,12 @@
 """Exact p-adic valuations, norms, fractional parts, and additive characters.
 
 Rationals are plain fractions.Fraction values (exact, always in lowest
-terms); norms are carried as exact exponents and only turned into floats
-at evaluation boundaries.
+terms); valuations and norms are computed on their integer numerators and
+denominators, and only turned into floats at evaluation boundaries.
+
+The public functions that take a prime p check it.  Code that holds a p
+checked where it entered (a law, a spec, a place map) reads v_p through
+the unchecked _valuation and multiplies norms with _norm_ratio.
 """
 from __future__ import annotations
 
@@ -10,8 +14,9 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterable
 
-from .core import ParameterError, require_prime
+from .core import PROVEN_PRIME_LIMIT, ParameterError, is_prime, require_prime
 
 Rational = Fraction
 
@@ -49,16 +54,36 @@ def _int_valuation(n: int, p: int) -> int:
     return m
 
 
+def _valuation(q: Rational, p: int) -> int | float:
+    # valuation for a p that was checked prime where it entered: the law,
+    # spec or place map that holds it
+    if not isinstance(q, Fraction):
+        q = Fraction(q)
+    if q == 0:
+        return math.inf
+    return _int_valuation(q.numerator, p) - _int_valuation(q.denominator, p)
+
+
 def valuation(q: Rational, p: int) -> int | float:
     """v_p(q): the exponent m with q = (a/b) p^m, a,b coprime to p.
 
     Returns math.inf for q = 0.
     """
     require_prime(p)
-    q = Fraction(q)
-    if q == 0:
-        return math.inf
-    return _int_valuation(q.numerator, p) - _int_valuation(q.denominator, p)
+    return _valuation(q, p)
+
+
+def _norm_ratio(components: Iterable[tuple[int, Fraction]]) -> tuple[int, int]:
+    """prod |x_p|_p over (p, x_p) pairs as an integer numerator and
+    denominator, for nonzero x_p and primes p checked where they entered."""
+    num = den = 1
+    for p, x in components:
+        v = _int_valuation(x.numerator, p) - _int_valuation(x.denominator, p)
+        if v > 0:
+            den *= p**v
+        elif v < 0:
+            num *= p ** (-v)
+    return num, den
 
 
 def padic_norm(q: Rational, p: int) -> PAdicNorm:
@@ -102,23 +127,38 @@ def char_qp(y: Rational, x: Rational, p: int) -> complex:
     return cmath.exp(2j * math.pi * float(fp))
 
 
+# where the trial division of prime_support, past every d < 1000, asks
+# is_prime whether the cofactor left is itself prime; 1001 = 6 * 167 - 1
+# lies on its 6k +- 1 walk
+_PRIME_COFACTOR_TEST_AT = 1001
+
+
 def prime_support(q: Rational) -> tuple[int, ...]:
     """Sorted primes dividing the numerator or denominator of q."""
     q = Fraction(q)
     out: set[int] = set()
     for n in (q.numerator, q.denominator):
         n = abs(n)
-        if n > 1 and n % 2 == 0:
-            out.add(2)
-            while n % 2 == 0:
-                n //= 2
-        d = 3
+        if n < 2:
+            continue
+        for d in (2, 3):
+            if n % d == 0:
+                out.add(d)
+                n //= d
+                while n % d == 0:
+                    n //= d
+        # then d = 5, 7, 11, 13, ...: 6k +- 1, step alternating 2 and 4
+        d, step = 5, 2
         while d * d <= n:
             if n % d == 0:
                 out.add(d)
+                n //= d
                 while n % d == 0:
                     n //= d
-            d += 2
+            elif d == _PRIME_COFACTOR_TEST_AT and n < PROVEN_PRIME_LIMIT and is_prime(n):
+                break
+            d += step
+            step = 6 - step
         if n > 1:
             out.add(n)
     return tuple(sorted(out))
@@ -127,12 +167,10 @@ def prime_support(q: Rational) -> tuple[int, ...]:
 def product_formula_value(q: Rational) -> Fraction:
     """|q|_inf * prod_p |q|_p over primes dividing numerator or denominator.
 
-    Computed exactly; equals 1 for every nonzero rational.
+    Computed exactly in integers; equals 1 for every nonzero rational.
     """
     q = Fraction(q)
     if q == 0:
         raise ParameterError("product formula needs q != 0")
-    value = abs(q)
-    for p in prime_support(q):
-        value *= padic_norm(q, p).as_fraction()
-    return value
+    num, den = _norm_ratio((p, q) for p in prime_support(q))
+    return Fraction(abs(q.numerator) * num, q.denominator * den)

@@ -37,7 +37,7 @@ import math
 from dataclasses import dataclass
 
 from .core import CompensatedSum, EvalResult, ParameterError, ShellSumPlan
-from .padic import Rational, valuation
+from .padic import Rational, _valuation
 from .padic_integrals import (
     exp_norm_function,
     integrate_radial,
@@ -72,7 +72,7 @@ def char_fn(law: SemistableLaw, t: float, y: Rational) -> float:
     """Characteristic function exp(-Ct |y|_p^gamma); 1 at t = 0 or y = 0."""
     if t < 0:
         raise ParameterError("char_fn needs t >= 0")
-    v = valuation(y, law.p)
+    v = _valuation(y, law.p)
     if t == 0 or v == math.inf:
         return 1.0
     return exp_norm_function(law.C * t, law.gamma)(norm_float(law.p, -int(v)))
@@ -160,7 +160,7 @@ class _ShellTable:
 
 
 def _density_shell(law: SemistableLaw, t: float, x: Rational, plan: ShellSumPlan) -> EvalResult:
-    v = valuation(x, law.p)
+    v = _valuation(x, law.p)
     if v == math.inf:
         # f_t(0) is the full radial integral of the characteristic function
         return integrate_radial(exp_norm_function(law.C * t, law.gamma), law.p, "full", plan)
@@ -240,7 +240,7 @@ def density(
         return _density_shell(law, t, x, plan)
     if method != "series":
         raise ParameterError(f"method must be series or shell, got {method!r}")
-    v = valuation(x, law.p)
+    v = _valuation(x, law.p)
     if v == math.inf:
         raise ParameterError("series mode needs x != 0")
     big_x = norm_float(law.p, int(v))  # 1/|x|_p

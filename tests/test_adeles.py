@@ -5,7 +5,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from trace_lab import adeles
@@ -35,7 +35,8 @@ from trace_lab.core import (
     ShellSumPlan,
     format_rational,
 )
-from trace_lab.padic import prime_support
+from trace_lab.core import is_prime
+from trace_lab.padic import padic_norm, prime_support, rational_float
 from trace_lab.semistable import SemistableLaw
 
 rationals = st.fractions(
@@ -130,6 +131,49 @@ def test_diagonal_factors_q_once(monkeypatch):
 @given(nonzero)
 def test_diagonal_idele_norm_is_one(q):
     assert idele_norm(Idele.diagonal(q)) == 1
+
+
+def _idele_norm_by_fractions(a: Idele) -> float | Fraction:
+    """idele_norm as a product of checked Fraction norms, prime by prime:
+    the oracle."""
+    finite = Fraction(1)
+    for p in a.support:
+        finite *= padic_norm(a.finite[p], p).as_fraction()
+    if isinstance(a.real, Fraction):
+        return abs(a.real) * finite
+    return abs(float(a.real)) * rational_float(finite)
+
+
+_NORM_PRIMES = [p for p in range(1000) if is_prime(p)]
+
+
+@st.composite
+def _ideles(draw):
+    comps = {}
+    for p in draw(st.lists(st.sampled_from(_NORM_PRIMES), max_size=6, unique=True)):
+        num = draw(st.integers(-10**4, 10**4).filter(lambda n: n != 0))
+        unit = Fraction(num, draw(st.integers(1, 10**4)))
+        comps[p] = unit * Fraction(p) ** draw(st.integers(-40, 40))
+    real = draw(
+        st.one_of(
+            nonzero,
+            st.floats(min_value=-1e300, max_value=1e300, allow_nan=False).filter(lambda x: x != 0),
+        )
+    )
+    return Idele(real, comps)
+
+
+@settings(max_examples=300)
+@given(_ideles())
+@example(Idele(Fraction(1), {2: Fraction(1, 2**1100)}))
+@example(Idele(Fraction(3, 2**1100), {2: Fraction(2**1100), 3: Fraction(9, 2)}))
+@example(Idele(1.5, {2: Fraction(1, 2**1100)}))
+@example(Idele(-0.25, {2: Fraction(2**1100), 5: Fraction(1, 5)}))
+@example(Idele(2.0**-1000, {2: Fraction(2**1100)}))
+def test_idele_norm_matches_the_fraction_oracle(a):
+    got, want = idele_norm(a), _idele_norm_by_fractions(a)
+    assert got == want
+    assert type(got) is type(want)
 
 
 @given(nonzero, nonzero)
@@ -412,6 +456,19 @@ def test_scaled_density_pointwise():
     direct = sd.eval(x)
     ref = sd.norm * bs_eval(spec, scale_point(a, x), "density").value
     assert direct.value == pytest.approx(ref, rel=1e-12)
+
+
+def test_scaled_density_past_double_range():
+    # ||a|| = 2^1100 saturates: a nonzero f(ax) gives inf, unconverged
+    spec = BruhatSchwartzSpec(gaussian_factor(1.0), {})
+    sd = adeles.ScaledDensity(spec, Idele(Fraction(1), {2: Fraction(1, 2**1100)}))
+    assert sd.norm == 2**1100
+    res = sd.eval(AdelePoint(0.0, {}))
+    assert res.value == math.inf and res.error_bound == math.inf
+    assert not res.converged
+    # a x outside Z_3 makes f(ax) an exact 0, and the finite norm keeps it 0
+    res = sd.eval(AdelePoint(0.0, {3: Fraction(1, 3)}))
+    assert (res.value, res.error_bound, res.converged) == (0.0, 0.0, True)
 
 
 # ---------------------------------------------------------------------------

@@ -2,11 +2,13 @@
 from __future__ import annotations
 
 import ast
+import importlib.util
 import inspect
 import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -252,6 +254,43 @@ def test_reproduce_paper_mass_and_rr_rows_match_the_benchmark_snapshot():
             if row["name"].startswith(f"{label}:")
         ]
         assert rows == ref[label]["rows"], label
+
+
+def _perfbench_workloads():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_adelic_rows_match_the_benchmark_snapshot():
+    # the exact p-adic layer behind rr-check, char-sum, idele-norm and
+    # adele-eval must keep the seed commit's rows and exit codes: the fixed
+    # requests of the adelic_diagonal workload and its pool entries 0-63
+    snapshot = Path(__file__).resolve().parents[1] / "perfbench" / "reference" / "adelic_diagonal.json"
+    with open(snapshot) as fh:
+        ref = json.load(fh)
+    workloads = _perfbench_workloads()
+    reqs = workloads.adelic_fixed_requests()
+    for index in range(64):
+        reqs += workloads.pool_requests(index)
+    assert len(reqs) == 6 + 128
+    for label, sub, params in reqs:
+        code, rep = run_request(CommandRequest(sub, dict(params)))
+        assert code == ref[label]["exit"], label
+        assert rep["results"] == ref[label]["rows"], label
+
+
+def test_idele_norm_of_a_large_prime_answers_at_once():
+    # 10^18 + 3 is prime; trial division to 10^9 would take about a minute
+    start = time.perf_counter()
+    code, rep = run("idele-norm", diagonal="1000000000000000003")
+    assert time.perf_counter() - start < 1.0
+    assert code == 0
+    rows = {row["name"]: row for row in rep["results"]}
+    assert rows["norm"]["value"] == 1.0
+    assert rows["product_formula_exact"]["value"] is True
 
 
 def test_replay_seeded_rr_check():

@@ -57,6 +57,46 @@ def test_require_prime_stops_at_proven_range():
     assert require_prime(below) == below
 
 
+def _is_prime_12_bases(n: int) -> bool:
+    """Miller-Rabin with all 12 bases 2..37 for every n: the oracle."""
+    if n < 2:
+        return False
+    for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+        if n % q == 0:
+            return n == q
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def test_is_prime_matches_the_12_base_oracle():
+    # below 37^2 no base runs; below psi_4 = 3215031751 only 2, 3, 5, 7 do
+    assert [n for n in range(-2, 200_000) if is_prime(n) != _is_prime_12_bases(n)] == []
+
+
+@pytest.mark.parametrize(
+    "n",
+    # the least strong pseudoprimes to the first 1, 2, ..., 7 prime bases:
+    # psi_1..psi_7, with psi_4 itself the first n that gets all 12 bases
+    [2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383, 341550071728321],
+)
+def test_is_prime_rejects_strong_pseudoprimes(n):
+    assert not is_prime(n)
+    assert not _is_prime_12_bases(n)
+
+
 @given(st.integers(-10**6, 10**6), st.integers(1, 10**6))
 def test_rational_round_trip(num, den):
     q = Fraction(num, den)

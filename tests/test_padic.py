@@ -133,3 +133,14 @@ def test_prime_support_matches_brute_force():
     for a, b in ((12, 35), (-221, 1024), (3**5 * 11, 2 * 7**3), (1000003 * 4, 9 * 25)):
         want = tuple(sorted(_factor_brute(a) | _factor_brute(b)))
         assert prime_support(Fraction(a, b)) == want
+
+
+def test_prime_support_past_the_trial_division_cutoff():
+    # past d = 1000 a cofactor that is_prime proves prime ends the search;
+    # a composite cofactor goes on to plain trial division
+    big = 10**18 + 3
+    assert prime_support(Fraction(big)) == (big,)
+    assert prime_support(Fraction(-3, 2**5 * 7 * big)) == (2, 3, 7, big)
+    assert prime_support(Fraction(1009 * 1013)) == (1009, 1013)
+    assert prime_support(Fraction(1, 1009**2 * 1013**3)) == (1009, 1013)
+    assert prime_support(Fraction(999983 * 1000003)) == (999983, 1000003)
