@@ -32,10 +32,10 @@ from .core import (
 )
 from .padic import (
     Rational,
+    _char_qp,
     _int_valuation,
     _norm_ratio,
     _valuation,
-    char_qp,
     padic_norm,
     prime_support,
     rational_float,
@@ -251,7 +251,7 @@ def adele_char(y: AdelePoint, x: AdelePoint) -> complex:
         theta = -_TWO_PI * float(x.real) * float(y.real)
     z = complex(math.cos(theta), math.sin(theta))
     for p in sorted(set(x.support) | set(y.support)):
-        z *= char_qp(y.component(p), x.component(p), p)
+        z *= _char_qp(y.component(p), x.component(p), p)
     return z
 
 

@@ -108,6 +108,18 @@ class CompensatedSum:
             self._c += (x - t) + self._s
         self._s = t
 
+    def extend(self, xs: Iterable[float]) -> None:
+        """add(x) for each x of xs in order, in one loop on locals."""
+        s, c = self._s, self._c
+        for x in xs:
+            t = s + x
+            if abs(s) >= abs(x):
+                c += (s - t) + x
+            else:
+                c += (x - t) + s
+            s = t
+        self._s, self._c = s, c
+
     @property
     def value(self) -> float:
         return self._s + self._c
@@ -115,8 +127,7 @@ class CompensatedSum:
 
 def comp_sum(terms: Iterable[float]) -> float:
     acc = CompensatedSum()
-    for x in terms:
-        acc.add(x)
+    acc.extend(terms)
     return acc.value
 
 

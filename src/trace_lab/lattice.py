@@ -135,18 +135,18 @@ def _weight(spec: LatticeLawSpec, t: float, k: int) -> float:
     return math.exp(-w) if w < 745.0 else 0.0
 
 
-def _shell_sums(
-    spec: LatticeLawSpec, t: float, x: tuple[float, ...] | None, coords: list[np.ndarray]
-) -> np.ndarray:
-    """Row sums of e^{-t eta(n)} [cos(2 pi n.x)] over points n laid out by row.
+def _weights(spec: LatticeLawSpec, t: float, ks: np.ndarray) -> np.ndarray:
+    # one scalar math.exp per k: np.exp takes CPU-dependent SIMD paths
+    return np.array([_weight(spec, t, k) for k in ks.tolist()])
 
-    Each row is summed left to right, as `shell += e` would, and each
-    weight is one scalar math.exp: np.exp takes CPU-dependent SIMD paths,
-    while np.cos on float64 calls the same libm cos as math.cos.
+
+def _shell_sums(e: np.ndarray, x: tuple[float, ...] | None, coords: list[np.ndarray]) -> np.ndarray:
+    """Row sums of e[n] [cos(2 pi n.x)] over points n laid out by row.
+
+    e holds the weights e^{-t eta(n)} and is overwritten.  Each row is
+    summed left to right, as `shell += e` would; np.cos on float64 calls
+    the same libm cos as math.cos.
     """
-    k = sum(c * c for c in coords)
-    ks, inverse = np.unique(k, return_inverse=True)
-    e = np.array([_weight(spec, t, kk) for kk in ks.tolist()])[inverse].reshape(k.shape)
     if x is not None:
         phase = coords[0] * x[0]
         for ci, xi in zip(coords[1:], x[1:]):
@@ -184,14 +184,25 @@ def _spectral_sum(
     # the shell m = 0 is n = 0, where cos(2 pi n.x) = 1
     acc.add(_weight(spec, t, 0))
     if d == 1:
-        # one row per shell, the point m before -m
+        # one row per shell, the point m before -m; each k = m^2 occurs in
+        # one row only, so the weights are formed per block
         for m0 in range(1, shells, _D1_BLOCK):
             ms = np.arange(m0, min(m0 + _D1_BLOCK, shells), dtype=np.int64)
-            for s in _shell_sums(spec, t, x, [np.stack([ms, -ms], axis=1)]).tolist():
-                acc.add(s)
+            w = _weights(spec, t, ms * ms)
+            acc.extend(_shell_sums(np.stack([w, w], axis=1), x, [np.stack([ms, -ms], axis=1)]).tolist())
     else:
+        # shells share most of their k = |n|^2: one weight per k that occurs
+        # in shells 0..shells-1, looked up by k
+        sq = np.arange(shells, dtype=np.int64) ** 2
+        k_all = sq
+        for _ in range(d - 1):
+            k_all = np.add.outer(k_all, sq)
+        ks = np.unique(k_all)
+        table = np.zeros(int(ks[-1]) + 1)
+        table[ks] = _weights(spec, t, ks)
         for m in range(1, shells):
-            acc.add(float(_shell_sums(spec, t, x, _shell_coords(d, m))))
+            coords = _shell_coords(d, m)
+            acc.add(float(_shell_sums(table[sum(c * c for c in coords)], x, coords)))
     return EvalResult(acc.value, tail, points, math.isfinite(tail))
 
 
@@ -247,8 +258,7 @@ def _cauchy_tail(c: float, m: float) -> tuple[float, float]:
 def _wrapped_cauchy_1d(c: float, x0: float, cutoff: int = 4000) -> EvalResult:
     acc = CompensatedSum()
     acc.add(_cauchy_g(c, x0))
-    for n in range(1, cutoff + 1):
-        acc.add(_cauchy_g(c, x0 + n) + _cauchy_g(c, x0 - n))
+    acc.extend([_cauchy_g(c, x0 + n) + _cauchy_g(c, x0 - n) for n in range(1, cutoff + 1)])
     bound = 0.0
     for m in (cutoff + 0.5 + x0, cutoff + 0.5 - x0):
         val, err = _cauchy_tail(c, m)
@@ -269,11 +279,17 @@ def _wrapped_stable_numeric_1d(
     acc = CompensatedSum()
     bound = 0.0
     neval = 0
+    # f_t is even, so at x0 = 0 or 1/2 the points n and -n (or -n-1) share
+    # |x0 + n|: one quadrature per distinct float, summed in n order
+    densities: dict[float, EvalResult] = {}
     for n in range(-direct_radius, direct_radius + 1):
-        r = stable_density_numeric(symbol, t, abs(x0 + n), quad)
+        u = abs(x0 + n)
+        r = densities.get(u)
+        if r is None:
+            r = densities[u] = stable_density_numeric(symbol, t, u, quad)
+            neval += r.terms_used
         acc.add(r.value)
         bound += r.error_bound
-        neval += r.terms_used
 
     # both tails via the large-x expansion, lattice-summed by Hurwitz zeta
     coeffs = stable_asymptotic_coefficients(symbol, t, k_max + 1)
@@ -393,8 +409,7 @@ def potential_identity(
 
     cutoff = 20_000
     acc = CompensatedSum()
-    for n in range(1, cutoff + 1):
-        acc.add(float(n) ** (-alpha))
+    acc.extend([float(n) ** (-alpha) for n in range(1, cutoff + 1)])
     # Euler-Maclaurin continuation from the cutoff
     nf = float(cutoff)
     tail = nf ** (1.0 - alpha) / (alpha - 1.0) - 0.5 * nf ** (-alpha)

@@ -6,7 +6,8 @@ denominators, and only turned into floats at evaluation boundaries.
 
 The public functions that take a prime p check it.  Code that holds a p
 checked where it entered (a law, a spec, a place map) reads v_p through
-the unchecked _valuation and multiplies norms with _norm_ratio.
+the unchecked _valuation, evaluates characters through the unchecked
+_char_qp, and multiplies norms with _norm_ratio.
 """
 from __future__ import annotations
 
@@ -94,14 +95,8 @@ def padic_norm(q: Rational, p: int) -> PAdicNorm:
     return PAdicNorm(p, -int(v))
 
 
-def frac_part(q: Rational, p: int) -> Rational:
-    """The fractional part [q]_p: the unique k/p^m with q - k/p^m in Z_p.
-
-    Here m = max(0, -v_p(q)) and 0 <= k < p^m; k is found by a modular
-    inverse of the prime-to-p denominator part.
-    """
-    require_prime(p)
-    q = Fraction(q)
+def _frac_part(q: Fraction, p: int) -> Fraction:
+    # [q]_p for a p that was checked prime where it entered
     if q == 0:
         return Fraction(0)
     a, b = q.numerator, q.denominator
@@ -114,17 +109,33 @@ def frac_part(q: Rational, p: int) -> Rational:
     return Fraction(k, pm)
 
 
-def char_qp(y: Rational, x: Rational, p: int) -> complex:
-    """Additive character chi_y(x) = e^{2 pi i [xy]_p} of Q_p.
+def frac_part(q: Rational, p: int) -> Rational:
+    """The fractional part [q]_p: the unique k/p^m with q - k/p^m in Z_p.
 
-    Exactly 1 when xy lies in Z_p.
+    Here m = max(0, -v_p(q)) and 0 <= k < p^m; k is found by a modular
+    inverse of the prime-to-p denominator part.
     """
-    fp = frac_part(Fraction(x) * Fraction(y), p)
+    require_prime(p)
+    return _frac_part(Fraction(q), p)
+
+
+def _char_qp(y: Rational, x: Rational, p: int) -> complex:
+    # chi_y(x) for a p that was checked prime where it entered
+    fp = _frac_part(Fraction(x) * Fraction(y), p)
     if fp == 0:
         return complex(1.0, 0.0)
     if 2 * fp == 1:
         return complex(-1.0, 0.0)
     return cmath.exp(2j * math.pi * float(fp))
+
+
+def char_qp(y: Rational, x: Rational, p: int) -> complex:
+    """Additive character chi_y(x) = e^{2 pi i [xy]_p} of Q_p.
+
+    Exactly 1 when xy lies in Z_p.
+    """
+    require_prime(p)
+    return _char_qp(y, x, p)
 
 
 # where the trial division of prime_support, past every d < 1000, asks

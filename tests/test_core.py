@@ -30,6 +30,20 @@ def test_compensated_sum_matches_fsum(xs):
     assert comp_sum(xs) == acc.value
 
 
+@given(st.lists(st.floats(allow_nan=False), max_size=200), st.integers(min_value=0, max_value=200))
+def test_compensated_extend_is_repeated_add(xs, split):
+    # extend picks up any running state: add the first terms one by one
+    one = CompensatedSum()
+    for x in xs:
+        one.add(x)
+    both = CompensatedSum()
+    for x in xs[:split]:
+        both.add(x)
+    both.extend(iter(xs[split:]))
+    # repr tells -0.0 from 0.0 and lets nan (from inf - inf) equal itself
+    assert repr((both._s, both._c)) == repr((one._s, one._c))
+
+
 def test_compensated_sum_beats_naive():
     # classic cancellation case: naive summation loses the small term
     terms = [1.0, 1e-16, -1.0] * 10_000

@@ -8,17 +8,30 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import numpy as np
+
+from trace_lab import lattice
 from trace_lab.core import CapabilityError, CompensatedSum, EvalResult, ParameterError, ShellSumPlan
 from trace_lab.lattice import (
+    _LATTICE_QUAD,
     _TWO_PI,
     _normalize_point,
+    _shell_coords,
     _shell_tail_bound,
+    _weight,
+    _wrapped_stable_numeric_1d,
     gaussian_law,
     potential_identity,
     spectral_trace,
     stable_law,
     trace_defect,
     wrapped_density,
+)
+from trace_lab.quadrature import hurwitz_zeta
+from trace_lab.real_stable import (
+    stable_asymptotic_coefficients,
+    stable_asymptotic_density,
+    stable_density_numeric,
 )
 
 COTH_HALF = 2.16395341373865285
@@ -248,3 +261,115 @@ def test_hypot_is_sqrt_of_square_sum(d, bound):
         if math.hypot(*n) != math.sqrt(sum(v * v for v in n))
     ]
     assert bad == []
+
+
+# ---------------------------------------------------------------------------
+# per-shell reference for the d >= 2 weights
+# ---------------------------------------------------------------------------
+
+
+def _spectral_sum_per_shell(spec, t, x, plan=ShellSumPlan()):
+    """The d >= 2 spectral sum with one np.unique of |n|^2 and its weights
+    per shell, rather than one weight table per call."""
+    c = t * spec.symbol.sigma
+    alpha = spec.symbol.alpha
+    d = spec.d
+    points = 0
+    shells = 0
+    while points <= plan.max_terms:
+        points += (2 * shells + 1) ** d - (2 * shells - 1) ** d if shells else 1
+        shells += 1
+        if c * alpha * float(shells) ** alpha >= d:
+            tail = _shell_tail_bound(d, c, alpha, float(shells))
+            if tail < plan.tail_tolerance:
+                break
+    else:
+        tail = math.inf
+    acc = CompensatedSum()
+    acc.add(_weight(spec, t, 0))
+    for m in range(1, shells):
+        coords = _shell_coords(d, m)
+        k = sum(ci * ci for ci in coords)
+        ks, inverse = np.unique(k, return_inverse=True)
+        e = np.array([_weight(spec, t, kk) for kk in ks.tolist()])[inverse].reshape(k.shape)
+        if x is not None:
+            phase = sum(ci * xi for ci, xi in zip(coords, x))
+            live = e != 0.0
+            e[live] *= np.cos(_TWO_PI * phase[live])
+        acc.add(float(np.add.accumulate(e)[-1]))
+    return EvalResult(acc.value, tail, points, math.isfinite(tail))
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_weight_table_matches_per_shell_weights(d):
+    # t = 1e-4 stops at max_terms: about 224 shells at d = 2, 29 at d = 3
+    t = 1e-4
+    for x in (None, (0.1, 0.2, 0.3)[:d]):
+        got = spectral_trace(gaussian_law(d), t) if x is None else wrapped_density(gaussian_law(d), t, x)
+        ref = _spectral_sum_per_shell(gaussian_law(d), t, x)
+        assert not got.converged
+        assert got == ref and repr(got) == repr(ref), x
+
+
+# ---------------------------------------------------------------------------
+# per-point reference for the stable lattice sum
+# ---------------------------------------------------------------------------
+
+
+def _wrapped_stable_per_point(symbol, t, x0, quad, direct_radius=32, k_max=6):
+    """The stable lattice sum with one quadrature per lattice point n."""
+    alpha = symbol.alpha
+    acc = CompensatedSum()
+    bound = 0.0
+    neval = 0
+    for n in range(-direct_radius, direct_radius + 1):
+        r = stable_density_numeric(symbol, t, abs(x0 + n), quad)
+        acc.add(r.value)
+        bound += r.error_bound
+        neval += r.terms_used
+    coeffs = stable_asymptotic_coefficients(symbol, t, k_max + 1)
+    q_right = direct_radius + 1 + x0
+    q_left = direct_radius + 1 - x0
+    for q in (q_right, q_left):
+        tail = sum(
+            ck * hurwitz_zeta(alpha * k + 1.0, q)
+            for k, ck in enumerate(coeffs[:-1], start=1)
+        )
+        acc.add(tail / math.pi)
+    q_min = min(q_right, q_left)
+    next_order = abs(coeffs[-1]) * hurwitz_zeta(alpha * (k_max + 1) + 1.0, q_min) / math.pi
+    asym, _ = stable_asymptotic_density(symbol, t, q_min, k_max)
+    probe = stable_density_numeric(symbol, t, q_min, quad)
+    mismatch = abs(asym - probe.value) + probe.error_bound
+    cal = mismatch * hurwitz_zeta(alpha + 1.0, q_min) * q_min ** (alpha + 1.0)
+    bound += 2.0 * (next_order + cal)
+    return EvalResult(acc.value, bound, neval, bound < math.inf)
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.2, 1.5, 1.9])
+@pytest.mark.parametrize("t", [0.1, 1.0])
+def test_stable_lattice_sum_matches_per_point_loop(alpha, t):
+    symbol = stable_law(alpha, 1.0).symbol
+    for x0 in (0.0, 0.25, 0.5, 1.0 / 3.0, 0.7):
+        got = _wrapped_stable_numeric_1d(symbol, t, x0, _LATTICE_QUAD)
+        ref = _wrapped_stable_per_point(symbol, t, x0, _LATTICE_QUAD)
+        # terms_used counts only the quadratures run, so it may differ
+        for field in ("value", "error_bound", "converged"):
+            a, b = getattr(got, field), getattr(ref, field)
+            assert a == b and repr(a) == repr(b), (x0, field)
+
+
+@pytest.mark.parametrize("x0, calls", [(0.0, 33 + 1), (0.3, 65 + 1)])
+def test_stable_lattice_sum_runs_one_quadrature_per_distinct_point(monkeypatch, x0, calls):
+    # at x0 = 0 the points n and -n share |x0 + n|; the +1 is the tail probe
+    seen = []
+
+    def counting(symbol, t, x, quad):
+        seen.append(x)
+        return stable_density_numeric(symbol, t, x, quad)
+
+    monkeypatch.setattr(lattice, "stable_density_numeric", counting)
+    got = wrapped_density(stable_law(1.5, 1.0), 1.0, x0, "lattice")
+    assert len(seen) == calls
+    assert len(set(seen)) == calls
+    assert got.converged

@@ -87,3 +87,26 @@ def test_rr_product_checks_each_listed_prime_once(monkeypatch):
     assert code == 0
     assert len(listed) > 200
     assert Counter(checked) <= Counter(listed)
+
+
+def test_adele_char_checks_each_listed_prime_once(monkeypatch):
+    # the x and y of one adelic_diagonal benchmark request: 19 and 439 are
+    # listed in x, 251 and 281 in y, each checked where the point is built
+    checked: list[int] = []
+
+    def counting_is_prime(n):
+        checked.append(n)
+        return is_prime(n)
+
+    monkeypatch.setattr(core, "is_prime", counting_is_prime)
+    monkeypatch.setattr(padic, "is_prime", counting_is_prime)
+    x = "30542231359/1"
+    y = "1/70531"
+    params = {
+        "side": "char",
+        "x": f"inf={x},19={x},439={x},fill={x}",
+        "y": f"inf={y},251={y},281={y},fill={y}",
+    }
+    code, _ = run_request(CommandRequest("adele-eval", params))
+    assert code == 0
+    assert sorted(checked) == [19, 251, 281, 439]
