@@ -25,7 +25,7 @@ evaluation boundary.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable
 
@@ -307,6 +307,11 @@ class HaarSample:
     p^{-depth}, evaluated as p^{-depth}; the truncation bias is far below
     statistical error at the default depth of 64).  The digits are drawn
     in packed blocks by mc_haar_zp.
+
+    Only depth + 1 valuations can occur, so the statistics are read from
+    the histogram counts[k] = #{i : valuations[i] = k}, computed once at
+    construction: frequencies from its counts, and mean_of from g at the
+    occupied norms p^{-k} weighted by their counts.
     """
 
     p: int
@@ -314,44 +319,62 @@ class HaarSample:
     count: int
     seed: int
     valuations: np.ndarray
+    counts: np.ndarray = field(init=False, repr=False, compare=False)
 
-    def norms(self) -> np.ndarray:
-        return np.power(float(self.p), -self.valuations.astype(np.float64))
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "counts", np.bincount(self.valuations, minlength=self.depth + 1))
+
+    def _frequency(self, hits: int) -> tuple[float, float]:
+        f = hits / self.count
+        se = math.sqrt(max(f * (1.0 - f), 1.0 / self.count) / self.count)
+        return f, se
 
     def shell_frequency(self, n: int) -> tuple[float, float]:
         """Empirical P(|y|_p = p^n) with a binomial standard error."""
         if n > 0:
             return 0.0, 0.0
-        f = float(np.mean(self.valuations == -n))
-        se = math.sqrt(max(f * (1.0 - f), 1.0 / self.count) / self.count)
-        return f, se
+        return self._frequency(int(self.counts[-n]) if -n <= self.depth else 0)
 
     def ball_frequency(self, k: int) -> tuple[float, float]:
         """Empirical P(|y|_p <= p^{-k}) with a binomial standard error."""
-        f = float(np.mean(self.valuations >= k))
-        se = math.sqrt(max(f * (1.0 - f), 1.0 / self.count) / self.count)
-        return f, se
+        return self._frequency(int(self.counts[max(k, 0):].sum()))
 
     def mean_of(self, g: RadialFunction) -> tuple[float, float]:
-        """Empirical mean of g(|y|_p) and its standard error."""
-        u = self.norms()
+        """Empirical mean of g(|y|_p) and its standard error (count >= 2).
+
+        g is evaluated once per occupied norm; the mean and the sample
+        variance (ddof = 1) are count-weighted fsums over those norms.
+        """
+        if self.count < 2:
+            raise ParameterError("a standard error needs count >= 2")
+        k = np.flatnonzero(self.counts)
+        u = np.power(float(self.p), -k.astype(np.float64))
         try:
             vals = np.asarray(g(u), dtype=np.float64)
             if vals.shape != u.shape:
                 raise TypeError
         except (TypeError, ValueError):
             vals = np.fromiter((g(x) for x in u), dtype=np.float64, count=len(u))
-        mean = float(np.mean(vals))
-        se = float(np.std(vals, ddof=1) / math.sqrt(self.count))
-        return mean, se
+        w = self.counts[k]
+        mean = math.fsum(w * vals) / self.count
+        d = vals - mean
+        var = math.fsum(w * (d * d)) / (self.count - 1)
+        return mean, math.sqrt(var) / math.sqrt(self.count)
 
 
 def _block_valuation(x: np.ndarray, p: int, kk: int) -> np.ndarray:
     """v_p of each int64 entry of x, with kk for the entries equal to 0.
 
     A block x uniform on Z/p^kk holds kk base-p digits at once; v_p(x) is
-    the number of its low digits that are zero.
+    the number of its low digits that are zero.  At p = 2 that is the
+    trailing-zero count: x & -x is the lowest set bit 2^v, exact as a
+    float, and frexp returns v + 1 as its exponent.
     """
+    if p == 2:
+        _, v = np.frexp((x & -x).astype(np.float64))
+        v -= 1
+        v[x == 0] = kk
+        return v
     v = np.where(x == 0, kk, 0)
     idx = np.flatnonzero((x != 0) & (x % p == 0))
     y = x[idx]
@@ -382,9 +405,10 @@ def mc_haar_zp(p: int, depth: int = 64, count: int = 100_000, seed: int = 0) -> 
     while p ** (k + 1) < 2**63:
         k += 1
     rng = np.random.default_rng(seed)
-    out = np.empty(count, dtype=np.int32)
-    live = np.arange(count)
-    done = 0
+    done = min(k, depth)
+    x = rng.integers(0, p**done, size=count, dtype=np.int64)
+    out = _block_valuation(x, p, done).astype(np.int32, copy=False)
+    live = np.flatnonzero(x == 0)
     while done < depth and live.size:
         kk = min(k, depth - done)
         x = rng.integers(0, p**kk, size=live.size, dtype=np.int64)

@@ -9,6 +9,7 @@ import os
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import pytest
@@ -113,6 +114,71 @@ def test_mc_haar_large_p_exits_cleanly():
     # a block on Z/p^k must fit an int64: p = 2^63 - 25 is the largest prime that works
     assert main(["mc-haar", "--p", str(2**63 - 25), "--count", "1000"]) == 0
     assert main(["mc-haar", "--p", "9223372036854775837", "--count", "1000"]) == 2
+
+
+def test_mc_haar_single_sample(capsys):
+    # one sample has frequencies but no standard error: a mean asks for two
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["mc-haar", "--p", "2", "--count", "1", "--gamma", "1", "--tau", "1"]) == 2
+        assert "count >= 2" in capsys.readouterr().err
+        assert main(["mc-haar", "--p", "2", "--count", "1"]) == 0
+    rep = json.loads(capsys.readouterr().out, parse_constant=lambda c: pytest.fail(c))
+    assert [row["name"] for row in rep["results"]][-1] == "ball_norm<=p^-4"
+
+
+# (value, error_bound, reference, defect) of each shell/ball row of
+# mc-haar --p 2 with the given parameters, as the full-array statistics gave them
+_HAAR_ROWS = {
+    ("1000000", "20260814", "64"): [
+        (0.50002, 0.0014999999987999999, 0.5, 2.0000000000020002e-05),
+        (0.250184, 0.00129935664668943, 0.25, 0.00018400000000001748),
+        (0.12451, 0.0009904874250085158, 0.125, 0.0004900000000000043),
+        (0.062707, 0.000727305636826087, 0.0625, 0.00020699999999999885),
+        (0.062579, 0.0007266125644599053, 0.0625, 7.899999999999574e-05),
+    ],
+    ("100000", "0", "1"): [
+        (0.49958, 0.0047434148167749355, 0.5, 0.00041999999999997595),
+        (0.50042, 0.0047434148167749355, 0.25, 0.25042),
+        (0.0, 3.0000000000000004e-05, 0.125, 0.125),
+        (0.0, 3.0000000000000004e-05, 0.0625, 0.0625),
+        (0.0, 3.0000000000000004e-05, 0.0625, 0.0625),
+    ],
+    ("100000", "0", "3"): [
+        (0.49907, 0.004743408285083628, 0.5, 0.0009299999999999864),
+        (0.25057, 0.0041110364579993695, 0.25, 0.0005700000000000149),
+        (0.12464, 0.003133598304824663, 0.125, 0.0003599999999999992),
+        (0.12572, 0.0031452032277740015, 0.0625, 0.06322),
+        (0.0, 3.0000000000000004e-05, 0.0625, 0.0625),
+    ],
+}
+
+
+def _haar_rows(rep):
+    return [
+        tuple(repr(row[key]) for key in ("value", "error_bound", "reference", "defect"))
+        for row in rep["results"][:5]
+    ]
+
+
+def test_mc_haar_paper_row_is_pinned():
+    (params,) = [params for label, _, params in cli._reproduce_requests() if label == "haar-mc"]
+    assert params == {"p": "2", "count": "1000000", "seed": "20260814", "gamma": "1", "tau": "1"}
+    code, rep = run("mc-haar", **params)
+    assert code == 0
+    expected = _HAAR_ROWS[(params["count"], params["seed"], "64")]
+    assert _haar_rows(rep) == [tuple(map(repr, row)) for row in expected]
+    (mc,) = rep["results"][5:]
+    assert mc["name"] == "mc_integral" and mc["pass"]
+    assert abs(mc["value"] - mc["reference"]) <= mc["error_bound"]
+
+
+@pytest.mark.parametrize("depth", ["1", "3"])
+def test_mc_haar_shallow_rows_are_pinned(depth):
+    code, rep = run("mc-haar", p="2", depth=depth)
+    assert code == 4  # the depth truncation shows in the deep rows
+    expected = _HAAR_ROWS[("100000", "0", depth)]
+    assert _haar_rows(rep) == [tuple(map(repr, row)) for row in expected]
 
 
 def test_exit_3_on_nonconvergence():

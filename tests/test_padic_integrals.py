@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from trace_lab.core import ParameterError, ShellSumPlan
 from trace_lab.padic import valuation
 from trace_lab.padic_integrals import (
+    HaarSample,
     ball_char_integral,
     exp_norm_function,
     exp_radial_closed,
@@ -273,3 +274,91 @@ def test_mc_haar_block_layout(monkeypatch, p, depth, zero_every):
         assert v[0] == depth  # row 0 is zero in every block
     elif depth == 1:
         assert 0 < np.count_nonzero(v == depth) < count
+
+
+# The full-array statistics HaarSample computed before it kept a histogram,
+# copied as they were: the oracle for the histogram reads.
+
+
+def _oracle_norms(self):
+    return np.power(float(self.p), -self.valuations.astype(np.float64))
+
+
+def _oracle_shell_frequency(self, n):
+    if n > 0:
+        return 0.0, 0.0
+    f = float(np.mean(self.valuations == -n))
+    se = math.sqrt(max(f * (1.0 - f), 1.0 / self.count) / self.count)
+    return f, se
+
+
+def _oracle_ball_frequency(self, k):
+    f = float(np.mean(self.valuations >= k))
+    se = math.sqrt(max(f * (1.0 - f), 1.0 / self.count) / self.count)
+    return f, se
+
+
+def _oracle_mean_of(self, g):
+    u = _oracle_norms(self)
+    try:
+        vals = np.asarray(g(u), dtype=np.float64)
+        if vals.shape != u.shape:
+            raise TypeError
+    except (TypeError, ValueError):
+        vals = np.fromiter((g(x) for x in u), dtype=np.float64, count=len(u))
+    mean = float(np.mean(vals))
+    se = float(np.std(vals, ddof=1) / math.sqrt(self.count))
+    return mean, se
+
+
+_MEAN_INTEGRANDS = [
+    lambda u: np.exp(-np.power(u, 1.0)),
+    lambda u: np.exp(-2.0 * np.power(u, 0.5)),
+    lambda u: np.exp(-0.5 * np.power(u, 2.0)),
+    lambda u: math.exp(-u),  # rejects arrays: the scalar fallback
+    lambda u: u,
+]
+
+
+def _assert_statistics_match_oracle(sample):
+    depth = sample.depth
+    for n in range(1, -depth - 3, -1):  # past both ends of the histogram
+        assert sample.shell_frequency(n) == _oracle_shell_frequency(sample, n), n
+    for k in range(-2, depth + 4):
+        assert sample.ball_frequency(k) == _oracle_ball_frequency(sample, k), k
+    for g in _MEAN_INTEGRANDS:
+        mean, se = sample.mean_of(g)
+        ref_mean, ref_se = _oracle_mean_of(sample, g)
+        assert abs(mean - ref_mean) <= 4 * math.ulp(ref_mean), (mean, ref_mean)
+        assert abs(se - ref_se) <= 4 * math.ulp(ref_se), (se, ref_se)
+
+
+@pytest.mark.parametrize("depth", [1, 3, 64, 200])
+@pytest.mark.parametrize("p", [2, 3, 5, 7919])
+def test_haar_statistics_match_full_array_oracle(p, depth):
+    _assert_statistics_match_oracle(mc_haar_zp(p, depth=depth, count=20_000, seed=p + depth))
+    # every norm occupied, the truncation bucket included
+    valuations = np.random.default_rng(depth).integers(0, depth + 1, size=20_000).astype(np.int32)
+    _assert_statistics_match_oracle(HaarSample(p, depth, 20_000, 0, valuations))
+
+
+def test_haar_histogram_counts_the_valuations():
+    sample = mc_haar_zp(3, depth=5, count=1000, seed=2)
+    assert sample.counts.tolist() == [np.count_nonzero(sample.valuations == k) for k in range(6)]
+
+
+def test_haar_mean_over_one_occupied_norm_is_exact():
+    # every sample has norm 1, so the sample variance is exactly 0; the
+    # full-array oracle reports the rounding of its pairwise mean instead
+    sample = HaarSample(7919, 3, 20_000, 0, np.zeros(20_000, dtype=np.int32))
+    g = _MEAN_INTEGRANDS[1]
+    assert sample.mean_of(g) == (float(g(np.ones(1))[0]), 0.0)
+    assert _oracle_mean_of(sample, g)[1] > 0.0
+
+
+def test_haar_mean_needs_two_samples():
+    sample = mc_haar_zp(2, count=1, seed=0)
+    assert sample.shell_frequency(0)[0] in (0.0, 1.0)
+    with pytest.raises(ParameterError):
+        sample.mean_of(lambda u: np.exp(-u))
+
