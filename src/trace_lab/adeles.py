@@ -26,7 +26,7 @@ from .core import (
     QuadratureConfig,
     ShellSumPlan,
     format_rational,
-    parse_rational,
+    parse_number,
     product_results,
     require_prime,
 )
@@ -158,11 +158,12 @@ class _PlaceMap:
         comps: dict[int, Fraction] = {}
         for key, raw in data.items():
             if key == "inf":
-                real = parse_rational(raw) if "/" in str(raw) else float(raw)
+                real = parse_number(raw, "exact", "inf")
             elif key == "fill":
-                fill = parse_rational(raw)
+                fill = parse_number(raw, "rational", "fill")
             else:
-                comps[int(key)] = parse_rational(raw)
+                p = parse_number(key, "int", "a place")
+                comps[p] = parse_number(raw, "rational", f"the component at {key}")
         return cls(real, comps, fill=fill)
 
 
@@ -349,25 +350,24 @@ def bs_eval(
     plan: ShellSumPlan = _DEFAULT_PLAN,
     quad: QuadratureConfig = _DEFAULT_QUAD,
 ) -> EvalResult:
-    """Finite product of component densities, or of component transforms."""
+    """Finite product of component densities, or of component transforms.
+
+    Off S each factor is the indicator of Z_p, so a point outside it is
+    0 on either side before any factor is evaluated.
+    """
+    if side not in ("density", "transform"):
+        raise ParameterError(f"side must be density or transform, got {side!r}")
+    for p in x.support:
+        if p not in spec.finite_factors and _valuation(x.component(p), p) < 0:
+            return EvalResult(0.0, 0.0, 1, True)
     if side == "density":
         parts = [spec.real_factor.density(float(x.real), quad)]
         for p, f in sorted(spec.finite_factors.items()):
             parts.append(f.density(x.component(p), plan))
-        for p in x.support:
-            if p not in spec.finite_factors:
-                if _valuation(x.component(p), p) < 0:
-                    return EvalResult(0.0, 0.0, 1, True)
         return product_results(parts)
-    if side != "transform":
-        raise ParameterError(f"side must be density or transform, got {side!r}")
     value = spec.real_factor.transform(float(x.real))
     for p, f in sorted(spec.finite_factors.items()):
         value *= f.transform(x.component(p))
-    for p in x.support:
-        if p not in spec.finite_factors:
-            if _valuation(x.component(p), p) < 0:
-                value = 0.0
     return EvalResult(value, abs(value) * 1e-14, 1, True)
 
 
@@ -764,9 +764,13 @@ def scale_by_idele(
     scaled density is compared against fhat(a^{-1}y) on a grid of adele
     points, componentwise and as a product.
     """
+    rf = spec.real_factor
+    if grid_points > 0 and not (rf.kind == "gaussian" or rf.alpha in (1.0, 2.0)):
+        raise ParameterError(
+            "fourier scaling grid needs a closed-form real density (alpha in {1, 2})"
+        )
     scaled = ScaledDensity(spec, a)
     masses: list[ComponentCheck] = []
-    rf = spec.real_factor
     m_inf = _real_scaled_mass(rf, float(a.real), quad)
     masses.append(ComponentCheck("inf", m_inf.value, m_inf.error_bound, 1.0, m_inf.converged))
     shells = {p: _ScaledShells(f, a.component(p), plan) for p, f in sorted(spec.finite_factors.items())}
@@ -808,14 +812,15 @@ def scale_by_idele(
 def _real_scaled_transform(
     rf: RealFactor, a_inf: float, y: float, quad: QuadratureConfig
 ) -> EvalResult:
-    """Transform of |a| f(a .) at y by quadrature against cos(2 pi u y)."""
+    """Transform of |a| f(a .) at y by quadrature against cos(2 pi u y),
+    for a real density in closed form (alpha 1 or 2)."""
     aa = abs(a_inf)
     if rf.kind == "gaussian" or rf.alpha == 2.0:
         sig = rf.t * (math.pi if rf.kind == "gaussian" else rf.sigma)
         half = math.sqrt(sig * math.log(1.0 / quad.envelope_cutoff)) / math.pi / aa
         tail_val = 0.0
         tail_err = 2.0 * quad.envelope_cutoff * half * aa
-    elif rf.alpha == 1.0:
+    else:
         c = rf.t * rf.sigma
         # panel edge X in the unscaled variable w = a u; beyond it the
         # remainder comes from two integrations by parts of f(w) cos(bw)
@@ -838,10 +843,6 @@ def _real_scaled_transform(
                 - 2.0 * fpw(big_x) * math.cos(beta * big_x) / beta ** 2
             )
             tail_err = 2.0 * abs(fpw(big_x)) / beta ** 2
-    else:
-        raise ParameterError(
-            "fourier scaling grid needs a closed-form real density (alpha in {1, 2})"
-        )
 
     v, e, neval, ok = cos_panel(lambda u: aa * rf.density(a_inf * u).value, half, y, quad)
     return EvalResult(2.0 * v + tail_val, 2.0 * e + tail_err, neval, ok)

@@ -22,7 +22,7 @@ import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -48,7 +48,7 @@ from .core import (
     QuadratureConfig,
     ShellSumPlan,
     format_rational,
-    parse_rational,
+    parse_number,
 )
 from .lattice import gaussian_law, potential_identity, stable_law, trace_defect, wrapped_density
 from .padic import rational_float
@@ -167,19 +167,6 @@ def _bool_row(name: str, flag: bool, passed: bool | None = None) -> ResultRow:
     return ResultRow(name, bool(flag), passed=passed)
 
 
-def _row_from_dict(name: str, data: Mapping) -> ResultRow:
-    return ResultRow(
-        name,
-        data["value"],
-        error_bound=data.get("error_bound"),
-        reference=data.get("reference"),
-        defect=data.get("defect"),
-        passed=data.get("pass"),
-        converged=data.get("converged"),
-        tolerance=data.get("tolerance"),
-    )
-
-
 def _g(x: float) -> str:
     return format(x, ".12g")
 
@@ -187,6 +174,10 @@ def _g(x: float) -> str:
 # ---------------------------------------------------------------------------
 # parameter maps
 # ---------------------------------------------------------------------------
+
+
+def _number(key: str, kind: str) -> Callable[[str], int | float | Fraction]:
+    return partial(parse_number, kind=kind, name=f"--{key}")
 
 
 class _Params:
@@ -232,18 +223,6 @@ class _Params:
             raise ParameterError(f"--{key} must be one of {', '.join(choices)}; got {val!r}")
         return val
 
-    def _float_of(self, key: str, raw: str) -> float:
-        try:
-            return float(Fraction(raw)) if "/" in raw else float(raw)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ParameterError(f"--{key} expects a number, got {raw!r}") from exc
-
-    def _int_of(self, key: str, raw: str) -> int:
-        try:
-            return int(raw)
-        except ValueError as exc:
-            raise ParameterError(f"--{key} expects an integer, got {raw!r}") from exc
-
     def float_(
         self,
         key: str,
@@ -251,7 +230,7 @@ class _Params:
         required: bool = False,
         positive: bool = False,
     ) -> float | None:
-        val = self._get(key, default, required, partial(self._float_of, key), repr)
+        val = self._get(key, default, required, _number(key, "float"), repr)
         if positive and val is not None and val <= 0:
             raise ParameterError(f"--{key} must be positive, got {val}")
         return val
@@ -263,7 +242,7 @@ class _Params:
         required: bool = False,
         minimum: int | None = None,
     ) -> int | None:
-        val = self._get(key, default, required, partial(self._int_of, key))
+        val = self._get(key, default, required, _number(key, "int"))
         if minimum is not None and val is not None and val < minimum:
             raise ParameterError(f"--{key} must be >= {minimum}, got {val}")
         return val
@@ -271,7 +250,7 @@ class _Params:
     def rational_(
         self, key: str, default: str | None = None, required: bool = False
     ) -> Fraction | None:
-        return self._get(key, default, required, parse_rational, format_rational)
+        return self._get(key, default, required, _number(key, "rational"), format_rational)
 
     def _list(
         self,
@@ -289,22 +268,24 @@ class _Params:
         return self._get(key, default, True, parse, lambda vals: ",".join(map(show, vals)))
 
     def floats_(self, key: str, default: str) -> list[float]:
-        return self._list(key, default, partial(self._float_of, key), repr)
+        return self._list(key, default, _number(key, "float"), repr)
 
     def ints_(self, key: str, default: str, minimum: int | None = None) -> list[int]:
-        def parse_one(raw: str) -> int:
-            try:
-                return int(raw)
-            except ValueError as exc:
-                raise ParameterError(f"--{key} expects a comma-separated integer list") from exc
-
-        vals = self._list(key, default, parse_one, str)
+        vals = self._list(key, default, _number(key, "int"), str)
         if minimum is not None and min(vals) < minimum:
             raise ParameterError(f"--{key} entries must be >= {minimum}")
         return vals
 
     def rationals_(self, key: str, default: str) -> list[Fraction]:
-        return self._list(key, default, parse_rational, format_rational)
+        return self._list(key, default, _number(key, "rational"), format_rational)
+
+    def strs_(self, key: str, default: str, choices: Sequence[str]) -> list[str]:
+        def parse_one(raw: str) -> str:
+            if raw not in choices:
+                raise ParameterError(f"--{key} entries must be among {', '.join(choices)}; got {raw!r}")
+            return raw
+
+        return self._list(key, default, parse_one, str)
 
     def point_(self, key: str, default: str | None = None, required: bool = False):
         """An adele point spec 'inf=0.4,2=1/2,fill=1'."""
@@ -386,12 +367,19 @@ def _cmd_theta_integral(P: _Params) -> list[ResultRow]:
     return rows
 
 
+def _gaussian_pin(P: _Params) -> tuple[float, float]:
+    """--kind gaussian fixes (alpha, sigma) = (2, pi): echo both, refuse others."""
+    alpha, sigma = P.float_("alpha", 2.0), P.float_("sigma", math.pi)
+    if (alpha, sigma) != (2.0, math.pi):
+        raise ParameterError("--kind gaussian fixes --alpha 2 and --sigma pi")
+    return alpha, sigma
+
+
 def _lattice_spec(P: _Params):
     kind = P.str_("kind", "gaussian", choices=("gaussian", "stable"))
     d = P.int_("d", 1, minimum=1)
     if kind == "gaussian":
-        P.float_("alpha", 2.0)
-        P.float_("sigma", math.pi)
+        _gaussian_pin(P)
         return gaussian_law(d), True
     alpha = P.float_("alpha", required=True, positive=True)
     sigma = P.float_("sigma", 1.0, positive=True)
@@ -401,10 +389,7 @@ def _lattice_spec(P: _Params):
 def _cmd_psf_check(P: _Params) -> list[ResultRow]:
     spec, closed = _lattice_spec(P)
     t = P.float_("t", 1.0, positive=True)
-    xs_raw = P.str_("x", "0")
-    xs = tuple(
-        parse_rational(part) if "/" in part else float(part) for part in xs_raw.split(",")
-    )
+    xs = tuple(parse_number(part, "exact", "--x") for part in P.str_("x", "0").split(","))
     if len(xs) != spec.d:
         raise ParameterError(f"--x needs {spec.d} coordinates, got {len(xs)}")
     tol_shell = P.float_("tol-shell", _TOL_SHELL, positive=True)
@@ -441,8 +426,7 @@ def _cmd_trace_check(P: _Params) -> list[ResultRow]:
 def _cmd_potential_identity(P: _Params) -> list[ResultRow]:
     kind = P.str_("kind", "stable", choices=("stable", "gaussian"))
     if kind == "gaussian":
-        alpha = P.float_("alpha", 2.0, positive=True)
-        sigma = P.float_("sigma", math.pi, positive=True)
+        alpha, sigma = _gaussian_pin(P)
     else:
         alpha = P.float_("alpha", required=True, positive=True)
         sigma = P.float_("sigma", 1.0, positive=True)
@@ -585,6 +569,8 @@ def _cmd_mc_haar(P: _Params) -> list[ResultRow]:
     seed = P.int_("seed", 0, minimum=0)
     gamma = P.float_("gamma", None, positive=True)
     tau = P.float_("tau", None, positive=True)
+    if (gamma is None) != (tau is None):
+        raise ParameterError("--gamma and --tau must be given together")
     sample = mc_haar_zp(p, depth, count, seed)
     rows = []
     for n in range(0, 4):
@@ -594,8 +580,6 @@ def _cmd_mc_haar(P: _Params) -> list[ResultRow]:
     k = 4
     freq, se = sample.ball_frequency(k)
     rows.append(_identity_row(f"ball_norm<=p^-{k}", freq, 3.0 * se, norm_float(p, -k), 0.0))
-    if (gamma is None) != (tau is None):
-        raise ParameterError("--gamma and --tau must be given together")
     if gamma is not None:
         mean, se = sample.mean_of(lambda u: np.exp(-tau * np.power(u, gamma)))
         closed = exp_radial_closed(p, gamma, tau, "unit_ball")
@@ -683,8 +667,7 @@ def _cmd_adele_eval(P: _Params) -> list[ResultRow]:
     tol_shell = P.float_("tol-shell", _TOL_SHELL, positive=True)
     tol_quad = P.float_("tol-quad", _TOL_QUAD, positive=True)
     if kind == "gaussian":
-        P.float_("alpha", 2.0)
-        P.float_("sigma", math.pi)
+        _gaussian_pin(P)
         real = gaussian_factor(t)
     else:
         alpha = P.float_("alpha", 1.0, positive=True)
@@ -697,11 +680,7 @@ def _cmd_adele_eval(P: _Params) -> list[ResultRow]:
 
 
 def _cmd_rr_check(P: _Params) -> list[ResultRow]:
-    parts_raw = P.str_("parts", "reduction,product,scaling")
-    parts = {part.strip() for part in parts_raw.split(",") if part.strip()}
-    bad = parts - {"reduction", "product", "scaling"}
-    if bad:
-        raise ParameterError(f"unknown rr-check parts: {', '.join(sorted(bad))}")
+    parts = P.strs_("parts", "reduction,product,scaling", ("reduction", "product", "scaling"))
     t = P.float_("t", 1.0, positive=True)
     tol_shell = P.float_("tol-shell", _TOL_SHELL, positive=True)
     tol_quad = P.float_("tol-quad", _TOL_QUAD, positive=True)
@@ -904,87 +883,57 @@ def _reproduce_requests() -> list[tuple[str, str, dict[str, str]]]:
 def _cmd_reproduce_paper(P: _Params) -> list[ResultRow]:
     rows: list[ResultRow] = []
     for label, sub, params in _reproduce_requests():
-        _, rep = run_request(CommandRequest(sub, params))
-        for rd in rep["results"]:
-            rows.append(_row_from_dict(f"{label}:{rd['name']}", rd))
+        sub_rows, _ = _run_handler(sub, params)
+        for row in sub_rows:
+            row.name = f"{label}:{row.name}"
+        rows += sub_rows
     return rows
 
 
-_HANDLERS: dict[str, Callable[[_Params], list[ResultRow]]] = {
-    "theta": _cmd_theta,
-    "theta-integral": _cmd_theta_integral,
-    "psf-check": _cmd_psf_check,
-    "trace-check": _cmd_trace_check,
-    "potential-identity": _cmd_potential_identity,
-    "padic-gamma": _cmd_padic_gamma,
-    "padic-integral": _cmd_padic_integral,
-    "padic-density": _cmd_padic_density,
-    "padic-mass": _cmd_padic_mass,
-    "mc-haar": _cmd_mc_haar,
-    "cauchy-report": _cmd_cauchy_report,
-    "idele-norm": _cmd_idele_norm,
-    "adele-eval": _cmd_adele_eval,
-    "rr-check": _cmd_rr_check,
-    "adelic-theta": _cmd_adelic_theta,
-    "char-sum": _cmd_char_sum,
-    "reproduce-paper": _cmd_reproduce_paper,
-}
+class _Command(NamedTuple):
+    handler: Callable[[_Params], list[ResultRow]]
+    flags: tuple[str, ...]
 
-_FLAGS: dict[str, tuple[str, ...]] = {
-    "theta": ("t", "tol-shell", "tol"),
-    "theta-integral": ("tol-quad", "tol"),
-    "psf-check": ("kind", "alpha", "sigma", "d", "t", "x", "tol-shell", "tol-quad", "tol"),
-    "trace-check": ("kind", "alpha", "sigma", "d", "t", "tol-shell", "tol-quad", "tol"),
-    "potential-identity": ("kind", "alpha", "sigma", "tol-quad", "tol"),
-    "padic-gamma": ("p", "s", "mode", "tol-shell", "tol"),
-    "padic-integral": ("p", "gamma", "tau", "domain", "mode", "tol-shell", "tol"),
-    "padic-density": (
-        "p",
-        "gamma",
-        "C",
-        "t",
-        "x",
-        "method",
-        "series-exponent",
-        "tol-shell",
-        "tol",
+
+# each subcommand's handler and the flags it reads: the argv check and --help
+_COMMANDS: dict[str, _Command] = {
+    "theta": _Command(_cmd_theta, ("t", "tol-shell", "tol")),
+    "theta-integral": _Command(_cmd_theta_integral, ("tol-quad", "tol")),
+    "psf-check": _Command(
+        _cmd_psf_check, ("kind", "alpha", "sigma", "d", "t", "x", "tol-shell", "tol-quad", "tol")
     ),
-    "padic-mass": ("p", "gamma", "C", "t", "tol-shell", "tol"),
-    "mc-haar": ("p", "depth", "count", "seed", "gamma", "tau"),
-    "cauchy-report": ("convention", "tol-shell", "tol"),
-    "idele-norm": ("a", "diagonal"),
-    "adele-eval": (
-        "side",
-        "x",
-        "y",
-        "kind",
-        "alpha",
-        "sigma",
-        "gamma",
-        "C",
-        "t",
-        "S",
-        "tol-shell",
-        "tol-quad",
+    "trace-check": _Command(
+        _cmd_trace_check, ("kind", "alpha", "sigma", "d", "t", "tol-shell", "tol-quad", "tol")
     ),
-    "rr-check": (
-        "parts",
-        "t",
-        "lams",
-        "height",
-        "count",
-        "seed",
-        "a",
-        "gamma",
-        "C",
-        "grid-points",
-        "tol-shell",
-        "tol-quad",
-        "tol",
+    "potential-identity": _Command(
+        _cmd_potential_identity, ("kind", "alpha", "sigma", "tol-quad", "tol")
     ),
-    "adelic-theta": ("t", "lam", "height", "tol-shell", "tol"),
-    "char-sum": ("mode", "alpha", "sigma", "gamma", "C", "t", "S", "heights", "A", "M"),
-    "reproduce-paper": (),
+    "padic-gamma": _Command(_cmd_padic_gamma, ("p", "s", "mode", "tol-shell", "tol")),
+    "padic-integral": _Command(
+        _cmd_padic_integral, ("p", "gamma", "tau", "domain", "mode", "tol-shell", "tol")
+    ),
+    "padic-density": _Command(
+        _cmd_padic_density,
+        ("p", "gamma", "C", "t", "x", "method", "series-exponent", "tol-shell", "tol"),
+    ),
+    "padic-mass": _Command(_cmd_padic_mass, ("p", "gamma", "C", "t", "tol-shell", "tol")),
+    "mc-haar": _Command(_cmd_mc_haar, ("p", "depth", "count", "seed", "gamma", "tau")),
+    "cauchy-report": _Command(_cmd_cauchy_report, ("convention", "tol-shell", "tol")),
+    "idele-norm": _Command(_cmd_idele_norm, ("a", "diagonal")),
+    "adele-eval": _Command(
+        _cmd_adele_eval,
+        ("side", "x", "y", "kind", "alpha", "sigma", "gamma", "C", "t", "S", "tol-shell", "tol-quad"),
+    ),
+    "rr-check": _Command(
+        _cmd_rr_check,
+        ("parts", "t", "lams", "height", "count", "seed", "a", "gamma", "C", "grid-points",
+         "tol-shell", "tol-quad", "tol"),
+    ),
+    "adelic-theta": _Command(_cmd_adelic_theta, ("t", "lam", "height", "tol-shell", "tol")),
+    "char-sum": _Command(
+        _cmd_char_sum, ("mode", "alpha", "sigma", "gamma", "C", "t", "S", "heights", "A", "M")
+    ),
+    "reproduce-paper": _Command(_cmd_reproduce_paper, ()),
 }
 
 
@@ -1000,20 +949,28 @@ class CommandRequest:
     fmt: str = "json"
     output: str | None = None
 
+    def __post_init__(self):
+        if self.fmt not in _RENDERERS:
+            raise ParameterError(f"format must be json or csv, got {self.fmt!r}")
+
+
+def _run_handler(sub: str, params: Mapping[str, str]) -> tuple[list[ResultRow], dict[str, str]]:
+    """One subcommand's rows and the canonical echo of its params."""
+    command = _COMMANDS.get(sub)
+    if command is None:
+        raise ParameterError(f"unknown subcommand {sub!r}")
+    P = _Params(params)
+    rows = command.handler(P)
+    P.finish()
+    return rows, P.echo
+
 
 def run_request(request: CommandRequest) -> tuple[int, dict]:
     """Dispatch a request; returns (exit code, report dict)."""
-    handler = _HANDLERS.get(request.subcommand)
-    if handler is None:
-        raise ParameterError(f"unknown subcommand {request.subcommand!r}")
-    if request.fmt not in ("json", "csv"):
-        raise ParameterError(f"format must be json or csv, got {request.fmt!r}")
-    P = _Params(request.params)
-    rows = handler(P)
-    P.finish()
+    rows, echo = _run_handler(request.subcommand, request.params)
     report = {
         "command": request.subcommand,
-        "params": P.echo,
+        "params": echo,
         "results": [row.to_dict() for row in rows],
     }
     if any(row.passed is False for row in rows):
@@ -1059,12 +1016,12 @@ def _render_csv(report: Mapping) -> str:
     return buf.getvalue()
 
 
+_RENDERERS: dict[str, Callable[[Mapping], str]] = {"json": _render_json, "csv": _render_csv}
+
+
 def render_report(report: Mapping, fmt: str = "json") -> str:
-    if fmt == "json":
-        return _render_json(report)
-    if fmt == "csv":
-        return _render_csv(report)
-    raise ParameterError(f"format must be json or csv, got {fmt!r}")
+    """The report as text; fmt is one of _RENDERERS, checked with the request."""
+    return _RENDERERS[fmt](report)
 
 
 def _emit_error(code: int, message: str) -> None:
@@ -1078,9 +1035,9 @@ def _parse_argv(argv: Sequence[str]) -> CommandRequest:
     if not argv or argv[0] in ("-h", "--help"):
         raise _HelpRequested(_usage_text())
     sub = argv[0]
-    if sub not in _HANDLERS:
+    if sub not in _COMMANDS:
         raise ParameterError(f"unknown subcommand {sub!r}; see --help")
-    allowed = set(_FLAGS[sub])
+    allowed = set(_COMMANDS[sub].flags)
     params: dict[str, str] = {}
     fmt = "json"
     output: str | None = None
@@ -1100,8 +1057,6 @@ def _parse_argv(argv: Sequence[str]) -> CommandRequest:
                 raise ParameterError(f"flag --{key} needs a value")
             val = argv[i]
         if key == "format":
-            if val not in ("json", "csv"):
-                raise ParameterError(f"--format must be json or csv, got {val!r}")
             fmt = val
         elif key == "output":
             output = val
@@ -1122,10 +1077,10 @@ class _HelpRequested(Exception):
 def _usage_text(sub: str | None = None) -> str:
     if sub is None:
         lines = [_USAGE, "", "subcommands:"]
-        for name in _HANDLERS:
-            lines.append(f"  {name:20s} --{', --'.join(_FLAGS[name]) if _FLAGS[name] else '(no flags)'}")
+        for name, command in _COMMANDS.items():
+            lines.append(f"  {name:20s} --{', --'.join(command.flags) if command.flags else '(no flags)'}")
         return "\n".join(lines)
-    return f"usage: trace-lab {sub} " + " ".join(f"[--{f} VALUE]" for f in _FLAGS[sub])
+    return f"usage: trace-lab {sub} " + " ".join(f"[--{f} VALUE]" for f in _COMMANDS[sub].flags)
 
 
 def main(argv: Sequence[str] | None = None) -> int:

@@ -195,16 +195,37 @@ def require_prime(p: int) -> int:
     return p
 
 
+_EXPECTS = {"int": "an integer", "rational": "a rational 'a/b'", "float": "a number", "exact": "a number"}
+
+
+def parse_number(text: str, kind: str = "float", name: str = "value") -> int | float | Fraction:
+    """Read a number given as text from outside the package.
+
+    kind "int" reads an integer and "rational" an exact 'a/b' (or a
+    decimal).  "float" reads a decimal, or an 'a/b' rounded once; "exact"
+    reads the same but keeps an 'a/b' as a Fraction.  A malformed or
+    non-finite value raises ParameterError naming `name`.
+    """
+    try:
+        if kind == "int":
+            return int(text)
+        if kind == "rational" or (kind == "exact" and "/" in text):
+            return Fraction(text)
+        val = float(Fraction(text)) if "/" in text else float(text)
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:
+        raise ParameterError(f"{name} expects {_EXPECTS[kind]}, got {text!r}") from exc
+    if not math.isfinite(val):
+        raise ParameterError(f"{name} must be finite, got {text!r}")
+    return val
+
+
 def parse_rational(text: str | int | Fraction) -> Fraction:
     """Parse the 'a/b' (or 'a') wire format used by the CLI and reports."""
     if isinstance(text, Fraction):
         return text
     if isinstance(text, int):
         return Fraction(text)
-    try:
-        return Fraction(text.strip())
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ParameterError(f"not a rational 'a/b' string: {text!r}") from exc
+    return parse_number(text, "rational")
 
 
 def format_rational(q: Fraction) -> str:

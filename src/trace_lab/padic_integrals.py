@@ -242,6 +242,11 @@ def shell_char_integral(p: int, n: int, x: Rational) -> float:
 def padic_gamma_closed(p: int, s: float) -> float:
     """Gamma_p(s) = (1 - p^{s-1})/(1 - p^{-s}); pole at s = 0."""
     require_prime(p)
+    return _padic_gamma_closed(p, s)
+
+
+def _padic_gamma_closed(p: int, s: float) -> float:
+    # Gamma_p for a p that was checked prime where it entered
     denom = 1.0 - float(p) ** (-s)
     if denom == 0.0:
         raise ParameterError("Gamma_p has a pole at s = 0")

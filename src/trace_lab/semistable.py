@@ -39,10 +39,10 @@ from dataclasses import dataclass
 from .core import CompensatedSum, EvalResult, ParameterError, ShellSumPlan
 from .padic import Rational, _valuation
 from .padic_integrals import (
+    _padic_gamma_closed,
     exp_norm_function,
     integrate_radial,
     norm_float,
-    padic_gamma_closed,
     require_prime,
     shell_char_integral,  # not called here; perfbench's tracer test reads this binding
     shell_char_kernel,
@@ -183,7 +183,7 @@ def _density_series_direct(
     xg = big_x**gamma
     n = 0
     while n < plan.max_terms:
-        acc.add(coef * big_x * padic_gamma_closed(p, n * gamma + 1.0))
+        acc.add(coef * big_x * _padic_gamma_closed(p, n * gamma + 1.0))
         n += 1
         coef *= -ct_eff * xg / n
         coef_abs *= a / n

@@ -267,6 +267,25 @@ def test_bs_eval_transform_side():
     assert got.value == pytest.approx(want, rel=1e-12)
 
 
+def test_bs_eval_checks_the_indicators_before_any_factor(monkeypatch):
+    # off S every factor is the indicator of Z_p: a point with v_3 < 0 is 0
+    # on both sides, and no factor (here a numeric real density) is evaluated
+    spec = make_mu_spec(1.5, 1.0, 1.0, 1.0, 1.0, [2])
+    x = AdelePoint(0.5, {2: Fraction(4), 3: Fraction(1, 3)})
+
+    def evaluated(*args, **kwargs):
+        raise AssertionError("a factor was evaluated")
+
+    for cls in (adeles.RealFactor, adeles.FiniteFactor):
+        monkeypatch.setattr(cls, "density", evaluated)
+        monkeypatch.setattr(cls, "transform", evaluated)
+    for side in ("density", "transform"):
+        got = bs_eval(spec, x, side)
+        assert (got.value, got.error_bound, got.terms_used, got.converged) == (0.0, 0.0, 1, True)
+    with pytest.raises(ParameterError):
+        bs_eval(spec, x, "char")
+
+
 # ---------------------------------------------------------------------------
 # the S-arithmetic set D
 # ---------------------------------------------------------------------------
@@ -422,6 +441,20 @@ def test_scale_by_idele_checks():
     for chk in rep.fourier_checks:
         assert chk.defect <= chk.error_bound + 1e-8, chk.label
     assert rep.scaled.norm == pytest.approx(float(idele_norm(a)))
+
+
+def test_scale_by_idele_refuses_a_numeric_real_density_at_entry(monkeypatch):
+    # the Fourier grid needs a closed-form real density: alpha = 1.5 is
+    # refused before the real mass quadrature runs, unless there is no grid
+    spec = make_mu_spec(1.5, 1.0, 1.0, 1.0, 1.0, [2])
+    a = Idele(2.0, {2: Fraction(1, 2)})
+    with monkeypatch.context() as m:
+        m.setattr(adeles, "_real_scaled_mass", lambda *args: pytest.fail("ran the mass quadrature"))
+        with pytest.raises(ParameterError, match="closed-form real density"):
+            scale_by_idele(spec, a, grid_points=4)
+    rep = scale_by_idele(spec, a, grid_points=0)
+    assert rep.fourier_checks == ()
+    assert [c.label for c in rep.mass_checks] == ["inf", "2"]
 
 
 def test_real_scaled_quadrature_reports_quadpack_warnings():

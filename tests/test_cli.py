@@ -280,6 +280,10 @@ def test_prime_beyond_proven_range_exits_2():
         ("char-sum", {"S": "2", "mode": "paper_bound", "M": "1024"}),
         # |y|_2^2 = 2^1200 past double range: the character weight is 0.0
         ("adele-eval", {"side": "transform", "gamma": "2", "x": f"inf=0,2=1/{2**600}"}),
+        # --kind gaussian echoes its pinned alpha = 2 and sigma = pi
+        ("psf-check", {"kind": "gaussian", "x": "1/3"}),
+        ("potential-identity", {"kind": "gaussian"}),
+        ("adele-eval", {"kind": "gaussian", "x": "inf=1/2,2=4"}),
     ],
 )
 def test_replay_bit_for_bit(sub, params):
@@ -403,14 +407,18 @@ def test_help_exits_zero(capsys):
 
 def _keys_read(funcs: dict[str, ast.FunctionDef], name: str) -> set[str]:
     """The literal keys of the P.<getter>("key") calls in funcs[name],
-    following the calls to _lattice_spec."""
+    following every module-level helper that is passed P."""
     keys = set()
     for node in ast.walk(funcs[name]):
         if not isinstance(node, ast.Call):
             continue
         f = node.func
-        if isinstance(f, ast.Name) and f.id == "_lattice_spec":
-            keys |= _keys_read(funcs, "_lattice_spec")
+        if (
+            isinstance(f, ast.Name)
+            and f.id in funcs
+            and any(isinstance(arg, ast.Name) and arg.id == "P" for arg in node.args)
+        ):
+            keys |= _keys_read(funcs, f.id)
         elif (
             isinstance(f, ast.Attribute)
             and isinstance(f.value, ast.Name)
@@ -424,14 +432,66 @@ def _keys_read(funcs: dict[str, ast.FunctionDef], name: str) -> set[str]:
 
 
 def test_flags_match_the_keys_each_handler_reads():
-    # _FLAGS is both the --help text and the argv check, so a stale entry
-    # advertises a flag that the handler then rejects
+    # the table's flags are both the --help text and the argv check, so a
+    # stale entry advertises a flag that the handler then rejects
     tree = ast.parse(inspect.getsource(cli))
     funcs = {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)}
-    assert set(cli._FLAGS) == set(cli._HANDLERS)
-    for sub, handler in cli._HANDLERS.items():
-        assert set(cli._FLAGS[sub]) == _keys_read(funcs, handler.__name__), sub
+    assert all(callable(handler) and isinstance(flags, tuple) for handler, flags in cli._COMMANDS.values())
+    for sub, (handler, flags) in cli._COMMANDS.items():
+        assert set(flags) == _keys_read(funcs, handler.__name__), sub
     assert main(["char-sum", "--tol", "1e-9"]) == 2
+
+
+def test_every_flag_refuses_malformed_values(capsys):
+    # each flag alone with a value no parser may accept: a clean exit 2
+    # with a JSON error, never a traceback, a report or a failed identity
+    bad = []
+    for sub, (_, flags) in cli._COMMANDS.items():
+        for flag in flags:
+            for val in ("abc", "", "nan", "inf", "1/0"):
+                code = main([sub, f"--{flag}", val])
+                err = capsys.readouterr().err.strip().splitlines()
+                if code != 2 or json.loads(err[-1])["code"] != 2:
+                    bad.append((sub, flag, val, code))
+    assert bad == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["psf-check", "--x", "0.5,abc"],
+        ["theta", "--t", "1" + "0" * 400 + "/1"],  # past double range
+        ["idele-norm", "--a", "abc=1"],
+        ["idele-norm", "--a", "inf=nan"],
+        ["adele-eval", "--x", "inf=0,2=abc"],
+        ["rr-check", "--parts", ","],
+        ["rr-check", "--parts", "product,bogus"],
+    ],
+)
+def test_malformed_coordinates_and_place_maps_exit_2(argv, capsys):
+    assert main(argv) == 2
+    assert json.loads(capsys.readouterr().err.strip().splitlines()[-1])["code"] == 2
+
+
+def test_gaussian_kind_pins_alpha_and_sigma():
+    # the gaussian is the law with alpha = 2, sigma = pi; other values
+    # were once echoed and then ignored
+    assert main(["psf-check", "--alpha", "1.5", "--t", "1"]) == 2
+    assert main(["potential-identity", "--kind", "gaussian", "--sigma", "1"]) == 2
+    assert main(["trace-check", "--kind", "gaussian", "--alpha", "-2"]) == 2
+    assert main(["adele-eval", "--kind", "gaussian", "--x", "inf=0", "--sigma", "3"]) == 2
+    code, rep = run("psf-check", alpha="2", sigma="3.141592653589793")
+    assert code == 0
+    assert (rep["params"]["alpha"], rep["params"]["sigma"]) == ("2.0", "3.141592653589793")
+
+
+def test_mc_haar_checks_gamma_and_tau_before_drawing(monkeypatch):
+    def draw(*args):
+        raise AssertionError("drew a sample")
+
+    monkeypatch.setattr(cli, "mc_haar_zp", draw)
+    assert main(["mc-haar", "--p", "2", "--gamma", "1"]) == 2
+    assert main(["mc-haar", "--p", "2", "--tau", "1"]) == 2
 
 
 def test_unknown_format_rejected():

@@ -15,6 +15,7 @@ from trace_lab.core import (
     comp_sum,
     format_rational,
     is_prime,
+    parse_number,
     parse_rational,
     product_results,
     require_prime,
@@ -125,6 +126,34 @@ def test_parse_rational_forms():
         parse_rational("1/0")
     with pytest.raises(ParameterError):
         parse_rational("two")
+
+
+def test_parse_number_kinds():
+    assert parse_number("1/4") == 0.25 and type(parse_number("1/4")) is float
+    assert parse_number("1/3", "exact") == Fraction(1, 3)
+    assert parse_number(" 2.5 ", "exact") == 2.5
+    assert parse_number("0.1", "rational") == Fraction(1, 10)
+    assert parse_number("-7", "int") == -7
+    assert repr(parse_number("3.141592653589793")) == "3.141592653589793"
+
+
+@pytest.mark.parametrize("kind", ["int", "rational", "float", "exact"])
+def test_parse_number_refuses_malformed_and_non_finite(kind):
+    for text in ("abc", "", "nan", "inf", "-inf", "1/0", "1/2/3"):
+        with pytest.raises(ParameterError, match="--t"):
+            parse_number(text, kind, "--t")
+
+
+def test_parse_number_past_double_range():
+    # exact where the caller keeps the value exact, refused where it is a float
+    big = "1" + "0" * 400 + "/1"
+    assert parse_number("1e999", "rational") == 10**999
+    assert parse_number(big, "exact") == 10**400
+    for text in ("1e999", "-1e999", big):
+        with pytest.raises(ParameterError):
+            parse_number(text)
+    with pytest.raises(ParameterError):
+        parse_number("1e999", "exact")
 
 
 def test_eval_result_dict():

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trace_lab import adeles
+from trace_lab import adeles, padic_integrals
 from trace_lab.adeles import BruhatSchwartzSpec, FiniteFactor, Idele, gaussian_factor, scale_by_idele
 from trace_lab.core import (
     CompensatedSum,
@@ -24,6 +24,7 @@ from trace_lab.padic_integrals import (
     exp_norm_function,
     integrate_radial,
     norm_float,
+    padic_gamma_closed,
     shell_char_kernel,
 )
 from trace_lab.semistable import MassCheck, SemistableLaw, char_fn, density, mass_check
@@ -105,6 +106,20 @@ def test_series_variants_differ_off_ct_1():
     p1 = density(law1, 1.0, Fraction(1, 2), "series", series_variant="plain")
     a1 = density(law1, 1.0, Fraction(1, 2), "series", series_variant="gamma-power")
     assert p1.value == a1.value
+
+
+def test_series_density_checks_p_once(monkeypatch):
+    # the law checked p when it was built; the series reads Gamma_p for
+    # each of its terms without checking p again
+    law = SemistableLaw(3, 0.5, 1.0)
+    want = density(law, 1.0, Fraction(1, 3), "series")
+    calls = []
+    monkeypatch.setattr(padic_integrals, "require_prime", lambda p: calls.append(p) or p)
+    assert density(law, 1.0, Fraction(1, 3), "series") == want
+    assert want.terms_used > 3 and calls == []
+    monkeypatch.undo()
+    with pytest.raises(ParameterError):
+        padic_gamma_closed(4, 0.5)
 
 
 @given(laws, st.sampled_from([0.5, 1.0, 2.0]))
