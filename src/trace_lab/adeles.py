@@ -19,6 +19,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, ClassVar, Mapping, Sequence
 
+import numpy as np
+
 from .core import (
     CompensatedSum,
     EvalResult,
@@ -33,7 +35,6 @@ from .core import (
 from .padic import (
     Rational,
     _char_qp,
-    _int_valuation,
     _norm_ratio,
     _valuation,
     padic_norm,
@@ -371,18 +372,25 @@ def bs_eval(
     return EvalResult(value, abs(value) * 1e-14, 1, True)
 
 
-def _d_terms(S: Sequence[int], height: int) -> list[tuple[int, int, int, int, tuple[int, ...]]]:
-    """The members a/b of D up to `height`, ordered by max(|a|, b) then
-    numerically.
+# Below this height the float a/b orders the members of D of one height as
+# the fractions do: two of them differ by at least 1/H^2, which is more than
+# one ulp of H whenever H^3 < 2^52, and correctly rounded division is monotone.
+_D_HEIGHT_LIMIT = 1 << 17
 
-    Each entry is (max(|a|, b), key, a, b, (v_p(b) for p in sorted S)).
-    The denominators are built as products of the primes of S, so their
-    valuations are known from construction.  The key a * (L // b), with L
-    the lcm of the denominators, is a/b scaled by L: an exact integer that
-    orders the entries of one height as the fractions do.
+
+def _d_members(S: Sequence[int], height: int) -> tuple[np.ndarray, ...]:
+    """D up to `height`, ordered by max(|a|, b) then numerically, as arrays.
+
+    Returns (b, vb, a, row, h).  The denominators b are built as products of
+    the primes of S, so their valuation vectors vb (v_p(b) for p in sorted
+    S) are known from construction.  Member k is a[k] / b[row[k]], of height
+    h[k].  Coprimality is read off one (denominators x 0..height) gcd grid,
+    whose cells (b, |a|) give the members a/b and -a/b.
     """
     if height < 1:
         raise ParameterError("height must be >= 1")
+    if height >= _D_HEIGHT_LIMIT:
+        raise ParameterError(f"height must be < {_D_HEIGHT_LIMIT}, got {height}")
     primes = sorted({require_prime(int(p)) for p in S})
     denoms = [(1, (0,) * len(primes))]
     for i, p in enumerate(primes):
@@ -393,26 +401,27 @@ def _d_terms(S: Sequence[int], height: int) -> list[tuple[int, int, int, int, tu
                 extra.append((q, vb[:i] + (e,) + vb[i + 1 :]))
                 q, e = q * p, e + 1
         denoms.extend(extra)
-    lcm = math.lcm(*(b for b, _ in denoms))
-    out = []
-    for b, vb in denoms:
-        scale = lcm // b
-        for a in range(-height, height + 1):
-            if math.gcd(a, b) == 1:
-                out.append((max(abs(a), b), a * scale, a, b, vb))
-    # (height, key) pairs are distinct, so the valuations are never compared
-    out.sort()
-    return out
+    b = np.array([d for d, _ in denoms], dtype=np.int64)
+    vb = np.array([v for _, v in denoms], dtype=np.int64)
+    row, col = np.nonzero(np.gcd(b[:, None], np.arange(height + 1, dtype=np.int64)) == 1)
+    pos = col > 0
+    a = np.concatenate((col, -col[pos]))
+    row = np.concatenate((row, row[pos]))
+    den = b[row]
+    h = np.maximum(np.abs(a), den)
+    order = np.lexsort((a / den, h))
+    return b, vb, a[order], row[order], h[order]
 
 
 def enumerate_D(S: Sequence[int], height: int) -> list[Fraction]:
     """All r = a/b with |a| <= height, b an S-smooth positive integer
     <= height, gcd(a, b) = 1, ordered by max(|a|, b) then numerically.
 
-    These are the pairs of _d_terms, which rational_char_sum sums over, as
-    fractions.
+    These are the members of _d_members, which rational_char_sum sums
+    over, as fractions.
     """
-    return [Fraction(a, b) for _, _, a, b, _ in _d_terms(S, height)]
+    b, _, a, row, _ = _d_members(S, height)
+    return [Fraction(n, d) for n, d in zip(a.tolist(), b[row].tolist())]
 
 
 def is_in_D(r: Rational, S: Sequence[int]) -> bool:
@@ -467,7 +476,7 @@ def rational_char_sum(
     The direct terms are bs_eval(spec, AdelePoint.diagonal(a/b), "transform")
     computed from the integer pair (a, b): the real transform at a/b times,
     for p in sorted S, the factor at p, which depends on v_p(a/b) alone and
-    is read from a table filled by FiniteFactor.transform(p**v) on first use.
+    is read from a table of FiniteFactor.transform(p**v), one call per v.
     The indicator factors at primes outside S are identically 1 on D,
     because every denominator is S-smooth, so they are skipped.  The values
     and their order of addition are those of the bs_eval loop, bit for bit.
@@ -478,28 +487,37 @@ def rational_char_sum(
         schedule = sorted({int(h) for h in height_schedule})
         if not schedule or schedule[0] < 1:
             raise ParameterError("height schedule must contain positive integers")
-        terms = _d_terms(spec.S, schedule[-1])
+        top = schedule[-1]
+        b, vb, a, row, h = _d_members(spec.S, top)
         rf = spec.real_factor
-        factors = [(p, f, {}) for p, f in sorted(spec.finite_factors.items())]
+        # one value per cell (b, |a|): the terms at a and -a are equal, since
+        # the real factor reads |a/b| and v_p(-a) = v_p(a)
+        cell = a >= 0
+        cell_row, cell_col = row[cell], a[cell]
+        value = np.array([rf.transform(y) for y in (cell_col / b[cell_row]).tolist()])
+        # at r = 0 every finite factor is char_fn(y=0) = 1.0
+        nz = cell_col > 0
+        nz_row, nz_col = cell_row[nz], cell_col[nz]
+        for i, (p, f) in enumerate(sorted(spec.finite_factors.items())):
+            # a is prime to p whenever p divides b: v_p(a/b) = v_p(a) - v_p(b)
+            v = -vb[nz_row, i]
+            k = p
+            while k <= top:
+                v += nz_col % k == 0
+                k *= p
+            lo = int(v.min())
+            table = np.array([f.transform(Fraction(p) ** u) for u in range(lo, int(v.max()) + 1)])
+            value[nz] *= table[v - lo]
+        grid = np.zeros((len(b), top + 1))
+        grid[cell_row, cell_col] = value
+        terms = grid[row, np.abs(a)].tolist()
         acc = CompensatedSum()
         partials = []
         idx = 0
-        for h in schedule:
-            while idx < len(terms) and terms[idx][0] <= h:
-                _, _, a, b, vb = terms[idx]
-                value = rf.transform(a / b)
-                # at r = 0 every finite factor is char_fn(y=0) = 1.0
-                if a != 0:
-                    for (p, f, table), e in zip(factors, vb):
-                        # a is prime to p whenever p divides b
-                        v = -e if e else _int_valuation(a, p)
-                        w = table.get(v)
-                        if w is None:
-                            w = table[v] = f.transform(Fraction(p) ** v)
-                        value *= w
-                acc.add(value)
-                idx += 1
+        for cut in np.searchsorted(h, schedule, side="right").tolist():
+            acc.extend(terms[idx:cut])
             partials.append(acc.value)
+            idx = cut
         diffs = [partials[0]] + [b - a for a, b in zip(partials, partials[1:])]
         ratios = []
         for a, b in zip(diffs, diffs[1:]):

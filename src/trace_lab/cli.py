@@ -685,21 +685,31 @@ def _cmd_rr_check(P: _Params) -> list[ResultRow]:
     tol_shell = P.float_("tol-shell", _TOL_SHELL, positive=True)
     tol_quad = P.float_("tol-quad", _TOL_QUAD, positive=True)
     tol = P.float_("tol", tol_shell, positive=True)
-    rows: list[ResultRow] = []
-
+    # every flag of the chosen parts is read, and an unknown one refused,
+    # before any part runs
     if "reduction" in parts:
         lams = P.floats_("lams", "0.5,1,2,4")
         height = P.int_("height", 64, minimum=4)
+        if min(lams) <= 0:
+            raise ParameterError("--lams entries must be positive")
+    if "product" in parts:
+        count = P.int_("count", 100, minimum=1)
+        seed = P.int_("seed", 7, minimum=0)
+    if "scaling" in parts:
+        gamma = P.float_("gamma", 1.0, positive=True)
+        c_coef = P.float_("C", 1.0, positive=True)
+        a = Idele.from_dict(P.point_("a", "inf=2,2=1/2"))
+        grid_points = P.int_("grid-points", 12, minimum=1)
+    P.finish()
+    rows: list[ResultRow] = []
+
+    if "reduction" in parts:
         spec0 = BruhatSchwartzSpec(gaussian_factor(t), {})
         for lam in lams:
-            if lam <= 0:
-                raise ParameterError("--lams entries must be positive")
             rep = adelic_theta_reduction(spec0, lam, height)
             rows.append(_compare_row(f"reduction_lambda={_g(lam)}", rep.lhs, rep.rhs, tol))
 
     if "product" in parts:
-        count = P.int_("count", 100, minimum=1)
-        seed = P.int_("seed", 7, minimum=0)
         rng = random.Random(seed)
         worst = Fraction(0)
         all_exact = True
@@ -722,11 +732,6 @@ def _cmd_rr_check(P: _Params) -> list[ResultRow]:
         )
 
     if "scaling" in parts:
-        gamma = P.float_("gamma", 1.0, positive=True)
-        c_coef = P.float_("C", 1.0, positive=True)
-        a_map = P.point_("a", "inf=2,2=1/2")
-        grid_points = P.int_("grid-points", 12, minimum=1)
-        a = Idele.from_dict(a_map)
         s_primes = sorted(set(a.support) | {2})
         spec = BruhatSchwartzSpec(
             gaussian_factor(t),
@@ -782,9 +787,16 @@ def _cmd_char_sum(P: _Params) -> list[ResultRow]:
     t = P.float_("t", 1.0, positive=True)
     s_primes = P.ints_("S", "2", minimum=2)
     spec = make_mu_spec(alpha, sigma, gamma, c_coef, t, s_primes)
-    rows: list[ResultRow] = []
+    # every flag of the mode is read, and an unknown one refused, before
+    # the sum runs
     if mode == "direct":
         heights = P.ints_("heights", "8,16,32,64,128,256,512", minimum=1)
+    else:
+        a_coef = P.int_("A", 1)
+        m_terms = P.int_("M", 100, minimum=1)
+    P.finish()
+    rows: list[ResultRow] = []
+    if mode == "direct":
         rep = rational_char_sum(spec, heights, "direct")
         monotone = all(b >= a for a, b in zip(rep.partial_sums, rep.partial_sums[1:]))
         for h, s, dlt in zip(rep.heights, rep.partial_sums, rep.differences):
@@ -795,8 +807,6 @@ def _cmd_char_sum(P: _Params) -> list[ResultRow]:
         rows.append(_bool_row("monotone", monotone, passed=monotone))
         rows.append(ResultRow("terms", float(rep.terms_evaluated)))
     else:
-        a_coef = P.int_("A", 1)
-        m_terms = P.int_("M", 100, minimum=1)
         rep = rational_char_sum(spec, (), "paper_bound", A=a_coef, M=m_terms)
         rows.append(ResultRow("first_series", rep.first_series))
         rows.append(ResultRow("first_last_term", rep.first_last_term))

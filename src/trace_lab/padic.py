@@ -138,9 +138,12 @@ def char_qp(y: Rational, x: Rational, p: int) -> complex:
     return _char_qp(y, x, p)
 
 
-# where the trial division of prime_support, past every d < 1000, asks
-# is_prime whether the cofactor left is itself prime; 1001 = 6 * 167 - 1
-# lies on its 6k +- 1 walk
+# the primes below 1000, which the trial division of prime_support tries
+# first
+_SMALL_PRIMES = tuple(d for d in range(2, 1000) if is_prime(d))
+# where prime_support, past every prime below 1000, asks is_prime whether
+# the cofactor left is itself prime; 1001 = 6 * 167 - 1 starts its 6k +- 1
+# walk
 _PRIME_COFACTOR_TEST_AT = 1001
 
 
@@ -150,26 +153,27 @@ def prime_support(q: Rational) -> tuple[int, ...]:
     out: set[int] = set()
     for n in (q.numerator, q.denominator):
         n = abs(n)
-        if n < 2:
-            continue
-        for d in (2, 3):
-            if n % d == 0:
-                out.add(d)
-                n //= d
-                while n % d == 0:
-                    n //= d
-        # then d = 5, 7, 11, 13, ...: 6k +- 1, step alternating 2 and 4
-        d, step = 5, 2
-        while d * d <= n:
-            if n % d == 0:
-                out.add(d)
-                n //= d
-                while n % d == 0:
-                    n //= d
-            elif d == _PRIME_COFACTOR_TEST_AT and n < PROVEN_PRIME_LIMIT and is_prime(n):
+        for d in _SMALL_PRIMES:
+            if d * d > n:
                 break
-            d += step
-            step = 6 - step
+            if n % d == 0:
+                out.add(d)
+                n //= d
+                while n % d == 0:
+                    n //= d
+        else:
+            # then d = 1001, 1003, 1007, ...: 6k +- 1, step alternating 2 and 4
+            d, step = _PRIME_COFACTOR_TEST_AT, 2
+            while d * d <= n:
+                if n % d == 0:
+                    out.add(d)
+                    n //= d
+                    while n % d == 0:
+                        n //= d
+                elif d == _PRIME_COFACTOR_TEST_AT and n < PROVEN_PRIME_LIMIT and is_prime(n):
+                    break
+                d += step
+                step = 6 - step
         if n > 1:
             out.add(n)
     return tuple(sorted(out))

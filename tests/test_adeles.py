@@ -1,8 +1,11 @@
 """Restricted products: adele points, ideles, characters, and global checks."""
 from __future__ import annotations
 
+import json
 import math
+import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -28,6 +31,7 @@ from trace_lab.adeles import (
     scale_point,
     stable_factor,
 )
+from trace_lab.cli import CommandRequest, main, run_request
 from trace_lab.core import (
     CompensatedSum,
     ParameterError,
@@ -373,6 +377,56 @@ def test_enumerate_d_matches_fraction_oracle(S):
     for height in (1, 2, 3, 12, 100, 512):
         assert enumerate_D(S, height) == _enumerate_D_oracle(S, height)
     assert enumerate_D(list(reversed(S)) + S, 30) == _enumerate_D_oracle(S, 30)
+
+
+_PRIMES_BELOW_30 = [p for p in range(2, 30) if is_prime(p)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(st.sampled_from(_PRIMES_BELOW_30), min_size=1, max_size=12),
+    st.integers(1, 300),
+)
+def test_enumerate_d_matches_fraction_oracle_for_any_s(S, height):
+    # S in any order and with repeats: D depends only on the set of primes
+    assert enumerate_D(S, height) == _enumerate_D_oracle(S, height)
+
+
+def test_height_at_the_cap_is_refused_before_the_grid_is_built(capsys):
+    # at 2^17 the float a/b no longer provably orders one height's members;
+    # the gcd grid for S = {2} would hold 18 x (2^17 + 1) cells
+    tracemalloc.start()
+    try:
+        with pytest.raises(ParameterError, match="height must be < 131072"):
+            enumerate_D([2], 1 << 17)
+        assert main(["char-sum", "--heights", "8,131072"]) == 2
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert "131072" in capsys.readouterr().err
+    assert peak < 1 << 20
+    assert enumerate_D([2], 1) == [Fraction(-1), Fraction(0), Fraction(1)]
+
+
+_SNAPSHOT = Path(__file__).resolve().parents[1] / "perfbench" / "reference"
+
+
+# the four char-sum requests of the adelic_diagonal workload, and the one
+# of reproduce-paper
+_CHAR_SUM_REQUESTS = [
+    ("adelic_diagonal", f"char-sum[S={s}]", {"mode": "direct", "S": s}) for s in ("2", "3", "2,3", "2,3,5")
+] + [("paper_battery", "char-sum[direct]", {"mode": "direct"})]
+
+
+@pytest.mark.parametrize(
+    "workload, label, params", _CHAR_SUM_REQUESTS, ids=[label for _, label, _ in _CHAR_SUM_REQUESTS]
+)
+def test_char_sum_rows_match_the_benchmark_snapshot(workload, label, params):
+    with open(_SNAPSHOT / f"{workload}.json") as fh:
+        ref = json.load(fh)[label]
+    code, rep = run_request(CommandRequest("char-sum", params))
+    assert code == ref["exit"]
+    assert rep["results"] == ref["rows"]
 
 
 def _real_factors(t):

@@ -494,6 +494,21 @@ def test_mc_haar_checks_gamma_and_tau_before_drawing(monkeypatch):
     assert main(["mc-haar", "--p", "2", "--tau", "1"]) == 2
 
 
+def test_a_flag_the_mode_does_not_read_is_refused_before_any_work(monkeypatch):
+    def work(*args, **kwargs):
+        raise AssertionError("computed before refusing a flag")
+
+    monkeypatch.setattr(cli, "rational_char_sum", work)
+    monkeypatch.setattr(cli, "scale_by_idele", work)
+    monkeypatch.setattr(cli, "adelic_theta_reduction", work)
+    monkeypatch.setattr(cli, "idele_norm", work)
+    assert main(["char-sum", "--A", "1"]) == 2
+    assert main(["char-sum", "--mode", "paper_bound", "--heights", "8"]) == 2
+    assert main(["rr-check", "--parts", "scaling", "--count", "5"]) == 2
+    assert main(["rr-check", "--parts", "product", "--lams", "1"]) == 2
+    assert main(["rr-check", "--parts", "product,reduction", "--lams", "1,-1"]) == 2
+
+
 def test_unknown_format_rejected():
     assert main(["theta", "--t", "1", "--format", "yaml"]) == 2
 
