@@ -377,6 +377,13 @@ def bs_eval(
 # one ulp of H whenever H^3 < 2^52, and correctly rounded division is monotone.
 _D_HEIGHT_LIMIT = 1 << 17
 
+# The gcd grid and the member arrays grow with the cells (denominators x
+# (height + 1)).  The cap is the grid of S = {2} just below the height
+# limit, 17 x 2^17 cells: char-sum --S 2 --heights 131071 takes about
+# 1.4 s and a 300 MB peak RSS on a 2-core machine.  More primes admit lower
+# heights.
+_D_CELL_LIMIT = 17 * _D_HEIGHT_LIMIT
+
 
 def _d_members(S: Sequence[int], height: int) -> tuple[np.ndarray, ...]:
     """D up to `height`, ordered by max(|a|, b) then numerically, as arrays.
@@ -385,13 +392,15 @@ def _d_members(S: Sequence[int], height: int) -> tuple[np.ndarray, ...]:
     the primes of S, so their valuation vectors vb (v_p(b) for p in sorted
     S) are known from construction.  Member k is a[k] / b[row[k]], of height
     h[k].  Coprimality is read off one (denominators x 0..height) gcd grid,
-    whose cells (b, |a|) give the members a/b and -a/b.
+    whose cells (b, |a|) give the members a/b and -a/b.  A grid of more
+    than _D_CELL_LIMIT cells is refused before it is built.
     """
     if height < 1:
         raise ParameterError("height must be >= 1")
     if height >= _D_HEIGHT_LIMIT:
         raise ParameterError(f"height must be < {_D_HEIGHT_LIMIT}, got {height}")
     primes = sorted({require_prime(int(p)) for p in S})
+    most = _D_CELL_LIMIT // (height + 1)
     denoms = [(1, (0,) * len(primes))]
     for i, p in enumerate(primes):
         extra = []
@@ -399,6 +408,11 @@ def _d_members(S: Sequence[int], height: int) -> tuple[np.ndarray, ...]:
             q, e = b * p, 1
             while q <= height:
                 extra.append((q, vb[:i] + (e,) + vb[i + 1 :]))
+                if len(denoms) + len(extra) > most:
+                    raise ParameterError(
+                        f"D to height {height} needs more than {_D_CELL_LIMIT} cells "
+                        "(S-smooth denominators x (height + 1)); lower the height or shrink S"
+                    )
                 q, e = q * p, e + 1
         denoms.extend(extra)
     b = np.array([d for d, _ in denoms], dtype=np.int64)

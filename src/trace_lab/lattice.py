@@ -14,6 +14,7 @@ summation.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -30,6 +31,7 @@ from .core import (
 )
 from .quadrature import hurwitz_zeta, stretched_exp_tail
 from .real_stable import (
+    StableEnvelope,
     StableSymbol,
     stable_asymptotic_coefficients,
     stable_asymptotic_density,
@@ -82,21 +84,48 @@ def stable_law(alpha: float, sigma: float, d: int = 1) -> LatticeLawSpec:
     return LatticeLawSpec("stable", StableSymbol(alpha, sigma, d))
 
 
-def _shell_coords(d: int, m: int) -> list[np.ndarray]:
-    """Coordinates of the points with sup-norm exactly m >= 1, for d >= 2.
+def _shells(
+    d: int, shells: int, x: tuple[float, ...] | None
+) -> Iterator[tuple[np.ndarray, np.ndarray | None]]:
+    """k = |n|^2 and, given x, the phase n.x of the points with sup-norm
+    exactly m, for m = 1..shells-1 and d >= 2, one shell at a time.
 
     For each face coordinate f, from the last to the first, the points
     come with the coordinates before f in [-m, m] and those after f in
     [-m+1, m-1], nested in coordinate order, and n_f = -m, m varying
-    fastest.
+    fastest.  k is read off one outer sum of squares over the cube
+    [-top, top]^(d-1), top = shells - 1.  The phase adds the products
+    n_i x_i in coordinate order by broadcasting, so each element is the
+    per-point sum bit for bit.  No per-point coordinate array is built.
     """
+    top = shells - 1
+    sq = np.arange(-top, top + 1, dtype=np.int64) ** 2
+    part = sq
+    for _ in range(d - 2):
+        part = np.add.outer(part, sq)
+    for m in range(1, shells):
+        # every axis of part holds the same squares, so the face f reads
+        # its d - 1 other coordinates off the first f axes in full and the
+        # rest without their ends; n_f = -m, m adds m^2 to each twice
+        cube = part[(slice(top - m, top + m + 1),) * (d - 1)]
+        k = np.concatenate(
+            [cube[(slice(None),) * f + (slice(1, -1),) * (d - 1 - f)].ravel() for f in reversed(range(d))]
+        )
+        yield np.repeat(k + m * m, 2), None if x is None else _shell_phase(d, m, x)
+
+
+def _shell_phase(d: int, m: int, x: tuple[float, ...]) -> np.ndarray:
+    # the face's axes hold the coordinates other than f in order, then f
     full = np.arange(-m, m + 1, dtype=np.int64)
-    inner = full[1:-1]
-    faces = []
+    phases = []
     for f in reversed(range(d)):
-        grid = list(np.meshgrid(*([full] * f + [inner] * (d - 1 - f)), full[[0, -1]], indexing="ij"))
-        faces.append(grid[:f] + grid[-1:] + grid[f:-1])
-    return [np.concatenate([face[i].ravel() for face in faces]) for i in range(d)]
+        axes = np.ix_(*([full] * f + [full[1:-1]] * (d - 1 - f) + [full[[0, -1]]]))
+        axes = axes[:f] + axes[-1:] + axes[f:-1]
+        phase = axes[0] * x[0]
+        for ai, xi in zip(axes[1:], x[1:]):
+            phase = phase + ai * xi
+        phases.append(phase.ravel())
+    return np.concatenate(phases)
 
 
 def _shell_tail_bound(d: int, c: float, alpha: float, m_next: float) -> float:
@@ -140,17 +169,14 @@ def _weights(spec: LatticeLawSpec, t: float, ks: np.ndarray) -> np.ndarray:
     return np.array([_weight(spec, t, k) for k in ks.tolist()])
 
 
-def _shell_sums(e: np.ndarray, x: tuple[float, ...] | None, coords: list[np.ndarray]) -> np.ndarray:
+def _shell_sums(e: np.ndarray, phase: np.ndarray | None) -> np.ndarray:
     """Row sums of e[n] [cos(2 pi n.x)] over points n laid out by row.
 
-    e holds the weights e^{-t eta(n)} and is overwritten.  Each row is
-    summed left to right, as `shell += e` would; np.cos on float64 calls
-    the same libm cos as math.cos.
+    e holds the weights e^{-t eta(n)} and is overwritten; phase holds n.x,
+    or None for x = 0.  Each row is summed left to right, as `shell += e`
+    would; np.cos on float64 calls the same libm cos as math.cos.
     """
-    if x is not None:
-        phase = coords[0] * x[0]
-        for ci, xi in zip(coords[1:], x[1:]):
-            phase = phase + ci * xi
+    if phase is not None:
         live = e != 0.0
         e[live] *= np.cos(_TWO_PI * phase[live])
     return np.add.accumulate(e, axis=-1)[..., -1]
@@ -180,6 +206,9 @@ def _spectral_sum(
                 break
     else:
         tail = math.inf
+    if x is not None and not any(x):
+        # cos(0) = 1 and e * 1.0 = e, so x = 0 needs no phase
+        x = None
     acc = CompensatedSum()
     # the shell m = 0 is n = 0, where cos(2 pi n.x) = 1
     acc.add(_weight(spec, t, 0))
@@ -189,20 +218,23 @@ def _spectral_sum(
         for m0 in range(1, shells, _D1_BLOCK):
             ms = np.arange(m0, min(m0 + _D1_BLOCK, shells), dtype=np.int64)
             w = _weights(spec, t, ms * ms)
-            acc.extend(_shell_sums(np.stack([w, w], axis=1), x, [np.stack([ms, -ms], axis=1)]).tolist())
+            phase = None if x is None else np.stack([ms, -ms], axis=1) * x[0]
+            acc.extend(_shell_sums(np.stack([w, w], axis=1), phase).tolist())
     else:
         # shells share most of their k = |n|^2: one weight per k that occurs
-        # in shells 0..shells-1, looked up by k
+        # in shells 0..shells-1 (the octant n >= 0 holds them all), looked
+        # up by k
         sq = np.arange(shells, dtype=np.int64) ** 2
         k_all = sq
         for _ in range(d - 1):
             k_all = np.add.outer(k_all, sq)
-        ks = np.unique(k_all)
-        table = np.zeros(int(ks[-1]) + 1)
+        occurs = np.zeros(d * (shells - 1) ** 2 + 1, dtype=bool)
+        occurs[k_all] = True
+        ks = np.flatnonzero(occurs)
+        table = np.zeros(occurs.size)
         table[ks] = _weights(spec, t, ks)
-        for m in range(1, shells):
-            coords = _shell_coords(d, m)
-            acc.add(float(_shell_sums(table[sum(c * c for c in coords)], x, coords)))
+        for k, phase in _shells(d, shells, x):
+            acc.add(float(_shell_sums(table[k], phase)))
     return EvalResult(acc.value, tail, points, math.isfinite(tail))
 
 
@@ -279,6 +311,8 @@ def _wrapped_stable_numeric_1d(
     acc = CompensatedSum()
     bound = 0.0
     neval = 0
+    # every quadrature below inverts one law at one t
+    envelope = StableEnvelope(symbol, t, quad)
     # f_t is even, so at x0 = 0 or 1/2 the points n and -n (or -n-1) share
     # |x0 + n|: one quadrature per distinct float, summed in n order
     densities: dict[float, EvalResult] = {}
@@ -286,7 +320,7 @@ def _wrapped_stable_numeric_1d(
         u = abs(x0 + n)
         r = densities.get(u)
         if r is None:
-            r = densities[u] = stable_density_numeric(symbol, t, u, quad)
+            r = densities[u] = stable_density_numeric(symbol, t, u, quad, envelope)
             neval += r.terms_used
         acc.add(r.value)
         bound += r.error_bound
@@ -308,7 +342,7 @@ def _wrapped_stable_numeric_1d(
     q_min = min(q_right, q_left)
     next_order = abs(coeffs[-1]) * hurwitz_zeta(alpha * (k_max + 1) + 1.0, q_min) / math.pi
     asym, _ = stable_asymptotic_density(symbol, t, q_min, k_max)
-    probe = stable_density_numeric(symbol, t, q_min, quad)
+    probe = stable_density_numeric(symbol, t, q_min, quad, envelope)
     mismatch = abs(asym - probe.value) + probe.error_bound
     cal = mismatch * hurwitz_zeta(alpha + 1.0, q_min) * q_min ** (alpha + 1.0)
     bound += 2.0 * (next_order + cal)

@@ -129,30 +129,52 @@ def theta_potential_integral(
     return EvalResult(value, err, neval, err <= quad.abs_tol)
 
 
+class StableEnvelope(dict):
+    """The panel envelope e^{-a y^alpha}, a = t sigma, keyed by the node y.
+
+    One lattice sum runs many inversions of one law at one t, and QUADPACK
+    visits the same nodes of [0, cut] for each of them; the dict computes
+    each node once.  The panel end `cut` and the bound `tail` on the
+    omitted integral depend only on the law, t and quad, so they are
+    formed here once too.  An envelope lives as long as its caller keeps it.
+    """
+
+    def __init__(self, symbol: StableSymbol, t: float, quad: QuadratureConfig = _DEFAULT_QUAD):
+        super().__init__()
+        self.a = t * symbol.sigma
+        self.alpha = symbol.alpha
+        self.cut = (math.log(1.0 / quad.envelope_cutoff) / self.a) ** (1.0 / self.alpha)
+        # |omitted tail| <= int_Y^inf e^{-a y^alpha} dy, an upper incomplete gamma
+        self.tail = stretched_exp_tail(1, self.a, self.alpha, self.cut)
+
+    def __missing__(self, y: float) -> float:
+        v = self[y] = _safe_exp(-self.a * y**self.alpha)
+        return v
+
+
 def stable_density_numeric(
-    symbol: StableSymbol, t: float, x: float, quad: QuadratureConfig = _DEFAULT_QUAD
+    symbol: StableSymbol,
+    t: float,
+    x: float,
+    quad: QuadratureConfig = _DEFAULT_QUAD,
+    envelope: StableEnvelope | None = None,
 ) -> EvalResult:
     """Inversion 2 int_0^Y e^{-t sigma y^alpha} cos(2 pi x y) dy + tail bound.
 
     Always takes the numeric path, so it doubles as an oracle against the
-    closed forms at alpha in {1, 2}.
+    closed forms at alpha in {1, 2}.  Callers that invert one law at one t
+    for many x pass one StableEnvelope(symbol, t, quad) to every call;
+    without one, the call builds its own.  The result is the same either way.
     """
     if t <= 0:
         raise ParameterError("stable_density_numeric needs t > 0")
     if symbol.d != 1:
         raise ParameterError("numeric inversion is one-dimensional")
-    a = t * symbol.sigma
-    alpha = symbol.alpha
-    cut = (math.log(1.0 / quad.envelope_cutoff) / a) ** (1.0 / alpha)
-    xx = abs(float(x))
-
-    def env(y: float) -> float:
-        return _safe_exp(-a * y**alpha)
-
-    v, e, neval, _ = cos_panel(env, cut, xx, quad)
-    # |omitted tail| <= int_Y^inf e^{-a y^alpha} dy, an upper incomplete gamma
-    tail = stretched_exp_tail(1, a, alpha, cut)
-    bound = 2.0 * (e + tail)
+    if envelope is None:
+        envelope = StableEnvelope(symbol, t, quad)
+    # a bound dict method: QUADPACK's calls at known nodes enter no Python frame
+    v, e, neval, _ = cos_panel(envelope.__getitem__, envelope.cut, abs(float(x)), quad)
+    bound = 2.0 * (e + envelope.tail)
     return EvalResult(2.0 * v, bound, neval, bound <= quad.abs_tol)
 
 

@@ -408,6 +408,29 @@ def test_height_at_the_cap_is_refused_before_the_grid_is_built(capsys):
     assert enumerate_D([2], 1) == [Fraction(-1), Fraction(0), Fraction(1)]
 
 
+def test_d_past_the_cell_cap_is_refused_before_the_grid_is_built(capsys, monkeypatch):
+    # S = {2, ..., 13} has 2,040 denominators below 2^17: a 267-million-cell
+    # gcd grid, refused after at most 18 denominators
+    cap = adeles._D_CELL_LIMIT
+    tracemalloc.start()
+    try:
+        with pytest.raises(ParameterError, match=f"more than {cap} cells"):
+            enumerate_D([2, 3, 5, 7, 11, 13], (1 << 17) - 1)
+        assert main(["char-sum", "--S", "2,3,5,7,11,13", "--heights", "8,131071"]) == 2
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(cap) in capsys.readouterr().err
+    assert peak < 1 << 20
+    # S = {2} has 17 denominators below 2^17, so its grid fits at every height
+    assert cap >= 17 * (1 << 17)
+    # at H = 512, S = {2} has 10 denominators: 5,130 cells
+    monkeypatch.setattr(adeles, "_D_CELL_LIMIT", 10 * 513)
+    assert len(enumerate_D([2], 512)) == len(_enumerate_D_oracle([2], 512))
+    with pytest.raises(ParameterError, match="more than 5130 cells"):
+        enumerate_D([2], 513)
+
+
 _SNAPSHOT = Path(__file__).resolve().parents[1] / "perfbench" / "reference"
 
 

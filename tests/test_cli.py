@@ -9,6 +9,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -466,11 +467,37 @@ def test_every_flag_refuses_malformed_values(capsys):
         ["adele-eval", "--x", "inf=0,2=abc"],
         ["rr-check", "--parts", ","],
         ["rr-check", "--parts", "product,bogus"],
+        # counts and D past their declared maxima
+        ["mc-haar", "--p", "2", "--count", "1000000000"],
+        ["mc-haar", "--p", "3", "--count", str(cli._COUNT_MAX["mc-haar"] + 1)],
+        ["rr-check", "--parts", "product", "--count", "10000000"],
+        ["rr-check", "--count", str(cli._COUNT_MAX["rr-check"] + 1)],
+        ["char-sum", "--S", "2,3,5,7,11,13", "--heights", "131071"],
     ],
 )
 def test_malformed_coordinates_and_place_maps_exit_2(argv, capsys):
     assert main(argv) == 2
     assert json.loads(capsys.readouterr().err.strip().splitlines()[-1])["code"] == 2
+
+
+@pytest.mark.parametrize("sub, extra", [("mc-haar", ["--p", "2"]), ("rr-check", ["--parts", "product"])])
+def test_count_above_its_maximum_is_refused_before_any_work(sub, extra, capsys, monkeypatch):
+    cap = cli._COUNT_MAX[sub]
+    tracemalloc.start()
+    try:
+        assert main([sub, *extra, "--count", "1000000000"]) == 2
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert f"--count must be <= {cap}" in capsys.readouterr().err
+    assert f"--count is at most {cap}" in cli._usage_text(sub)
+    assert f"--count <= {cap}" in cli._usage_text()
+    # the cap itself is admitted, one more is not
+    monkeypatch.setitem(cli._COUNT_MAX, sub, 50)
+    assert main([sub, *extra, "--count", "50"]) == 0
+    assert main([sub, *extra, "--count", "51"]) == 2
+    capsys.readouterr()
 
 
 def test_gaussian_kind_pins_alpha_and_sigma():

@@ -16,8 +16,8 @@ from trace_lab.lattice import (
     _LATTICE_QUAD,
     _TWO_PI,
     _normalize_point,
-    _shell_coords,
     _shell_tail_bound,
+    _shells,
     _weight,
     _wrapped_stable_numeric_1d,
     gaussian_law,
@@ -27,8 +27,10 @@ from trace_lab.lattice import (
     trace_defect,
     wrapped_density,
 )
-from trace_lab.quadrature import hurwitz_zeta
+from trace_lab import real_stable
+from trace_lab.quadrature import cos_panel, hurwitz_zeta, stretched_exp_tail
 from trace_lab.real_stable import (
+    StableEnvelope,
     stable_asymptotic_coefficients,
     stable_asymptotic_density,
     stable_density_numeric,
@@ -268,6 +270,23 @@ def test_hypot_is_sqrt_of_square_sum(d, bound):
 # ---------------------------------------------------------------------------
 
 
+def _shell_coords(d: int, m: int) -> list[np.ndarray]:
+    """Coordinates of the points with sup-norm exactly m >= 1, for d >= 2.
+
+    For each face coordinate f, from the last to the first, the points
+    come with the coordinates before f in [-m, m] and those after f in
+    [-m+1, m-1], nested in coordinate order, and n_f = -m, m varying
+    fastest.
+    """
+    full = np.arange(-m, m + 1, dtype=np.int64)
+    inner = full[1:-1]
+    faces = []
+    for f in reversed(range(d)):
+        grid = list(np.meshgrid(*([full] * f + [inner] * (d - 1 - f)), full[[0, -1]], indexing="ij"))
+        faces.append(grid[:f] + grid[-1:] + grid[f:-1])
+    return [np.concatenate([face[i].ravel() for face in faces]) for i in range(d)]
+
+
 def _spectral_sum_per_shell(spec, t, x, plan=ShellSumPlan()):
     """The d >= 2 spectral sum with one np.unique of |n|^2 and its weights
     per shell, rather than one weight table per call."""
@@ -309,6 +328,37 @@ def test_weight_table_matches_per_shell_weights(d):
         ref = _spectral_sum_per_shell(gaussian_law(d), t, x)
         assert not got.converged
         assert got == ref and repr(got) == repr(ref), x
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("x", [None, (0.0, 0.0, 0.0), (0.1, 0.2, 0.3), (0.3, 0.0, 0.7)])
+def test_shells_match_meshgrid_coordinates(d, x):
+    # k from outer sums of squares, and the phase by broadcasting, against
+    # the meshgrid coordinates: same point order, phase bit for bit
+    x = None if x is None else x[:d]
+    shells = list(_shells(d, 35, x))
+    assert len(shells) == 34
+    for m, (k, phase) in enumerate(shells, start=1):
+        coords = _shell_coords(d, m)
+        ref_k = sum(ci * ci for ci in coords)
+        assert k.dtype == ref_k.dtype and np.array_equal(k, ref_k), m
+        if x is None:
+            assert phase is None
+            continue
+        ref_phase = coords[0] * x[0]
+        for ci, xi in zip(coords[1:], x[1:]):
+            ref_phase = ref_phase + ci * xi
+        assert phase.dtype == ref_phase.dtype, m
+        assert np.array_equal(phase.view(np.int64), ref_phase.view(np.int64)), m
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_zero_point_sums_as_the_trace(d):
+    # cos(0) = 1 and e * 1.0 = e, so x = 0 is summed without a phase
+    for t in (0.005, 0.03, 0.7):
+        got = wrapped_density(gaussian_law(d), t, (0.0,) * d, "spectral")
+        ref = spectral_trace(gaussian_law(d), t)
+        assert got == ref and repr(got) == repr(ref), t
 
 
 # ---------------------------------------------------------------------------
@@ -364,12 +414,56 @@ def test_stable_lattice_sum_runs_one_quadrature_per_distinct_point(monkeypatch, 
     # at x0 = 0 the points n and -n share |x0 + n|; the +1 is the tail probe
     seen = []
 
-    def counting(symbol, t, x, quad):
+    def counting(symbol, t, x, quad, envelope=None):
         seen.append(x)
-        return stable_density_numeric(symbol, t, x, quad)
+        return stable_density_numeric(symbol, t, x, quad, envelope)
 
     monkeypatch.setattr(lattice, "stable_density_numeric", counting)
     got = wrapped_density(stable_law(1.5, 1.0), 1.0, x0, "lattice")
     assert len(seen) == calls
     assert len(set(seen)) == calls
     assert got.converged
+
+
+def _stable_density_plain(symbol, t, x, quad):
+    """stable_density_numeric with its envelope as a plain function, one
+    evaluation per QUADPACK node."""
+    a = t * symbol.sigma
+    alpha = symbol.alpha
+    cut = (math.log(1.0 / quad.envelope_cutoff) / a) ** (1.0 / alpha)
+    v, e, neval, _ = cos_panel(lambda y: real_stable._safe_exp(-a * y**alpha), cut, abs(float(x)), quad)
+    bound = 2.0 * (e + stretched_exp_tail(1, a, alpha, cut))
+    return EvalResult(2.0 * v, bound, neval, bound <= quad.abs_tol)
+
+
+@given(
+    st.floats(min_value=0.3, max_value=1.99),
+    st.floats(min_value=0.05, max_value=4.0),
+    st.lists(st.floats(min_value=0.0, max_value=40.0), min_size=1, max_size=4),
+)
+@settings(max_examples=25, deadline=None)
+def test_shared_envelope_gives_the_fresh_result(alpha, t, xs):
+    # an envelope only remembers e^{-a y^alpha} at the nodes it has seen
+    symbol = stable_law(alpha, 1.0).symbol
+    envelope = StableEnvelope(symbol, t, _LATTICE_QUAD)
+    for x in xs:
+        shared = stable_density_numeric(symbol, t, x, _LATTICE_QUAD, envelope)
+        fresh = stable_density_numeric(symbol, t, x, _LATTICE_QUAD)
+        plain = _stable_density_plain(symbol, t, x, _LATTICE_QUAD)
+        assert repr(shared) == repr(fresh) == repr(plain), x
+
+
+def test_stable_lattice_sum_evaluates_each_node_once(monkeypatch):
+    # QUADPACK visits the same nodes for each of the sum's 34 quadratures;
+    # about 1,550 of them are distinct, against about 30,900 visits
+    calls = []
+    safe_exp = real_stable._safe_exp
+
+    def counting(w):
+        calls.append(w)
+        return safe_exp(w)
+
+    monkeypatch.setattr(real_stable, "_safe_exp", counting)
+    got = wrapped_density(stable_law(0.5, 1.0), 1.0, 0.0, "lattice")
+    assert got.converged
+    assert len(calls) <= 2000
