@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import numpy as np
 
-from trace_lab import lattice
+from trace_lab import lattice, real_stable
 from trace_lab.core import CapabilityError, CompensatedSum, EvalResult, ParameterError, ShellSumPlan
 from trace_lab.lattice import (
     _LATTICE_QUAD,
@@ -27,7 +27,6 @@ from trace_lab.lattice import (
     trace_defect,
     wrapped_density,
 )
-from trace_lab import real_stable
 from trace_lab.quadrature import cos_panel, hurwitz_zeta, stretched_exp_tail
 from trace_lab.real_stable import (
     StableEnvelope,
