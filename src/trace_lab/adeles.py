@@ -47,6 +47,7 @@ from .quadrature import cos_panel, panel
 from .semistable import SemistableLaw, _ShellTable, _shell_mass, char_fn
 from .semistable import density as semistable_density
 from .real_stable import (
+    StableEnvelope,
     StableSymbol,
     gaussian_density,
     stable_asymptotic_coefficients,
@@ -71,7 +72,7 @@ def _as_real(v) -> float | Fraction:
 
 def _check_fill(fill: Fraction, support: tuple[int, ...], deny_numerator: bool) -> None:
     # Only the primes of fill outside support can offend: divide the listed
-    # ones out first, so the diagonal of q does not factor q a second time.
+    # ones out first, so a fill whose primes are all listed is not factored.
     num, den = abs(fill.numerator), fill.denominator
     if num == 0:
         return
@@ -121,6 +122,17 @@ class _PlaceMap:
 
     def _check_nonzero(self) -> None:
         """Adele components may vanish."""
+
+    @classmethod
+    def _diagonal(cls, q: Fraction):
+        """q at every place, built without __post_init__'s checks:
+        prime_support proves each prime it lists, and with every prime of
+        q listed the fill q is integral, and a unit for q != 0, elsewhere."""
+        point = object.__new__(cls)
+        object.__setattr__(point, "real", q)
+        object.__setattr__(point, "finite", dict.fromkeys(prime_support(q), q))
+        object.__setattr__(point, "fill", q)
+        return point
 
     @property
     def support(self) -> tuple[int, ...]:
@@ -180,8 +192,7 @@ class AdelePoint(_PlaceMap):
 
     @staticmethod
     def diagonal(q: Rational) -> "AdelePoint":
-        q = _as_fraction(q)
-        return AdelePoint(q, {p: q for p in prime_support(q)}, fill=q)
+        return AdelePoint._diagonal(_as_fraction(q))
 
     def __add__(self, other: "AdelePoint") -> "AdelePoint":
         if not isinstance(other, AdelePoint):
@@ -207,7 +218,7 @@ class Idele(_PlaceMap):
         q = _as_fraction(q)
         if q == 0:
             raise ParameterError("diagonal idele needs q != 0")
-        return Idele(q, {p: q for p in prime_support(q)}, fill=q)
+        return Idele._diagonal(q)
 
     def inverse(self) -> "Idele":
         real = 1 / self.real if isinstance(self.real, Fraction) else 1.0 / self.real
@@ -674,8 +685,10 @@ def _real_scaled_mass(rf: RealFactor, a_inf: float, quad: QuadratureConfig) -> E
     # numeric density: direct panel plus asymptotic-series tail integral
     half = 32.0 / aa
     sym = rf.symbol
+    # one envelope for every inversion of the panel: one law at one t
+    env = StableEnvelope(sym, rf.t)
     v, e, neval, ok = panel(
-        lambda u: aa * stable_density_numeric(sym, rf.t, a_inf * u).value,
+        lambda u: aa * stable_density_numeric(sym, rf.t, a_inf * u, envelope=env).value,
         -half,
         half,
         quad,

@@ -728,8 +728,9 @@ def _cmd_rr_check(P: _Params) -> list[ResultRow]:
             den = rng.randint(1, 10**6)
             q = Fraction(num, den)
             norm = idele_norm(Idele.diagonal(q))
-            all_exact = all_exact and norm == 1
-            worst = max(worst, abs(norm - 1))
+            if norm != 1:
+                all_exact = False
+                worst = max(worst, abs(norm - 1))
         rows.append(
             ResultRow(
                 "product_formula_max_defect",
@@ -1098,7 +1099,8 @@ def _usage_text(sub: str | None = None) -> str:
     if sub is None:
         lines = [_USAGE, "", "subcommands:"]
         for name, command in _COMMANDS.items():
-            lines.append(f"  {name:20s} --{', --'.join(command.flags) if command.flags else '(no flags)'}")
+            flags = "--" + ", --".join(command.flags) if command.flags else "(no flags)"
+            lines.append(f"  {name:20s} {flags}")
         lines += ["", "limits:"] + [f"  {name:20s} --count <= {cap}" for name, cap in _COUNT_MAX.items()]
         return "\n".join(lines)
     text = f"usage: trace-lab {sub} " + " ".join(f"[--{f} VALUE]" for f in _COMMANDS[sub].flags)

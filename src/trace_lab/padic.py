@@ -138,44 +138,79 @@ def char_qp(y: Rational, x: Rational, p: int) -> complex:
     return _char_qp(y, x, p)
 
 
-# the primes below 1000, which the trial division of prime_support tries
-# first
+# the primes below 1000, which prime_support screens for first with one
+# gcd against their product
 _SMALL_PRIMES = tuple(d for d in range(2, 1000) if is_prime(d))
-# where prime_support, past every prime below 1000, asks is_prime whether
-# the cofactor left is itself prime; 1001 = 6 * 167 - 1 starts its 6k +- 1
-# walk
-_PRIME_COFACTOR_TEST_AT = 1001
+_SMALL_PRIMORIAL = math.prod(_SMALL_PRIMES)
+# a cofactor free of the primes below 1000 and below 1001^2 is 1 or prime;
+# from 1001 = 6 * 167 - 1 the 6k +- 1 walk tries divisors up to this bound
+_WALK_FROM = 1001
+TRIAL_DIVISOR_LIMIT = 1 << 20
+
+
+def _int_prime_support(n: int, out: set[int]) -> None:
+    # adds the primes of n >= 0 to out; each is proven prime by the table
+    # of primes below 1000, by is_prime below PROVEN_PRIME_LIMIT, or by
+    # trial division up to TRIAL_DIVISOR_LIMIT
+    if n == 0:
+        # gcd(0, P) = P, and 0 would divide by each of its primes forever
+        return
+    g = math.gcd(n, _SMALL_PRIMORIAL)
+    # g is squarefree: once d * d > g what is left of g is 1 or one prime
+    for d in _SMALL_PRIMES:
+        if d * d > g:
+            break
+        if g % d == 0:
+            g //= d
+            out.add(d)
+            n //= d
+            while n % d == 0:
+                n //= d
+    if g > 1:
+        out.add(g)
+        n //= g
+        while n % g == 0:
+            n //= g
+    if n < _WALK_FROM * _WALK_FROM:
+        if n > 1:
+            out.add(n)
+        return
+    if n < PROVEN_PRIME_LIMIT and is_prime(n):
+        out.add(n)
+        return
+    # d = 1001, 1003, 1007, ...: 6k +- 1, step alternating 2 and 4
+    d, step = _WALK_FROM, 2
+    while d * d <= n:
+        if d > TRIAL_DIVISOR_LIMIT:
+            raise ParameterError(
+                f"cannot factor {n}: it has no divisor up to the trial-division bound "
+                f"{TRIAL_DIVISOR_LIMIT} and is composite or past the proven range of "
+                f"the primality test (< {PROVEN_PRIME_LIMIT})"
+            )
+        if n % d == 0:
+            out.add(d)
+            n //= d
+            while n % d == 0:
+                n //= d
+            if n < PROVEN_PRIME_LIMIT and is_prime(n):
+                break
+        d += step
+        step = 6 - step
+    if n > 1:
+        out.add(n)
 
 
 def prime_support(q: Rational) -> tuple[int, ...]:
-    """Sorted primes dividing the numerator or denominator of q."""
+    """Sorted primes dividing the numerator or denominator of q.
+
+    Raises ParameterError when a cofactor with no prime factor up to
+    TRIAL_DIVISOR_LIMIT lies past the proven range of is_prime, or is a
+    composite below it.
+    """
     q = Fraction(q)
     out: set[int] = set()
-    for n in (q.numerator, q.denominator):
-        n = abs(n)
-        for d in _SMALL_PRIMES:
-            if d * d > n:
-                break
-            if n % d == 0:
-                out.add(d)
-                n //= d
-                while n % d == 0:
-                    n //= d
-        else:
-            # then d = 1001, 1003, 1007, ...: 6k +- 1, step alternating 2 and 4
-            d, step = _PRIME_COFACTOR_TEST_AT, 2
-            while d * d <= n:
-                if n % d == 0:
-                    out.add(d)
-                    n //= d
-                    while n % d == 0:
-                        n //= d
-                elif d == _PRIME_COFACTOR_TEST_AT and n < PROVEN_PRIME_LIMIT and is_prime(n):
-                    break
-                d += step
-                step = 6 - step
-        if n > 1:
-            out.add(n)
+    _int_prime_support(abs(q.numerator), out)
+    _int_prime_support(q.denominator, out)
     return tuple(sorted(out))
 
 

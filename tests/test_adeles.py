@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import json
 import math
+import random
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from trace_lab import adeles
+from trace_lab import adeles, core, padic, real_stable
 from trace_lab.adeles import (
     AdelePoint,
     BruhatSchwartzSpec,
@@ -31,7 +32,7 @@ from trace_lab.adeles import (
     scale_point,
     stable_factor,
 )
-from trace_lab.cli import CommandRequest, main, run_request
+from trace_lab.cli import CommandRequest, ResultRow, main, run_request
 from trace_lab.core import (
     CompensatedSum,
     ParameterError,
@@ -130,6 +131,99 @@ def test_diagonal_factors_q_once(monkeypatch):
     calls.clear()
     AdelePoint.diagonal(0)
     assert calls == [0]
+
+
+# primes below and above 1000; at most one of the large ones enters a q,
+# so prime_support proves it with is_prime after a short walk
+_DIAGONAL_PRIMES = [2, 3, 5, 7, 97, 991, 997, 1009, 1013, 7919, 19997]
+_LARGE_PRIMES = [104729, 999983, 10**18 + 3, 2**61 - 1]
+
+
+@st.composite
+def diagonal_rationals(draw):
+    def part():
+        primes = draw(st.dictionaries(st.sampled_from(_DIAGONAL_PRIMES), st.integers(1, 4), max_size=4))
+        return math.prod(p**e for p, e in primes.items())
+    num, den = part(), part()
+    big = draw(st.sampled_from([1] + _LARGE_PRIMES))
+    if draw(st.booleans()):
+        num *= big
+    else:
+        den *= big
+    return Fraction(draw(st.sampled_from((-1, 1))) * num, den)
+
+
+@settings(max_examples=200, deadline=None)
+@given(diagonal_rationals())
+@example(Fraction(1))
+@example(Fraction(-1))
+def test_diagonal_equals_the_checked_constructor(q):
+    for cls in (Idele, AdelePoint):
+        got = cls.diagonal(q)
+        want = cls(q, {p: q for p in prime_support(q)}, fill=q)
+        assert got == want
+        assert repr(got) == repr(want)
+        assert type(got) is cls
+        assert type(got.real) is type(want.real) is Fraction
+        assert type(got.finite) is type(want.finite) is dict
+        assert all(type(v) is Fraction for v in got.finite.values())
+        assert type(got.fill) is Fraction
+
+
+def test_diagonal_of_zero():
+    got = AdelePoint.diagonal(0)
+    want = AdelePoint(Fraction(0), {}, fill=Fraction(0))
+    assert got == want and repr(got) == repr(want)
+    assert type(got.real) is type(got.fill) is Fraction
+    with pytest.raises(ParameterError):
+        Idele.diagonal(0)
+
+
+def test_diagonal_proves_no_prime_below_1000_again(monkeypatch):
+    checked = []
+
+    def counting_is_prime(n):
+        checked.append(n)
+        return is_prime(n)
+
+    monkeypatch.setattr(core, "is_prime", counting_is_prime)
+    monkeypatch.setattr(padic, "is_prime", counting_is_prime)
+    for q in (Fraction(-50, 3), Fraction(2**20 * 997**3, 3 * 991), Fraction(1, 997 * 991 * 983)):
+        for diagonal in (Idele.diagonal, AdelePoint.diagonal):
+            assert diagonal(q).support == prime_support(q)
+    assert checked == []
+
+
+def _rr_product_row_oracle(count: int, seed: int) -> ResultRow:
+    """The rr-check product loop as it was, with the checked constructor:
+    the oracle."""
+    rng = random.Random(seed)
+    worst = Fraction(0)
+    all_exact = True
+    for _ in range(count):
+        num = rng.randint(1, 10**6) * rng.choice((-1, 1))
+        den = rng.randint(1, 10**6)
+        q = Fraction(num, den)
+        norm = idele_norm(Idele(q, {p: q for p in prime_support(q)}, fill=q))
+        all_exact = all_exact and norm == 1
+        worst = max(worst, abs(norm - 1))
+    return ResultRow(
+        "product_formula_max_defect",
+        float(worst),
+        reference=0.0,
+        defect=float(worst),
+        passed=bool(all_exact),
+        tolerance=0.0,
+    )
+
+
+@pytest.mark.parametrize("count, seed", [(1, 0), (37, 7), (200, 1), (500, 12345)])
+def test_rr_product_row_matches_the_checked_loop(count, seed):
+    code, report = run_request(
+        CommandRequest("rr-check", {"parts": "product", "count": str(count), "seed": str(seed)})
+    )
+    assert code == 0
+    assert report["results"] == [_rr_product_row_oracle(count, seed).to_dict()]
 
 
 @given(nonzero)
@@ -544,6 +638,32 @@ def test_real_scaled_quadrature_reports_quadpack_warnings():
     assert not adeles._real_scaled_transform(rf, 2.0, 0.1, starved).converged
     assert adeles._real_scaled_mass(rf, 2.0, QuadratureConfig()).converged
     assert adeles._real_scaled_transform(rf, 2.0, 0.1, QuadratureConfig()).converged
+
+
+def test_real_scaled_mass_shares_one_envelope(monkeypatch):
+    # 483 inversions of one law at one t: with a fresh envelope each, they
+    # made 166,799 _safe_exp calls; one shared envelope makes one per node
+    rf = stable_factor(1.5, 1.0, 1.0)
+    calls = []
+    safe_exp = real_stable._safe_exp
+
+    def counting(w):
+        calls.append(w)
+        return safe_exp(w)
+
+    monkeypatch.setattr(real_stable, "_safe_exp", counting)
+    shared = adeles._real_scaled_mass(rf, 2.0, QuadratureConfig())
+    assert len(calls) <= 2000
+    assert len(set(calls)) == len(calls)
+    inversion = adeles.stable_density_numeric
+    monkeypatch.setattr(
+        adeles,
+        "stable_density_numeric",
+        lambda symbol, t, x, envelope=None: inversion(symbol, t, x),
+    )
+    fresh = adeles._real_scaled_mass(rf, 2.0, QuadratureConfig())
+    assert repr(shared) == repr(fresh)
+    assert shared.terms_used == 483
 
 
 def test_scaled_shell_mass_stops_below_the_rounding_floor():

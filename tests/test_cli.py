@@ -406,6 +406,21 @@ def test_help_exits_zero(capsys):
     capsys.readouterr()
 
 
+def test_top_level_help_lists_each_subcommand_with_its_flags(capsys):
+    assert main(["--help"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    start = lines.index("subcommands:") + 1
+    listed = lines[start : lines.index("", start)]
+    assert [ln.split()[0] for ln in listed] == list(cli._COMMANDS)
+    for line, command in zip(listed, cli._COMMANDS.values()):
+        flags = line.split(None, 1)[1]
+        if command.flags:
+            assert flags == ", ".join(f"--{f}" for f in command.flags)
+        else:
+            assert flags == "(no flags)"
+    assert "--(no flags)" not in "\n".join(lines)
+
+
 def _keys_read(funcs: dict[str, ast.FunctionDef], name: str) -> set[str]:
     """The literal keys of the P.<getter>("key") calls in funcs[name],
     following every module-level helper that is passed P."""

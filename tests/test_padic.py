@@ -3,14 +3,17 @@ from __future__ import annotations
 
 import cmath
 import math
+import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trace_lab.core import ParameterError
+from trace_lab.cli import main
+from trace_lab.core import PROVEN_PRIME_LIMIT, ParameterError
 from trace_lab.padic import (
+    TRIAL_DIVISOR_LIMIT,
     char_qp,
     frac_part,
     padic_norm,
@@ -144,3 +147,57 @@ def test_prime_support_past_the_trial_division_cutoff():
     assert prime_support(Fraction(1009 * 1013)) == (1009, 1013)
     assert prime_support(Fraction(1, 1009**2 * 1013**3)) == (1009, 1013)
     assert prime_support(Fraction(999983 * 1000003)) == (999983, 1000003)
+
+
+# primes on both sides of 1000 and of the trial-division bound 2^20
+_KNOWN_PRIMES = [2, 3, 5, 7, 31, 37, 991, 997, 1009, 1013, 30011, 1048573]
+# the least primes past the bound, and primes that is_prime proves
+_PAST_THE_BOUND = [1048583, 1048589]
+_PROVABLE = [10**18 + 3, 2**61 - 1]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.dictionaries(st.sampled_from(_KNOWN_PRIMES), st.integers(-3, 3), max_size=6),
+    st.sampled_from([1] + _PROVABLE),
+    st.sampled_from((-1, 1)),
+)
+def test_prime_support_of_numbers_built_from_known_primes(exponents, big, sign):
+    # q = sign * big^(+-1) * prod p^e, so its primes are known by
+    # construction; the brute force confirms the small ones
+    q = Fraction(sign * big) ** (-1 if sign < 0 else 1)
+    for p, e in exponents.items():
+        q *= Fraction(p) ** e
+    want = {p for p, e in exponents.items() if e} | ({big} if big > 1 else set())
+    assert prime_support(q) == tuple(sorted(want))
+    for n in (q.numerator, q.denominator):
+        if abs(n) < 10**8:
+            assert set(prime_support(Fraction(n))) == _factor_brute(n)
+
+
+def test_prime_support_walks_to_the_bound_and_no_further():
+    assert TRIAL_DIVISOR_LIMIT == 1048576
+    # 1048573 is the last prime the walk may try
+    assert prime_support(Fraction(1048573 * 1048583)) == (1048573, 1048583)
+    assert prime_support(Fraction(-1, 2 * 1048573**2 * 10**18 + 2 * 1048573**2 * 3)) == (
+        2,
+        1048573,
+        10**18 + 3,
+    )
+    composite = _PAST_THE_BOUND[0] * _PAST_THE_BOUND[1]
+    with pytest.raises(ParameterError, match="trial-division bound 1048576"):
+        prime_support(Fraction(composite))
+    # the first prime past the proven range of is_prime
+    unproven = 318665857834031151167483
+    assert unproven > PROVEN_PRIME_LIMIT
+    with pytest.raises(ParameterError, match="trial-division bound 1048576"):
+        prime_support(Fraction(7, 12 * unproven))
+
+
+def test_diagonal_past_the_bound_exits_2_quickly(capsys):
+    t0 = time.perf_counter()
+    assert main(["idele-norm", "--diagonal", "1/318665857834031151167483"]) == 2
+    assert main(["idele-norm", "--diagonal", str(_PAST_THE_BOUND[0] * _PAST_THE_BOUND[1])]) == 2
+    assert time.perf_counter() - t0 < 5.0
+    err = capsys.readouterr().err
+    assert err.count("trial-division bound 1048576") == 2
