@@ -45,7 +45,6 @@ from .real_stable import (
     theta_potential_integral,
 )
 from .lattice import (
-    LatticeLawSpec,
     PotentialReport,
     TraceReport,
     gaussian_law,
@@ -99,7 +98,6 @@ __all__ = [
     "FiniteFactor",
     "HaarSample",
     "Idele",
-    "LatticeLawSpec",
     "MassCheck",
     "PAdicNorm",
     "ParameterError",

@@ -17,6 +17,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, ClassVar, Mapping, Sequence
 
 import numpy as np
@@ -43,7 +44,7 @@ from .padic import (
     valuation,
 )
 from .padic_integrals import ball_char_integral, norm_float, shell_char_kernel
-from .quadrature import cos_panel, panel
+from .quadrature import ENVELOPE_CUTOFF, cos_panel, panel
 from .semistable import SemistableLaw, _ShellTable, _shell_mass, char_fn
 from .semistable import density as semistable_density
 from .real_stable import (
@@ -270,26 +271,26 @@ def adele_char(y: AdelePoint, x: AdelePoint) -> complex:
 
 @dataclass(frozen=True)
 class RealFactor:
-    """The archimedean factor: gaussian(t) or stable(alpha, sigma, t)."""
+    """The archimedean factor: the law with symbol sigma|y|^alpha at time t.
 
-    kind: str
+    The gaussian is (alpha, sigma) = (2, pi).
+    """
+
     t: float
     alpha: float
     sigma: float
 
     def __post_init__(self):
-        if self.kind not in ("gaussian", "stable"):
-            raise ParameterError(f"real factor kind must be gaussian or stable, got {self.kind!r}")
         if self.t <= 0:
             raise ParameterError("real factor needs t > 0")
         StableSymbol(self.alpha, self.sigma, 1)
 
-    @property
+    @cached_property
     def symbol(self) -> StableSymbol:
         return StableSymbol(self.alpha, self.sigma, 1)
 
     def density(self, x: float, quad: QuadratureConfig = _DEFAULT_QUAD) -> EvalResult:
-        if self.kind == "gaussian":
+        if self.symbol.is_gaussian:
             v = gaussian_density(self.t, x)
             return EvalResult(v, abs(v) * 1e-14, 1, True)
         return stable_density(self.symbol, self.t, x, quad)
@@ -301,11 +302,11 @@ class RealFactor:
 
 def gaussian_factor(t: float) -> RealFactor:
     # eta(y) = pi y^2, so the transform is e^{-t pi y^2}
-    return RealFactor("gaussian", t, 2.0, math.pi)
+    return RealFactor(t, 2.0, math.pi)
 
 
 def stable_factor(alpha: float, sigma: float, t: float) -> RealFactor:
-    return RealFactor("stable", t, alpha, sigma)
+    return RealFactor(t, alpha, sigma)
 
 
 @dataclass(frozen=True)
@@ -609,7 +610,7 @@ def adelic_theta_reduction(
     """
     if spec.S:
         raise ParameterError("adelic_theta_reduction needs S = {}")
-    if spec.real_factor.kind != "gaussian":
+    if not spec.real_factor.symbol.is_gaussian:
         raise ParameterError("adelic_theta_reduction needs the gaussian real factor")
     if lam <= 0:
         raise ParameterError("lambda must be positive")
@@ -669,11 +670,11 @@ def _real_scaled_mass(rf: RealFactor, a_inf: float, quad: QuadratureConfig) -> E
     def g(u: float) -> float:
         return aa * rf.density(a_inf * u).value
 
-    if rf.kind == "gaussian" or rf.alpha == 2.0:
-        sig = rf.t * (math.pi if rf.kind == "gaussian" else rf.sigma)
-        half = math.sqrt(sig * math.log(1.0 / quad.envelope_cutoff)) / math.pi / aa
+    if rf.alpha == 2.0:
+        sig = rf.t * rf.sigma
+        half = math.sqrt(sig * math.log(1.0 / ENVELOPE_CUTOFF)) / math.pi / aa
         v, e, neval, ok = panel(g, -half, half, quad, 8.0, 1e-13)
-        tail = 2.0 * quad.envelope_cutoff * half * aa
+        tail = 2.0 * ENVELOPE_CUTOFF * half * aa
         return EvalResult(v, e + tail, neval, ok)
     if rf.alpha == 1.0:
         c = rf.t * rf.sigma
@@ -810,7 +811,7 @@ def scale_by_idele(
     points, componentwise and as a product.
     """
     rf = spec.real_factor
-    if grid_points > 0 and not (rf.kind == "gaussian" or rf.alpha in (1.0, 2.0)):
+    if grid_points > 0 and rf.alpha not in (1.0, 2.0):
         raise ParameterError(
             "fourier scaling grid needs a closed-form real density (alpha in {1, 2})"
         )
@@ -860,11 +861,11 @@ def _real_scaled_transform(
     """Transform of |a| f(a .) at y by quadrature against cos(2 pi u y),
     for a real density in closed form (alpha 1 or 2)."""
     aa = abs(a_inf)
-    if rf.kind == "gaussian" or rf.alpha == 2.0:
-        sig = rf.t * (math.pi if rf.kind == "gaussian" else rf.sigma)
-        half = math.sqrt(sig * math.log(1.0 / quad.envelope_cutoff)) / math.pi / aa
+    if rf.alpha == 2.0:
+        sig = rf.t * rf.sigma
+        half = math.sqrt(sig * math.log(1.0 / ENVELOPE_CUTOFF)) / math.pi / aa
         tail_val = 0.0
-        tail_err = 2.0 * quad.envelope_cutoff * half * aa
+        tail_err = 2.0 * ENVELOPE_CUTOFF * half * aa
     else:
         c = rf.t * rf.sigma
         # panel edge X in the unscaled variable w = a u; beyond it the

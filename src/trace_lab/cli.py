@@ -181,12 +181,16 @@ def _number(key: str, kind: str) -> Callable[[str], int | float | Fraction]:
 
 
 class _Params:
-    """String parameter map with validation and a canonical echo."""
+    """String parameter map with validation and a canonical echo.
 
-    def __init__(self, raw: Mapping[str, str]):
+    A key outside the command's flags is refused here, before any work.
+    """
+
+    def __init__(self, raw: Mapping[str, str], flags: Sequence[str]):
         self.raw = {str(k): str(v) for k, v in raw.items()}
         self.used: set[str] = set()
         self.echo: dict[str, str] = {}
+        _refuse_unknown(set(self.raw) - set(flags))
 
     def _get(
         self,
@@ -296,9 +300,13 @@ class _Params:
         return None if raw is None else _parse_place_map(key, raw)
 
     def finish(self) -> None:
-        unknown = sorted(set(self.raw) - self.used)
-        if unknown:
-            raise ParameterError(f"unknown parameter(s): {', '.join(unknown)}")
+        """Refuse a flag of the command that the chosen mode did not read."""
+        _refuse_unknown(set(self.raw) - self.used)
+
+
+def _refuse_unknown(keys: set[str]) -> None:
+    if keys:
+        raise ParameterError(f"unknown parameter(s): {', '.join(sorted(keys))}")
 
 
 def _parse_place_map(key: str, raw: str) -> dict[str, str]:
@@ -414,7 +422,7 @@ def _cmd_trace_check(P: _Params) -> list[ResultRow]:
     tol_shell = P.float_("tol-shell", _TOL_SHELL, positive=True)
     tol_quad = P.float_("tol-quad", _TOL_QUAD, positive=True)
     if closed:
-        default_tol = tol_shell if spec.kind == "gaussian" or spec.symbol.alpha == 2.0 else tol_quad
+        default_tol = tol_shell if spec.alpha == 2.0 else tol_quad
     else:
         default_tol = 1e-6
     tol = P.float_("tol", default_tol, positive=True)
@@ -435,7 +443,7 @@ def _cmd_potential_identity(P: _Params) -> list[ResultRow]:
         sigma = P.float_("sigma", 1.0, positive=True)
     tol_quad = P.float_("tol-quad", _TOL_QUAD, positive=True)
     tol = P.float_("tol", tol_quad, positive=True)
-    rep = potential_identity(alpha, sigma, _quad_cfg(tol_quad), kind)
+    rep = potential_identity(alpha, sigma)
     rows = [_bool_row("diverged", rep.diverged)]
     if rep.diverged:
         return rows
@@ -695,8 +703,8 @@ def _cmd_rr_check(P: _Params) -> list[ResultRow]:
     tol_shell = P.float_("tol-shell", _TOL_SHELL, positive=True)
     tol_quad = P.float_("tol-quad", _TOL_QUAD, positive=True)
     tol = P.float_("tol", tol_shell, positive=True)
-    # every flag of the chosen parts is read, and an unknown one refused,
-    # before any part runs
+    # every flag of the chosen parts is read, and one that no chosen part
+    # reads refused, before any part runs
     if "reduction" in parts:
         lams = P.floats_("lams", "0.5,1,2,4")
         height = P.int_("height", 64, minimum=4)
@@ -798,8 +806,8 @@ def _cmd_char_sum(P: _Params) -> list[ResultRow]:
     t = P.float_("t", 1.0, positive=True)
     s_primes = P.ints_("S", "2", minimum=2)
     spec = make_mu_spec(alpha, sigma, gamma, c_coef, t, s_primes)
-    # every flag of the mode is read, and an unknown one refused, before
-    # the sum runs
+    # every flag of the mode is read, and one of the other mode refused,
+    # before the sum runs
     if mode == "direct":
         heights = P.ints_("heights", "8,16,32,64,128,256,512", minimum=1)
     else:
@@ -916,7 +924,7 @@ class _Command(NamedTuple):
     flags: tuple[str, ...]
 
 
-# each subcommand's handler and the flags it reads: the argv check and --help
+# each subcommand's handler and the flags it accepts: _Params and --help
 _COMMANDS: dict[str, _Command] = {
     "theta": _Command(_cmd_theta, ("t", "tol-shell", "tol")),
     "theta-integral": _Command(_cmd_theta_integral, ("tol-quad", "tol")),
@@ -980,7 +988,7 @@ def _run_handler(sub: str, params: Mapping[str, str]) -> tuple[list[ResultRow], 
     command = _COMMANDS.get(sub)
     if command is None:
         raise ParameterError(f"unknown subcommand {sub!r}")
-    P = _Params(params)
+    P = _Params(params, command.flags)
     rows = command.handler(P)
     P.finish()
     return rows, P.echo
@@ -1058,7 +1066,6 @@ def _parse_argv(argv: Sequence[str]) -> CommandRequest:
     sub = argv[0]
     if sub not in _COMMANDS:
         raise ParameterError(f"unknown subcommand {sub!r}; see --help")
-    allowed = set(_COMMANDS[sub].flags)
     params: dict[str, str] = {}
     fmt = "json"
     output: str | None = None
@@ -1081,12 +1088,10 @@ def _parse_argv(argv: Sequence[str]) -> CommandRequest:
             fmt = val
         elif key == "output":
             output = val
-        elif key in allowed:
-            if key in params:
-                raise ParameterError(f"duplicate flag --{key}")
-            params[key] = val
+        elif key in params:
+            raise ParameterError(f"duplicate flag --{key}")
         else:
-            raise ParameterError(f"unknown flag --{key} for {sub}")
+            params[key] = val
         i += 1
     return CommandRequest(sub, params, fmt, output)
 

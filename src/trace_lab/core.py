@@ -69,19 +69,13 @@ class ShellSumPlan:
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Absolute tolerance and panel policy for the quadrature routines.
-
-    envelope_cutoff controls where oscillatory inversion integrals are cut:
-    the finite panel ends once the integrand envelope drops below it, and
-    the remainder is covered by an explicit envelope tail bound.
-    """
+    """Absolute tolerance and panel policy for the quadrature routines."""
 
     abs_tol: float = 1e-8
     panel_limit: int = 200
-    envelope_cutoff: float = 1e-16
 
     def __post_init__(self):
-        if self.abs_tol <= 0 or self.envelope_cutoff <= 0:
+        if self.abs_tol <= 0:
             raise ParameterError("quadrature tolerances must be positive")
         if self.panel_limit < 10:
             raise ParameterError("panel_limit must be >= 10")
@@ -153,9 +147,6 @@ def product_results(parts: Iterable[EvalResult]) -> EvalResult:
 # composite 399165290221 * 798330580441, which all 12 bases pass.
 PROVEN_PRIME_LIMIT = 318665857834031151167461
 _BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-# psi_4 = 3215031751 is the least strong pseudoprime to the bases 2, 3, 5
-# and 7 (Jaeschke, Math. Comp. 61, 1993), so below it those four decide
-_PSI_4 = 3215031751
 
 
 def is_prime(n: int) -> bool:
@@ -172,7 +163,7 @@ def is_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in _BASES[:4] if n < _PSI_4 else _BASES:
+    for a in _BASES:
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue

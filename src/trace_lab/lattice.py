@@ -45,43 +45,12 @@ _TWO_PI = 2.0 * math.pi
 _LATTICE_QUAD = QuadratureConfig(abs_tol=1e-10, panel_limit=300)
 
 
-@dataclass(frozen=True)
-class LatticeLawSpec:
-    """A symmetric law on R^d wrapped onto the torus.
-
-    kind "gaussian" pins (alpha, sigma) = (2, pi) so eta(n) = pi|n|^2;
-    kind "stable" carries eta(n) = sigma|n|^alpha.
-    """
-
-    kind: str
-    symbol: StableSymbol
-
-    def __post_init__(self):
-        if self.kind not in ("gaussian", "stable"):
-            raise ParameterError(f"unknown law kind {self.kind!r}")
-        if self.symbol.d > 3:
-            raise ParameterError("d <= 3 enforced at the interface")
-
-    @property
-    def d(self) -> int:
-        return self.symbol.d
-
-    @property
-    def has_density(self) -> bool:
-        # closed forms exist for gaussian-type laws in any d (the symbol
-        # separates over coordinates) and for every alpha in d = 1
-        return self.kind == "gaussian" or self.symbol.alpha == 2.0 or self.symbol.d == 1
-
-    def eta(self, n) -> float:
-        return self.symbol.eta(n)
+def gaussian_law(d: int = 1) -> StableSymbol:
+    return StableSymbol(2.0, math.pi, d)
 
 
-def gaussian_law(d: int = 1) -> LatticeLawSpec:
-    return LatticeLawSpec("gaussian", StableSymbol(2.0, math.pi, d))
-
-
-def stable_law(alpha: float, sigma: float, d: int = 1) -> LatticeLawSpec:
-    return LatticeLawSpec("stable", StableSymbol(alpha, sigma, d))
+def stable_law(alpha: float, sigma: float, d: int = 1) -> StableSymbol:
+    return StableSymbol(alpha, sigma, d)
 
 
 def _shells(
@@ -153,20 +122,20 @@ def _normalize_point(x, d: int) -> tuple[float, ...]:
     return tuple(out)
 
 
-def _weight(spec: LatticeLawSpec, t: float, k: int) -> float:
+def _weight(sym: StableSymbol, t: float, k: int) -> float:
     """e^{-t eta(n)} at the points n with |n|^2 = k.
 
     math.hypot(*n) == math.sqrt(k) for every n the default plan reaches
     (tests/test_lattice.py checks it), so this is the per-point
     math.exp(-t * eta(n)) bit for bit.
     """
-    w = t * spec.eta(math.sqrt(k))
+    w = t * sym.eta(math.sqrt(k))
     return math.exp(-w) if w < 745.0 else 0.0
 
 
-def _weights(spec: LatticeLawSpec, t: float, ks: np.ndarray) -> np.ndarray:
+def _weights(sym: StableSymbol, t: float, ks: np.ndarray) -> np.ndarray:
     # one scalar math.exp per k: np.exp takes CPU-dependent SIMD paths
-    return np.array([_weight(spec, t, k) for k in ks.tolist()])
+    return np.array([_weight(sym, t, k) for k in ks.tolist()])
 
 
 def _shell_sums(e: np.ndarray, phase: np.ndarray | None) -> np.ndarray:
@@ -187,11 +156,11 @@ _D1_BLOCK = 4096
 
 
 def _spectral_sum(
-    spec: LatticeLawSpec, t: float, x: tuple[float, ...] | None, plan: ShellSumPlan
+    sym: StableSymbol, t: float, x: tuple[float, ...] | None, plan: ShellSumPlan
 ) -> EvalResult:
-    c = t * spec.symbol.sigma
-    alpha = spec.symbol.alpha
-    d = spec.d
+    c = t * sym.sigma
+    alpha = sym.alpha
+    d = sym.d
     # the truncation depends on the shell sizes alone; sum shells 0..shells-1
     points = 0
     shells = 0
@@ -211,13 +180,13 @@ def _spectral_sum(
         x = None
     acc = CompensatedSum()
     # the shell m = 0 is n = 0, where cos(2 pi n.x) = 1
-    acc.add(_weight(spec, t, 0))
+    acc.add(_weight(sym, t, 0))
     if d == 1:
         # one row per shell, the point m before -m; each k = m^2 occurs in
         # one row only, so the weights are formed per block
         for m0 in range(1, shells, _D1_BLOCK):
             ms = np.arange(m0, min(m0 + _D1_BLOCK, shells), dtype=np.int64)
-            w = _weights(spec, t, ms * ms)
+            w = _weights(sym, t, ms * ms)
             phase = None if x is None else np.stack([ms, -ms], axis=1) * x[0]
             acc.extend(_shell_sums(np.stack([w, w], axis=1), phase).tolist())
     else:
@@ -232,19 +201,19 @@ def _spectral_sum(
         occurs[k_all] = True
         ks = np.flatnonzero(occurs)
         table = np.zeros(occurs.size)
-        table[ks] = _weights(spec, t, ks)
+        table[ks] = _weights(sym, t, ks)
         for k, phase in _shells(d, shells, x):
             acc.add(float(_shell_sums(table[k], phase)))
     return EvalResult(acc.value, tail, points, math.isfinite(tail))
 
 
 def spectral_trace(
-    spec: LatticeLawSpec, t: float, plan: ShellSumPlan = _DEFAULT_PLAN
+    sym: StableSymbol, t: float, plan: ShellSumPlan = _DEFAULT_PLAN
 ) -> EvalResult:
     """sum_{n in Z^d} e^{-t eta(n)} over sup-norm shells with tail bound."""
     if t <= 0:
         raise ParameterError("spectral_trace needs t > 0")
-    return _spectral_sum(spec, t, None, plan)
+    return _spectral_sum(sym, t, None, plan)
 
 
 def _wrapped_gauss_1d(a: float, x0: float, plan: ShellSumPlan) -> EvalResult:
@@ -312,7 +281,7 @@ def _wrapped_stable_numeric_1d(
     bound = 0.0
     neval = 0
     # every quadrature below inverts one law at one t
-    envelope = StableEnvelope(symbol, t, quad)
+    envelope = StableEnvelope(symbol, t)
     # f_t is even, so at x0 = 0 or 1/2 the points n and -n (or -n-1) share
     # |x0 + n|: one quadrature per distinct float, summed in n order
     densities: dict[float, EvalResult] = {}
@@ -350,7 +319,7 @@ def _wrapped_stable_numeric_1d(
 
 
 def wrapped_density(
-    spec: LatticeLawSpec,
+    sym: StableSymbol,
     t: float,
     x,
     mode: str = "spectral",
@@ -359,20 +328,20 @@ def wrapped_density(
     """Density of the wrapped law at x in [0,1)^d, by either summation."""
     if t <= 0:
         raise ParameterError("wrapped_density needs t > 0")
-    xs = _normalize_point(x, spec.d)
+    xs = _normalize_point(x, sym.d)
     if mode == "spectral":
-        return _spectral_sum(spec, t, xs, plan)
+        return _spectral_sum(sym, t, xs, plan)
     if mode != "lattice":
         raise ParameterError(f"mode must be lattice or spectral, got {mode!r}")
-    a = t * spec.symbol.sigma
-    if spec.kind == "gaussian" or spec.symbol.alpha == 2.0:
+    a = t * sym.sigma
+    if sym.alpha == 2.0:
         parts = [_wrapped_gauss_1d(a, x0, plan) for x0 in xs]
         return product_results(parts)
-    if spec.d != 1:
+    if sym.d != 1:
         raise CapabilityError("no density evaluator for d > 1 stable laws")
-    if spec.symbol.alpha == 1.0:
+    if sym.alpha == 1.0:
         return _wrapped_cauchy_1d(a, xs[0])
-    return _wrapped_stable_numeric_1d(spec.symbol, t, xs[0], _LATTICE_QUAD)
+    return _wrapped_stable_numeric_1d(sym, t, xs[0], _LATTICE_QUAD)
 
 
 @dataclass(frozen=True)
@@ -391,14 +360,16 @@ class TraceReport:
 
 
 def trace_defect(
-    spec: LatticeLawSpec, t: float, plan: ShellSumPlan = _DEFAULT_PLAN
+    sym: StableSymbol, t: float, plan: ShellSumPlan = _DEFAULT_PLAN
 ) -> TraceReport:
     """Wrapped density at the identity against the spectral trace."""
-    if not spec.has_density:
+    # closed forms exist at alpha = 2 in any d (the symbol separates over
+    # coordinates) and for every alpha in d = 1
+    if not (sym.alpha == 2.0 or sym.d == 1):
         raise CapabilityError("trace_defect needs a density evaluator")
-    origin = (0.0,) * spec.d
-    lat = wrapped_density(spec, t, origin, "lattice", plan)
-    sp = spectral_trace(spec, t, plan)
+    origin = (0.0,) * sym.d
+    lat = wrapped_density(sym, t, origin, "lattice", plan)
+    sp = spectral_trace(sym, t, plan)
     return TraceReport(t, lat, sp)
 
 
@@ -417,27 +388,15 @@ class PotentialReport:
         return abs(self.value.value - self.reference)
 
 
-def potential_identity(
-    alpha: float,
-    sigma: float,
-    quad: QuadratureConfig | None = None,
-    kind: str = "stable",
-) -> PotentialReport:
+def potential_identity(alpha: float, sigma: float) -> PotentialReport:
     """Term-wise time integral of the centered trace, against 2 zeta(alpha)/sigma.
 
     Each spectral term integrates exactly: int_0^inf e^{-t sigma n^alpha} dt
     = 1/(sigma n^alpha).  The identity needs alpha > 1; for alpha <= 1 the
-    n-sum diverges and only a flag is returned.  kind="gaussian" pins
-    (alpha, sigma) = (2, pi), where the reference 2 zeta(2)/pi is pi/3.
+    n-sum diverges and only a flag is returned.  For the gaussian
+    (alpha, sigma) = (2, pi) the reference 2 zeta(2)/pi is pi/3.
     """
-    if kind == "gaussian":
-        alpha, sigma = 2.0, math.pi
-    elif kind != "stable":
-        raise ParameterError(f"kind must be stable or gaussian, got {kind!r}")
-    if not 0.0 < alpha <= 2.0:
-        raise ParameterError("alpha must lie in (0, 2]")
-    if sigma <= 0:
-        raise ParameterError("sigma must be positive")
+    sym = StableSymbol(alpha, sigma)
     if alpha <= 1.0:
         return PotentialReport(alpha, sigma, True, None, None)
 
@@ -451,5 +410,5 @@ def potential_identity(
     err = alpha * (alpha + 1.0) * (alpha + 2.0) / 720.0 * nf ** (-alpha - 3.0)
     acc.add(tail)
     value = EvalResult(2.0 * acc.value / sigma, 2.0 * err / sigma, cutoff, True)
-    reference = math.pi / 3.0 if kind == "gaussian" else 2.0 * hurwitz_zeta(alpha, 1.0) / sigma
+    reference = math.pi / 3.0 if sym.is_gaussian else 2.0 * hurwitz_zeta(alpha, 1.0) / sigma
     return PotentialReport(alpha, sigma, False, value, reference)

@@ -13,6 +13,10 @@ from .core import QuadratureConfig
 
 _TWO_PI = 2.0 * math.pi
 
+# oscillatory inversion integrals are cut where the integrand envelope
+# drops below this; the remainder is covered by an explicit tail bound
+ENVELOPE_CUTOFF = 1e-16
+
 
 def panel(
     f: Callable[[float], float],

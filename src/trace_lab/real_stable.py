@@ -19,7 +19,7 @@ from .core import (
     QuadratureConfig,
     ShellSumPlan,
 )
-from .quadrature import cos_panel, gamma, panel, stretched_exp_tail
+from .quadrature import ENVELOPE_CUTOFF, cos_panel, gamma, panel, stretched_exp_tail
 
 _DEFAULT_PLAN = ShellSumPlan()
 _DEFAULT_QUAD = QuadratureConfig()
@@ -29,7 +29,10 @@ _TWO_PI = 2.0 * math.pi
 
 @dataclass(frozen=True)
 class StableSymbol:
-    """Rotationally invariant symbol eta(y) = sigma * |y|^alpha on R^d."""
+    """Rotationally invariant symbol eta(y) = sigma * |y|^alpha on R^d, d <= 3.
+
+    The gaussian is (alpha, sigma) = (2, pi): eta(y) = pi |y|^2.
+    """
 
     alpha: float
     sigma: float
@@ -42,6 +45,12 @@ class StableSymbol:
             raise ParameterError("sigma must be positive")
         if self.d < 1:
             raise ParameterError("d must be a positive integer")
+        if self.d > 3:
+            raise ParameterError("d <= 3 enforced at the interface")
+
+    @property
+    def is_gaussian(self) -> bool:
+        return (self.alpha, self.sigma) == (2.0, math.pi)
 
     def eta(self, y) -> float:
         if isinstance(y, (int, float)):
@@ -135,15 +144,15 @@ class StableEnvelope(dict):
     One lattice sum runs many inversions of one law at one t, and QUADPACK
     visits the same nodes of [0, cut] for each of them; the dict computes
     each node once.  The panel end `cut` and the bound `tail` on the
-    omitted integral depend only on the law, t and quad, so they are
-    formed here once too.  An envelope lives as long as its caller keeps it.
+    omitted integral depend only on the law and t, so they are formed
+    here once too.  An envelope lives as long as its caller keeps it.
     """
 
-    def __init__(self, symbol: StableSymbol, t: float, quad: QuadratureConfig = _DEFAULT_QUAD):
+    def __init__(self, symbol: StableSymbol, t: float):
         super().__init__()
         self.a = t * symbol.sigma
         self.alpha = symbol.alpha
-        self.cut = (math.log(1.0 / quad.envelope_cutoff) / self.a) ** (1.0 / self.alpha)
+        self.cut = (math.log(1.0 / ENVELOPE_CUTOFF) / self.a) ** (1.0 / self.alpha)
         # |omitted tail| <= int_Y^inf e^{-a y^alpha} dy, an upper incomplete gamma
         self.tail = stretched_exp_tail(1, self.a, self.alpha, self.cut)
 
@@ -163,7 +172,7 @@ def stable_density_numeric(
 
     Always takes the numeric path, so it doubles as an oracle against the
     closed forms at alpha in {1, 2}.  Callers that invert one law at one t
-    for many x pass one StableEnvelope(symbol, t, quad) to every call;
+    for many x pass one StableEnvelope(symbol, t) to every call;
     without one, the call builds its own.  The result is the same either way.
     """
     if t <= 0:
@@ -171,7 +180,7 @@ def stable_density_numeric(
     if symbol.d != 1:
         raise ParameterError("numeric inversion is one-dimensional")
     if envelope is None:
-        envelope = StableEnvelope(symbol, t, quad)
+        envelope = StableEnvelope(symbol, t)
     # a bound dict method: QUADPACK's calls at known nodes enter no Python frame
     v, e, neval, _ = cos_panel(envelope.__getitem__, envelope.cut, abs(float(x)), quad)
     bound = 2.0 * (e + envelope.tail)
@@ -307,10 +316,10 @@ def gaussian_transform_numeric(
     """Quadrature of int gaussian_density(t,x) e^{-2 pi i x y} dx (real part)."""
     if t <= 0:
         raise ParameterError("gaussian_transform_numeric needs t > 0")
-    half = math.sqrt(t * math.log(1.0 / quad.envelope_cutoff) / math.pi)
+    half = math.sqrt(t * math.log(1.0 / ENVELOPE_CUTOFF) / math.pi)
     v, e, neval, _ = panel(
         lambda x: gaussian_density(t, x) * math.cos(_TWO_PI * x * y), -half, half, quad, 8.0, 1e-13
     )
-    tail = 2.0 * quad.envelope_cutoff * half
+    tail = 2.0 * ENVELOPE_CUTOFF * half
     bound = e + tail
     return EvalResult(v, bound, neval, bound <= quad.abs_tol)

@@ -142,7 +142,7 @@ def test_criterion_08_potential_time_integral():
         assert not rep.diverged
         assert abs(rep.value.value - TWO_ZETA_1_5) <= 1e-3
         assert abs(rep.reference - 2.0 * float(special.zeta(1.5, 1))) <= 1e-12
-        gauss = tl.potential_identity(2.0, math.pi, kind="gaussian")
+        gauss = tl.potential_identity(2.0, math.pi)
         assert not gauss.diverged
         assert abs(gauss.value.value - math.pi / 3.0) <= 1e-6
         assert tl.potential_identity(0.8, 1.0).diverged
@@ -261,7 +261,7 @@ def test_criterion_12_invariant_suites():
             xs = np.linspace(0.0, 1.0, 201)
             ys = [tl.wrapped_density(spec, 0.7, (float(u),), "spectral").value for u in xs]
             total = float(np.trapezoid(ys, xs)) if hasattr(np, "trapezoid") else float(np.trapz(ys, xs))
-            assert abs(total - 1.0) <= 1e-6, (spec.kind, total)
+            assert abs(total - 1.0) <= 1e-6, (spec, total)
 
         # heat equation d_t f = (1/4pi) d_x^2 f: finite-difference order >= 1.8
         def residual(f, t, x, h):

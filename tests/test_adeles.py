@@ -604,6 +604,37 @@ def test_theta_reduction_guards():
         adelic_theta_reduction(spec_c, 1.0)
 
 
+@given(st.floats(min_value=0.05, max_value=4.0), st.floats(min_value=-5.0, max_value=5.0))
+@settings(max_examples=50, deadline=None)
+def test_the_gaussian_factor_has_one_density(t, x):
+    # (alpha, sigma) = (2, pi) is the gaussian however it is built, and its
+    # density is gaussian_density's closed form
+    g, s = gaussian_factor(t), stable_factor(2.0, math.pi, t)
+    assert g == s
+    assert g.density(x) == s.density(x)
+    assert s.density(x).value == real_stable.gaussian_density(t, x)
+
+
+def test_theta_reduction_accepts_either_gaussian_factor():
+    reports = [
+        adelic_theta_reduction(BruhatSchwartzSpec(rf, {}), 2.0)
+        for rf in (gaussian_factor(0.7), stable_factor(2.0, math.pi, 0.7))
+    ]
+    assert reports[0] == reports[1]
+    assert reports[0].defect <= 1e-12
+    with pytest.raises(ParameterError, match="gaussian"):
+        adelic_theta_reduction(BruhatSchwartzSpec(stable_factor(2.0, 3.0, 0.7), {}), 2.0)
+
+
+@pytest.mark.parametrize("sigma", [1.0, 3.0, 3.1415926535897936])
+def test_an_alpha_2_factor_off_the_gaussian_keeps_the_stable_closed_form(sigma):
+    rf = stable_factor(2.0, sigma, 0.7)
+    symbol = real_stable.StableSymbol(2.0, sigma)
+    assert not symbol.is_gaussian
+    for x in (0.0, 0.3, -1.7, 4.0):
+        assert rf.density(x) == real_stable.stable_density(symbol, 0.7, x)
+
+
 def test_scale_by_idele_checks():
     spec = make_mu_spec(2.0, math.pi, 1.0, 1.0, 1.0, [2])
     a = Idele(2.0, {2: Fraction(1, 2)})
@@ -631,7 +662,7 @@ def test_scale_by_idele_refuses_a_numeric_real_density_at_entry(monkeypatch):
 def test_real_scaled_quadrature_reports_quadpack_warnings():
     # ten panels cannot reach abs_tol 1e-30: QUADPACK then appends a
     # warning to its output, and converged must say so
-    rf = adeles.RealFactor("stable", 1.0, 1.0, 1.0)
+    rf = adeles.RealFactor(1.0, 1.0, 1.0)
     starved = QuadratureConfig(abs_tol=1e-30, panel_limit=10)
     mass = adeles._real_scaled_mass(rf, 2.0, starved)
     assert not mass.converged and mass.error_bound > 0.1

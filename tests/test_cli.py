@@ -24,6 +24,7 @@ from trace_lab.cli import (
     replay_report,
     run_request,
 )
+from trace_lab.core import ParameterError
 
 
 def run(sub: str, **params) -> tuple[int, dict]:
@@ -353,6 +354,28 @@ def test_adelic_rows_match_the_benchmark_snapshot():
         assert rep["results"] == ref[label]["rows"], label
 
 
+def test_torus_rows_match_the_benchmark_snapshot():
+    # the real-line and torus layer behind trace-check, psf-check,
+    # potential-identity, theta and cauchy-report must keep the seed
+    # commit's rows and exit codes, the d = 3, t <= 0.01 requests that stop
+    # at max_terms unconverged (exit 3) included
+    snapshot = Path(__file__).resolve().parents[1] / "perfbench" / "reference" / "torus_small_t.json"
+    with open(snapshot) as fh:
+        ref = json.load(fh)
+    reqs = _perfbench_workloads().torus_requests()
+    assert len(reqs) == len(ref) == 56
+    assert [label for label, _, _ in reqs if ref[label]["exit"] == 3] == [
+        "trace[d=3,t=0.005]",
+        "psf[d=3,t=0.005]",
+        "trace[d=3,t=0.01]",
+        "psf[d=3,t=0.01]",
+    ]
+    for label, sub, params in reqs:
+        code, rep = run_request(CommandRequest(sub, dict(params)))
+        assert code == ref[label]["exit"], label
+        assert rep["results"] == ref[label]["rows"], label
+
+
 def test_idele_norm_of_a_large_prime_answers_at_once():
     # 10^18 + 3 is prime; trial division to 10^9 would take about a minute
     start = time.perf_counter()
@@ -448,7 +471,7 @@ def _keys_read(funcs: dict[str, ast.FunctionDef], name: str) -> set[str]:
 
 
 def test_flags_match_the_keys_each_handler_reads():
-    # the table's flags are both the --help text and the argv check, so a
+    # the table's flags are both the --help text and the key check, so a
     # stale entry advertises a flag that the handler then rejects
     tree = ast.parse(inspect.getsource(cli))
     funcs = {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)}
@@ -549,6 +572,35 @@ def test_a_flag_the_mode_does_not_read_is_refused_before_any_work(monkeypatch):
     assert main(["rr-check", "--parts", "scaling", "--count", "5"]) == 2
     assert main(["rr-check", "--parts", "product", "--lams", "1"]) == 2
     assert main(["rr-check", "--parts", "product,reduction", "--lams", "1,-1"]) == 2
+
+
+def test_an_unknown_key_is_refused_before_any_work(monkeypatch):
+    # a request or a replayed report refuses a key outside the command's
+    # flags as the argv form does: before the handler computes anything
+    def work(*args, **kwargs):
+        raise AssertionError("computed before refusing a key")
+
+    monkeypatch.setattr(cli, "wrapped_density", work)
+    params = {"kind": "stable", "alpha": "0.5", "bogus": "1"}
+    with pytest.raises(ParameterError, match="bogus"):
+        run_request(CommandRequest("psf-check", params))
+    with pytest.raises(ParameterError, match="bogus"):
+        replay_report({"command": "psf-check", "params": params})
+    assert main(["psf-check", "--kind", "stable", "--alpha", "0.5", "--bogus", "1"]) == 2
+    monkeypatch.setattr(cli, "theta", work)
+    assert main(["theta", "--t", "1", "--bogus", "1"]) == 2
+
+
+@pytest.mark.parametrize("sub", ["trace-check", "psf-check"])
+@pytest.mark.parametrize("law", [[], ["--kind", "stable", "--alpha", "1.5"]])
+def test_d_above_3_is_refused_before_any_work(sub, law, monkeypatch, capsys):
+    def work(*args, **kwargs):
+        raise AssertionError("computed before refusing d = 4")
+
+    monkeypatch.setattr(cli, "wrapped_density", work)
+    monkeypatch.setattr(cli, "trace_defect", work)
+    assert main([sub, *law, "--d", "4"]) == 2
+    assert "d <= 3" in json.loads(capsys.readouterr().err.strip().splitlines()[-1])["message"]
 
 
 def test_unknown_format_rejected():

@@ -27,9 +27,10 @@ from trace_lab.lattice import (
     trace_defect,
     wrapped_density,
 )
-from trace_lab.quadrature import cos_panel, hurwitz_zeta, stretched_exp_tail
+from trace_lab.quadrature import ENVELOPE_CUTOFF, cos_panel, hurwitz_zeta, stretched_exp_tail
 from trace_lab.real_stable import (
     StableEnvelope,
+    StableSymbol,
     stable_asymptotic_coefficients,
     stable_asymptotic_density,
     stable_density_numeric,
@@ -119,9 +120,29 @@ def test_potential_identity_values():
     assert not rep.diverged
     assert rep.reference == pytest.approx(5.22475069737097669, abs=1e-12)
     assert rep.defect <= 1e-3
-    gauss = potential_identity(2.0, math.pi, kind="gaussian")
+    gauss = potential_identity(2.0, math.pi)
     assert gauss.reference == pytest.approx(math.pi / 3.0, abs=1e-15)
     assert gauss.defect <= 1e-6
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_gaussian_law_is_the_stable_symbol_2_pi(d):
+    assert gaussian_law(d) == stable_law(2.0, math.pi, d) == StableSymbol(2.0, math.pi, d)
+    assert gaussian_law(d).is_gaussian
+    assert not stable_law(2.0, 1.0, d).is_gaussian
+    assert not stable_law(1.5, math.pi, d).is_gaussian
+
+
+def test_laws_above_d_3_are_refused():
+    for build in (lambda: gaussian_law(4), lambda: stable_law(1.5, 1.0, 4)):
+        with pytest.raises(ParameterError, match="d <= 3"):
+            build()
+
+
+def test_potential_identity_reference_at_the_gaussian_is_pi_over_3():
+    assert potential_identity(2.0, math.pi).reference == math.pi / 3.0
+    # any other sigma keeps 2 zeta(2) / sigma
+    assert potential_identity(2.0, 3.0).reference == 2.0 * hurwitz_zeta(2.0, 1.0) / 3.0
 
 
 def test_potential_identity_divergence_boundary():
@@ -185,8 +206,8 @@ def _supnorm_shell(d, m):
 
 def _spectral_sum_per_point(spec, t, x, plan=ShellSumPlan()):
     """sum_n e^{-t eta(n)} [cos(2 pi n.x)], one math.exp per lattice point."""
-    c = t * spec.symbol.sigma
-    alpha = spec.symbol.alpha
+    c = t * spec.sigma
+    alpha = spec.alpha
     d = spec.d
     acc = CompensatedSum()
     points = 0
@@ -221,7 +242,7 @@ _SPECTRAL_GRID = (
 @pytest.mark.parametrize(
     "spec, t, xs",
     _SPECTRAL_GRID,
-    ids=[f"{s.kind}-a{s.symbol.alpha}-d{s.d}-t{t}" for s, t, _ in _SPECTRAL_GRID],
+    ids=[f"{'gaussian' if s.is_gaussian else 'stable'}-a{s.alpha}-d{s.d}-t{t}" for s, t, _ in _SPECTRAL_GRID],
 )
 def test_spectral_sum_matches_per_point_loop(spec, t, xs):
     # d = 3, t = 0.005 stops at max_terms unconverged; the rest converge
@@ -289,8 +310,8 @@ def _shell_coords(d: int, m: int) -> list[np.ndarray]:
 def _spectral_sum_per_shell(spec, t, x, plan=ShellSumPlan()):
     """The d >= 2 spectral sum with one np.unique of |n|^2 and its weights
     per shell, rather than one weight table per call."""
-    c = t * spec.symbol.sigma
-    alpha = spec.symbol.alpha
+    c = t * spec.sigma
+    alpha = spec.alpha
     d = spec.d
     points = 0
     shells = 0
@@ -398,7 +419,7 @@ def _wrapped_stable_per_point(symbol, t, x0, quad, direct_radius=32, k_max=6):
 @pytest.mark.parametrize("alpha", [0.5, 1.2, 1.5, 1.9])
 @pytest.mark.parametrize("t", [0.1, 1.0])
 def test_stable_lattice_sum_matches_per_point_loop(alpha, t):
-    symbol = stable_law(alpha, 1.0).symbol
+    symbol = stable_law(alpha, 1.0)
     for x0 in (0.0, 0.25, 0.5, 1.0 / 3.0, 0.7):
         got = _wrapped_stable_numeric_1d(symbol, t, x0, _LATTICE_QUAD)
         ref = _wrapped_stable_per_point(symbol, t, x0, _LATTICE_QUAD)
@@ -429,7 +450,7 @@ def _stable_density_plain(symbol, t, x, quad):
     evaluation per QUADPACK node."""
     a = t * symbol.sigma
     alpha = symbol.alpha
-    cut = (math.log(1.0 / quad.envelope_cutoff) / a) ** (1.0 / alpha)
+    cut = (math.log(1.0 / ENVELOPE_CUTOFF) / a) ** (1.0 / alpha)
     v, e, neval, _ = cos_panel(lambda y: real_stable._safe_exp(-a * y**alpha), cut, abs(float(x)), quad)
     bound = 2.0 * (e + stretched_exp_tail(1, a, alpha, cut))
     return EvalResult(2.0 * v, bound, neval, bound <= quad.abs_tol)
@@ -443,8 +464,8 @@ def _stable_density_plain(symbol, t, x, quad):
 @settings(max_examples=25, deadline=None)
 def test_shared_envelope_gives_the_fresh_result(alpha, t, xs):
     # an envelope only remembers e^{-a y^alpha} at the nodes it has seen
-    symbol = stable_law(alpha, 1.0).symbol
-    envelope = StableEnvelope(symbol, t, _LATTICE_QUAD)
+    symbol = stable_law(alpha, 1.0)
+    envelope = StableEnvelope(symbol, t)
     for x in xs:
         shared = stable_density_numeric(symbol, t, x, _LATTICE_QUAD, envelope)
         fresh = stable_density_numeric(symbol, t, x, _LATTICE_QUAD)
