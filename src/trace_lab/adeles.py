@@ -536,7 +536,7 @@ def rational_char_sum(
             value[nz] *= table[v - lo]
         grid = np.zeros((len(b), top + 1))
         grid[cell_row, cell_col] = value
-        terms = grid[row, np.abs(a)].tolist()
+        terms = grid[row, np.abs(a)]
         acc = CompensatedSum()
         partials = []
         idx = 0

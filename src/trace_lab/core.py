@@ -12,6 +12,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable
 
+import numpy as np
+
 
 class TraceLabError(Exception):
     """Base class for errors raised by this package."""
@@ -85,7 +87,10 @@ class CompensatedSum:
     """Neumaier compensated accumulator with a fixed reduction order.
 
     Series are accumulated term by term in a fixed index order so results
-    are bit-reproducible run to run.
+    are bit-reproducible run to run.  extend(xs) is repeated add(x) bit
+    for bit: np.add.accumulate adds in sequence with one rounding a step,
+    as add does, and each correction depends only on the partial sums
+    before and after its term, chosen by the same test |prev| >= |x|.
     """
 
     __slots__ = ("_s", "_c")
@@ -103,16 +108,26 @@ class CompensatedSum:
         self._s = t
 
     def extend(self, xs: Iterable[float]) -> None:
-        """add(x) for each x of xs in order, in one loop on locals."""
-        s, c = self._s, self._c
-        for x in xs:
-            t = s + x
-            if abs(s) >= abs(x):
-                c += (s - t) + x
-            else:
-                c += (x - t) + s
-            s = t
-        self._s, self._c = s, c
+        """add(x) for each x of xs in order, on arrays."""
+        if not isinstance(xs, (np.ndarray, list, tuple)):
+            xs = list(xs)
+        x = np.asarray(xs, dtype=np.float64)
+        # Python float arithmetic warns about nothing (inf - inf is nan)
+        with np.errstate(all="ignore"):
+            s = np.empty(x.size + 1)
+            s[0] = self._s
+            s[1:] = x
+            np.add.accumulate(s, out=s)
+            prev, t = s[:-1], s[1:]
+            big = np.abs(prev) >= np.abs(x)
+            c = np.where(big, prev, x)
+            c -= t
+            c += np.where(big, x, prev)
+            self._s = float(s[-1])
+            s[0] = self._c
+            s[1:] = c
+            np.add.accumulate(s, out=s)
+        self._c = float(s[-1])
 
     @property
     def value(self) -> float:

@@ -17,6 +17,7 @@ import math
 from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 
 import numpy as np
 
@@ -97,13 +98,17 @@ def _shell_phase(d: int, m: int, x: tuple[float, ...]) -> np.ndarray:
     return np.concatenate(phases)
 
 
-def _shell_tail_bound(d: int, c: float, alpha: float, m_next: float) -> float:
+def _shell_tail_head(d: int, c: float, alpha: float, m_next: float) -> tuple[float, float]:
     # every point of sup-norm m has Euclidean norm >= m, and there are
     # at most 2 d 3^{d-1} m^{d-1} of them; the m-sum is bounded by its
     # first term plus the integral once u^{d-1} e^{-c u^alpha} decreases
     pref = 2.0 * d * 3.0 ** (d - 1)
     w = c * m_next**alpha
-    first = m_next ** (d - 1) * (math.exp(-w) if w < 745.0 else 0.0)
+    return pref, m_next ** (d - 1) * (math.exp(-w) if w < 745.0 else 0.0)
+
+
+def _shell_tail_bound(d: int, c: float, alpha: float, m_next: float) -> float:
+    pref, first = _shell_tail_head(d, c, alpha, m_next)
     return pref * (first + stretched_exp_tail(d, c, alpha, m_next))
 
 
@@ -134,8 +139,17 @@ def _weight(sym: StableSymbol, t: float, k: int) -> float:
 
 
 def _weights(sym: StableSymbol, t: float, ks: np.ndarray) -> np.ndarray:
-    # one scalar math.exp per k: np.exp takes CPU-dependent SIMD paths
-    return np.array([_weight(sym, t, k) for k in ks.tolist()])
+    """_weight(sym, t, k) for each k of ks, bit for bit.
+
+    np.sqrt is correctly rounded, as math.sqrt is; the power and the
+    exponential stay scalar (Python ** and math.exp), because np.power and
+    np.exp take CPU-dependent SIMD paths that differ in the last bit.
+    """
+    r = np.sqrt(ks).tolist()
+    w = t * (sym.sigma * np.fromiter(map(pow, r, repeat(sym.alpha)), np.float64, len(r)))
+    e = np.fromiter(map(math.exp, (-w).tolist()), np.float64, len(r))
+    e[w >= 745.0] = 0.0
+    return e
 
 
 def _shell_sums(e: np.ndarray, phase: np.ndarray | None) -> np.ndarray:
@@ -170,9 +184,13 @@ def _spectral_sum(
         # the first-term-plus-integral comparison needs the shell weight
         # to be decreasing from m = shells on: c alpha m^alpha >= d suffices
         if c * alpha * float(shells) ** alpha >= d:
-            tail = _shell_tail_bound(d, c, alpha, float(shells))
-            if tail < plan.tail_tolerance:
-                break
+            # the tail is pref (first + I) with I >= 0 and rounding is
+            # monotone, so pref first >= tol means tail >= tol: skip I
+            pref, first = _shell_tail_head(d, c, alpha, float(shells))
+            if pref * first < plan.tail_tolerance:
+                tail = pref * (first + stretched_exp_tail(d, c, alpha, float(shells)))
+                if tail < plan.tail_tolerance:
+                    break
     else:
         tail = math.inf
     if x is not None and not any(x):
@@ -188,7 +206,7 @@ def _spectral_sum(
             ms = np.arange(m0, min(m0 + _D1_BLOCK, shells), dtype=np.int64)
             w = _weights(sym, t, ms * ms)
             phase = None if x is None else np.stack([ms, -ms], axis=1) * x[0]
-            acc.extend(_shell_sums(np.stack([w, w], axis=1), phase).tolist())
+            acc.extend(_shell_sums(np.stack([w, w], axis=1), phase))
     else:
         # shells share most of their k = |n|^2: one weight per k that occurs
         # in shells 0..shells-1 (the octant n >= 0 holds them all), looked
@@ -259,7 +277,8 @@ def _cauchy_tail(c: float, m: float) -> tuple[float, float]:
 def _wrapped_cauchy_1d(c: float, x0: float, cutoff: int = 4000) -> EvalResult:
     acc = CompensatedSum()
     acc.add(_cauchy_g(c, x0))
-    acc.extend([_cauchy_g(c, x0 + n) + _cauchy_g(c, x0 - n) for n in range(1, cutoff + 1)])
+    n = np.arange(1, cutoff + 1)
+    acc.extend(_cauchy_g(c, x0 + n) + _cauchy_g(c, x0 - n))
     bound = 0.0
     for m in (cutoff + 0.5 + x0, cutoff + 0.5 - x0):
         val, err = _cauchy_tail(c, m)
@@ -402,7 +421,8 @@ def potential_identity(alpha: float, sigma: float) -> PotentialReport:
 
     cutoff = 20_000
     acc = CompensatedSum()
-    acc.extend([float(n) ** (-alpha) for n in range(1, cutoff + 1)])
+    ns = np.arange(1.0, cutoff + 1).tolist()
+    acc.extend(np.fromiter(map(pow, ns, repeat(-alpha)), np.float64, cutoff))
     # Euler-Maclaurin continuation from the cutoff
     nf = float(cutoff)
     tail = nf ** (1.0 - alpha) / (alpha - 1.0) - 0.5 * nf ** (-alpha)

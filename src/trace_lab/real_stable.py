@@ -12,6 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .core import (
     CompensatedSum,
     EvalResult,
@@ -274,8 +276,7 @@ def _cauchy_lattice_sum(c: float, cutoff: int = 5000) -> EvalResult:
     acc = CompensatedSum()
     g = lambda u: 2.0 * c / (c * c + 4.0 * math.pi * math.pi * u * u)
     acc.add(g(0.0))
-    for n in range(1, cutoff + 1):
-        acc.add(2.0 * g(float(n)))
+    acc.extend(2.0 * g(np.arange(1.0, cutoff + 1)))
     m = cutoff + 0.5
     acc.add(2.0 * (0.5 - math.atan(_TWO_PI * m / c) / math.pi))
     w = _TWO_PI * m

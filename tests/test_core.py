@@ -2,8 +2,10 @@
 from __future__ import annotations
 
 import math
+import warnings
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -43,6 +45,52 @@ def test_compensated_extend_is_repeated_add(xs, split):
     both.extend(iter(xs[split:]))
     # repr tells -0.0 from 0.0 and lets nan (from inf - inf) equal itself
     assert repr((both._s, both._c)) == repr((one._s, one._c))
+
+
+# infinities, signed zeros and subnormals, which hypothesis draws only now and then
+_EDGES = st.sampled_from([math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308])
+_TERMS = st.one_of(st.floats(allow_nan=False), st.floats(min_value=-1e-300, max_value=1e-300), _EDGES)
+
+
+@given(
+    st.lists(_TERMS, max_size=60),
+    _TERMS,
+    _TERMS,
+    st.sampled_from([np.array, list, iter]),
+)
+def test_compensated_extend_on_arrays_lists_and_iterators(xs, s0, c0, kind):
+    # the array kernel from any running state, against one add per term
+    one = CompensatedSum()
+    one._s, one._c = s0, c0
+    for x in xs:
+        one.add(x)
+    both = CompensatedSum()
+    both._s, both._c = s0, c0
+    both.extend(kind(xs))
+    assert type(both._s) is float and type(both._c) is float
+    assert repr((both._s, both._c)) == repr((one._s, one._c))
+
+
+def test_compensated_extend_of_nothing_keeps_the_state():
+    for empty in ([], np.array([]), iter(())):
+        acc = CompensatedSum()
+        acc._s, acc._c = -0.0, 5e-324
+        acc.extend(empty)
+        assert repr((acc._s, acc._c)) == repr((-0.0, 5e-324))
+
+
+def test_compensated_extend_warns_about_nothing():
+    # inf - inf is nan and 1e308 + 1e308 overflows: Python floats warn
+    # about neither, so the array kernel may not either
+    xs = [math.inf, -math.inf, 1e308, 1e308]
+    acc = CompensatedSum()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        acc.extend(xs)
+    one = CompensatedSum()
+    for x in xs:
+        one.add(x)
+    assert repr((acc._s, acc._c)) == repr((one._s, one._c))
 
 
 def test_compensated_sum_beats_naive():

@@ -487,3 +487,99 @@ def test_stable_lattice_sum_evaluates_each_node_once(monkeypatch):
     got = wrapped_density(stable_law(0.5, 1.0), 1.0, 0.0, "lattice")
     assert got.converged
     assert len(calls) <= 2000
+
+
+# ---------------------------------------------------------------------------
+# array forms against the scalar forms they replace
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("alpha", [0.5, 0.8, 1.0, 1.2, 1.5, 1.9, 2.0])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_weights_match_the_scalar_weight(alpha, d):
+    sym = StableSymbol(alpha, math.pi if alpha == 2.0 else 1.0, d)
+    ks = np.arange(d * 40**2 + 1)
+    # the last t puts w = t eta(sqrt(k)) at about 745.1 mid-range, so some
+    # weights lie just above the cut at 745 and some just below
+    edge = 745.1 / sym.eta(math.sqrt(ks[ks.size // 2]))
+    for t in (1e-4, 0.7, edge):
+        w = [t * sym.eta(math.sqrt(k)) for k in ks.tolist()]
+        if t == edge:
+            assert any(745.0 <= v < 745.2 for v in w) and any(v < 745.0 for v in w)
+        ref = np.array([_weight(sym, t, k) for k in ks.tolist()])
+        got = lattice._weights(sym, t, ks)
+        assert got.dtype == ref.dtype and np.array_equal(got.view(np.int64), ref.view(np.int64)), t
+
+
+def _tail_search_unscreened(sym, t, plan=ShellSumPlan()):
+    """(points, tail) of the shell search with one scipy tail bound per shell."""
+    c = t * sym.sigma
+    alpha = sym.alpha
+    d = sym.d
+    points = 0
+    shells = 0
+    while points <= plan.max_terms:
+        points += (2 * shells + 1) ** d - (2 * shells - 1) ** d if shells else 1
+        shells += 1
+        if c * alpha * float(shells) ** alpha >= d:
+            tail = _shell_tail_bound(d, c, alpha, float(shells))
+            if tail < plan.tail_tolerance:
+                return points, tail
+    return points, math.inf
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("alpha, sigma", [(0.5, 1.0), (1.0, 1.0), (1.5, 1.0), (2.0, math.pi)])
+def test_screened_tail_search_matches_the_unscreened_loop(d, alpha, sigma):
+    # the d = 3 gaussian stops at max_terms for t <= 0.01; at d = 1 and
+    # alpha = 0.5 small t costs the unscreened loop some 10^5 scipy calls
+    sym = StableSymbol(alpha, sigma, d)
+    ts = (0.3, 2.0) if (d, alpha) == (1, 0.5) else (0.002, 0.005, 0.01, 0.05, 0.3, 2.0)
+    for t in ts:
+        got = spectral_trace(sym, t)
+        points, tail = _tail_search_unscreened(sym, t)
+        assert (got.terms_used, repr(got.error_bound), got.converged) == (points, repr(tail), math.isfinite(tail)), t
+    if (d, alpha) == (3, 2.0):
+        assert not spectral_trace(sym, 0.01).converged
+
+
+def _wrapped_cauchy_1d_list(c, x0, cutoff=4000):
+    # the list form, one scalar _cauchy_g per term
+    acc = CompensatedSum()
+    acc.add(lattice._cauchy_g(c, x0))
+    acc.extend([lattice._cauchy_g(c, x0 + n) + lattice._cauchy_g(c, x0 - n) for n in range(1, cutoff + 1)])
+    bound = 0.0
+    for m in (cutoff + 0.5 + x0, cutoff + 0.5 - x0):
+        val, err = lattice._cauchy_tail(c, m)
+        acc.add(val)
+        bound += err
+    return EvalResult(acc.value, bound, 2 * cutoff + 1, True)
+
+
+@pytest.mark.parametrize("c", [0.05, 1.0, _TWO_PI, 30.0])
+def test_wrapped_cauchy_matches_the_list_form(c):
+    for x0 in (0.0, 0.25, 0.5, 0.9):
+        got = lattice._wrapped_cauchy_1d(c, x0)
+        ref = _wrapped_cauchy_1d_list(c, x0)
+        assert got == ref and repr(got) == repr(ref), x0
+
+
+def _potential_sum_list(alpha, sigma):
+    # the list form of the truncated zeta sum, one ** per n
+    cutoff = 20_000
+    acc = CompensatedSum()
+    acc.extend([float(n) ** (-alpha) for n in range(1, cutoff + 1)])
+    nf = float(cutoff)
+    tail = nf ** (1.0 - alpha) / (alpha - 1.0) - 0.5 * nf ** (-alpha)
+    tail += alpha / 12.0 * nf ** (-alpha - 1.0)
+    err = alpha * (alpha + 1.0) * (alpha + 2.0) / 720.0 * nf ** (-alpha - 3.0)
+    acc.add(tail)
+    return EvalResult(2.0 * acc.value / sigma, 2.0 * err / sigma, cutoff, True)
+
+
+@pytest.mark.parametrize("alpha", [1.01, 1.2, 1.5, 1.9, 2.0])
+def test_potential_identity_matches_the_list_form(alpha):
+    for sigma in (1.0, math.pi):
+        got = potential_identity(alpha, sigma).value
+        ref = _potential_sum_list(alpha, sigma)
+        assert got == ref and repr(got) == repr(ref), sigma

@@ -7,9 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trace_lab.core import ParameterError
+from trace_lab.core import CompensatedSum, EvalResult, ParameterError
 from trace_lab.real_stable import (
+    _TWO_PI,
     StableSymbol,
+    _cauchy_lattice_sum,
     cauchy_psf_report,
     fit_moderate_constant,
     gaussian_density,
@@ -149,6 +151,27 @@ def test_cauchy_report_consistent_mode():
     assert rep.density_sum.value == pytest.approx(COTH_PI, abs=1e-11)
     assert rep.transform_sum.value == pytest.approx(COTH_PI, abs=1e-11)
     assert rep.defect <= rep.density_sum.error_bound + rep.transform_sum.error_bound + 1e-12
+
+
+def _cauchy_lattice_sum_loop(c, cutoff=5000):
+    # the scalar form, one add per n
+    acc = CompensatedSum()
+    g = lambda u: 2.0 * c / (c * c + 4.0 * math.pi * math.pi * u * u)
+    acc.add(g(0.0))
+    for n in range(1, cutoff + 1):
+        acc.add(2.0 * g(float(n)))
+    m = cutoff + 0.5
+    acc.add(2.0 * (0.5 - math.atan(_TWO_PI * m / c) / math.pi))
+    w = _TWO_PI * m
+    gp = 8.0 * math.pi * c * w / (c * c + w * w) ** 2
+    return EvalResult(acc.value, gp / 12.0, cutoff + 1, True)
+
+
+@pytest.mark.parametrize("c", [0.05, 1.0, _TWO_PI, 30.0])
+def test_cauchy_lattice_sum_matches_the_scalar_loop(c):
+    got = _cauchy_lattice_sum(c)
+    ref = _cauchy_lattice_sum_loop(c)
+    assert got == ref and repr(got) == repr(ref)
 
 
 def test_cauchy_report_rejects_unknown_convention():
