@@ -20,8 +20,6 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Callable, ClassVar, Mapping, Sequence
 
-import numpy as np
-
 from .core import (
     CompensatedSum,
     EvalResult,
@@ -407,6 +405,8 @@ def _d_members(S: Sequence[int], height: int) -> tuple[np.ndarray, ...]:
     whose cells (b, |a|) give the members a/b and -a/b.  A grid of more
     than _D_CELL_LIMIT cells is refused before it is built.
     """
+    import numpy as np
+
     if height < 1:
         raise ParameterError("height must be >= 1")
     if height >= _D_HEIGHT_LIMIT:
@@ -508,6 +508,8 @@ def rational_char_sum(
     and their order of addition are those of the bs_eval loop, bit for bit.
     """
     if mode == "direct":
+        import numpy as np
+
         if not spec.S:
             raise ParameterError("direct mode needs a nonempty S")
         schedule = sorted({int(h) for h in height_schedule})

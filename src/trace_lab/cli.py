@@ -24,8 +24,6 @@ from fractions import Fraction
 from functools import partial
 from typing import Callable, Mapping, NamedTuple, Sequence
 
-import numpy as np
-
 from .adeles import (
     AdelePoint,
     BruhatSchwartzSpec,
@@ -82,7 +80,12 @@ def _plain(v):
     """Coerce numpy scalars to built-in types for JSON/CSV emission."""
     if v is None or isinstance(v, (bool, str)):
         return v
-    if isinstance(v, (int, float, np.integer, np.floating)):
+    if isinstance(v, (int, float)):
+        return float(v)
+    # a numpy scalar exists only once numpy is loaded
+    import numpy as np
+
+    if isinstance(v, (np.integer, np.floating)):
         return float(v)
     if isinstance(v, np.bool_):
         return bool(v)
@@ -581,6 +584,8 @@ _COUNT_MAX = {"mc-haar": 1 << 22, "rr-check": 100_000}
 
 
 def _cmd_mc_haar(P: _Params) -> list[ResultRow]:
+    import numpy as np
+
     p = P.int_("p", required=True, minimum=2)
     depth = P.int_("depth", 64, minimum=1)
     count = P.int_("count", 100_000, minimum=1, maximum=_COUNT_MAX["mc-haar"])

@@ -12,8 +12,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable
 
-import numpy as np
-
 
 class TraceLabError(Exception):
     """Base class for errors raised by this package."""
@@ -109,6 +107,8 @@ class CompensatedSum:
 
     def extend(self, xs: Iterable[float]) -> None:
         """add(x) for each x of xs in order, on arrays."""
+        import numpy as np
+
         if not isinstance(xs, (np.ndarray, list, tuple)):
             xs = list(xs)
         x = np.asarray(xs, dtype=np.float64)

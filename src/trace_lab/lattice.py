@@ -19,8 +19,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
 
-import numpy as np
-
 from .core import (
     CapabilityError,
     CompensatedSum,
@@ -68,6 +66,8 @@ def _shells(
     n_i x_i in coordinate order by broadcasting, so each element is the
     per-point sum bit for bit.  No per-point coordinate array is built.
     """
+    import numpy as np
+
     top = shells - 1
     sq = np.arange(-top, top + 1, dtype=np.int64) ** 2
     part = sq
@@ -85,6 +85,8 @@ def _shells(
 
 
 def _shell_phase(d: int, m: int, x: tuple[float, ...]) -> np.ndarray:
+    import numpy as np
+
     # the face's axes hold the coordinates other than f in order, then f
     full = np.arange(-m, m + 1, dtype=np.int64)
     phases = []
@@ -145,6 +147,8 @@ def _weights(sym: StableSymbol, t: float, ks: np.ndarray) -> np.ndarray:
     exponential stay scalar (Python ** and math.exp), because np.power and
     np.exp take CPU-dependent SIMD paths that differ in the last bit.
     """
+    import numpy as np
+
     r = np.sqrt(ks).tolist()
     w = t * (sym.sigma * np.fromiter(map(pow, r, repeat(sym.alpha)), np.float64, len(r)))
     e = np.fromiter(map(math.exp, (-w).tolist()), np.float64, len(r))
@@ -159,6 +163,8 @@ def _shell_sums(e: np.ndarray, phase: np.ndarray | None) -> np.ndarray:
     or None for x = 0.  Each row is summed left to right, as `shell += e`
     would; np.cos on float64 calls the same libm cos as math.cos.
     """
+    import numpy as np
+
     if phase is not None:
         live = e != 0.0
         e[live] *= np.cos(_TWO_PI * phase[live])
@@ -172,6 +178,8 @@ _D1_BLOCK = 4096
 def _spectral_sum(
     sym: StableSymbol, t: float, x: tuple[float, ...] | None, plan: ShellSumPlan
 ) -> EvalResult:
+    import numpy as np
+
     c = t * sym.sigma
     alpha = sym.alpha
     d = sym.d
@@ -275,6 +283,8 @@ def _cauchy_tail(c: float, m: float) -> tuple[float, float]:
 
 
 def _wrapped_cauchy_1d(c: float, x0: float, cutoff: int = 4000) -> EvalResult:
+    import numpy as np
+
     acc = CompensatedSum()
     acc.add(_cauchy_g(c, x0))
     n = np.arange(1, cutoff + 1)
@@ -415,6 +425,8 @@ def potential_identity(alpha: float, sigma: float) -> PotentialReport:
     n-sum diverges and only a flag is returned.  For the gaussian
     (alpha, sigma) = (2, pi) the reference 2 zeta(2)/pi is pi/3.
     """
+    import numpy as np
+
     sym = StableSymbol(alpha, sigma)
     if alpha <= 1.0:
         return PotentialReport(alpha, sigma, True, None, None)

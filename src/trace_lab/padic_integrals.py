@@ -29,8 +29,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable
 
-import numpy as np
-
 from .core import (
     CompensatedSum,
     EvalResult,
@@ -327,6 +325,8 @@ class HaarSample:
     counts: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        import numpy as np
+
         object.__setattr__(self, "counts", np.bincount(self.valuations, minlength=self.depth + 1))
 
     def _frequency(self, hits: int) -> tuple[float, float]:
@@ -350,6 +350,8 @@ class HaarSample:
         g is evaluated once per occupied norm; the mean and the sample
         variance (ddof = 1) are count-weighted fsums over those norms.
         """
+        import numpy as np
+
         if self.count < 2:
             raise ParameterError("a standard error needs count >= 2")
         k = np.flatnonzero(self.counts)
@@ -375,6 +377,8 @@ def _block_valuation(x: np.ndarray, p: int, kk: int) -> np.ndarray:
     trailing-zero count: x & -x is the lowest set bit 2^v, exact as a
     float, and frexp returns v + 1 as its exponent.
     """
+    import numpy as np
+
     if p == 2:
         _, v = np.frexp((x & -x).astype(np.float64))
         v -= 1
@@ -401,6 +405,8 @@ def mc_haar_zp(p: int, depth: int = 64, count: int = 100_000, seed: int = 0) -> 
     done + v_p(block); a row that is zero in every block gets depth.  The valuations come from the
     digits alone, never from the shell masses p^{-n}(1 - 1/p) they check.
     """
+    import numpy as np
+
     require_prime(p)
     if p >= 2**63:
         raise ParameterError(f"mc_haar_zp needs p < 2^63, got p={p}")

@@ -12,8 +12,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .core import (
     CompensatedSum,
     EvalResult,
@@ -271,6 +269,8 @@ class PsfSumReport:
 
 
 def _cauchy_lattice_sum(c: float, cutoff: int = 5000) -> EvalResult:
+    import numpy as np
+
     # sum over n in Z of 2c/(c^2 + 4 pi^2 n^2), tail by midpoint comparison:
     # sum_{n>N} g(n) = (1/pi)(pi/2 - arctan(2 pi (N+1/2)/c)) + O(|g'|/24)
     acc = CompensatedSum()

@@ -13,6 +13,7 @@ import tracemalloc
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import trace_lab
@@ -58,6 +59,32 @@ def test_report_is_json_clean():
     text = render_report(rep)
     assert "np.float64" not in text
     assert json.loads(text) == rep
+
+
+@pytest.mark.parametrize(
+    "value, expected",
+    [
+        (None, None),
+        (True, True),
+        ("x", "x"),
+        (3, 3.0),
+        (2.5, 2.5),
+        (np.float64(0.1), 0.1),
+        (np.int64(-7), -7.0),
+        (np.bool_(True), True),
+        (np.bool_(False), False),
+    ],
+)
+def test_plain_gives_builtin_values(value, expected):
+    out = cli._plain(value)
+    assert out == expected
+    assert type(out) is type(expected)
+
+
+@pytest.mark.parametrize("value", [1j, np.complex128(1)])
+def test_plain_refuses_other_values(value):
+    with pytest.raises(ParameterError):
+        cli._plain(value)
 
 
 def test_csv_rendering():

@@ -1,4 +1,5 @@
-"""scipy loads only where real-line or torus quadrature runs."""
+"""numpy loads only for requests that compute on arrays, and scipy only
+where real-line or torus quadrature runs."""
 from __future__ import annotations
 
 import ast
@@ -10,42 +11,59 @@ from pathlib import Path
 
 import trace_lab
 
-# one request of each subcommand that needs no quadrature
-_SCIPY_FREE = [
+# one request of each subcommand, or mode, that computes on no array
+_NUMPY_FREE = [
     ("theta", {"t": "1"}),
     ("padic-gamma", {"p": "3", "s": "0.3,0.7", "mode": "both"}),
     ("padic-integral", {"p": "2", "gamma": "1", "tau": "1", "domain": "both"}),
     ("padic-density", {"p": "2", "gamma": "1", "x": "1/4,1,4", "method": "both"}),
     ("padic-mass", {"p": "3", "gamma": "1/2"}),
-    ("mc-haar", {"p": "2", "count": "1000"}),
-    ("char-sum", {"mode": "direct", "heights": "4,8"}),
     ("idele-norm", {"diagonal": "84/55"}),
     ("adele-eval", {"side": "char", "y": "inf=1,fill=1", "x": "inf=0,2=1/2"}),
+    ("rr-check", {"parts": "product,reduction", "count": "50"}),
+    ("char-sum", {"mode": "paper_bound"}),
+]
+
+# requests that sum on arrays but need no quadrature
+_SCIPY_FREE = [
+    ("char-sum", {"mode": "direct", "heights": "4,8"}),
+    ("mc-haar", {"p": "2", "count": "1000"}),
     ("cauchy-report", {"convention": "consistent"}),
     ("potential-identity", {"kind": "gaussian"}),
-    ("rr-check", {"parts": "product,reduction", "count": "50"}),
 ]
 
 _PROBE = """
-import json, sys
-from trace_lab.cli import CommandRequest, run_request
+import contextlib, io, json, sys
 
-out = {}
+def loaded():
+    return ["numpy" in sys.modules, "scipy" in sys.modules]
+
+out = []
+import trace_lab
+out.append(loaded())
+from trace_lab.cli import CommandRequest, main, run_request
+out.append(loaded())
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(["--help"])
+out.append([code] + loaded())
 for sub, params in json.loads(sys.argv[1]):
     code, _ = run_request(CommandRequest(sub, params))
-    out[sub] = [code, "scipy" in sys.modules]
+    out.append([code] + loaded())
 code, _ = run_request(CommandRequest("psf-check", {}))
-out["psf-check"] = [code, "scipy" in sys.modules]
+out.append([code] + loaded())
 print(json.dumps(out))
 """
 
 
-def test_scipy_loads_only_for_quadrature():
+def test_numpy_and_scipy_load_only_for_the_requests_that_use_them():
+    """One fresh interpreter: after the import, --help and each request of
+    _NUMPY_FREE, neither library is loaded; the first array request loads
+    numpy, and scipy stays out until psf-check runs a quadrature."""
     src = str(Path(trace_lab.__file__).resolve().parent.parent)
     path = os.environ.get("PYTHONPATH")
     env = dict(os.environ, PYTHONPATH=src if not path else src + os.pathsep + path)
     proc = subprocess.run(
-        [sys.executable, "-c", _PROBE, json.dumps(_SCIPY_FREE)],
+        [sys.executable, "-c", _PROBE, json.dumps(_NUMPY_FREE + _SCIPY_FREE)],
         capture_output=True,
         text=True,
         env=env,
@@ -53,13 +71,20 @@ def test_scipy_loads_only_for_quadrature():
     )
     assert proc.returncode == 0, proc.stderr
     out = json.loads(proc.stdout)
-    for sub, _ in _SCIPY_FREE:
-        assert out[sub] == [0, False], sub
-    assert out["psf-check"] == [0, True]
+    assert out[0] == [False, False], "import trace_lab"
+    assert out[1] == [False, False], "import trace_lab.cli"
+    assert out[2] == [0, False, False], "--help"
+    rows = out[3:]
+    for (sub, params), row in zip(_NUMPY_FREE, rows):
+        assert row == [0, False, False], (sub, params)
+    rows = rows[len(_NUMPY_FREE) :]
+    for (sub, params), row in zip(_SCIPY_FREE, rows):
+        assert row == [0, True, False], (sub, params)
+    assert rows[len(_SCIPY_FREE) :] == [[0, True, True]], "psf-check"
 
 
-def _scipy_imports(tree: ast.AST) -> list[tuple[int, bool]]:
-    """(line, inside a function body) of every import that names scipy."""
+def _imports_of(tree: ast.AST, module: str) -> list[tuple[int, bool]]:
+    """(line, inside a function body) of every import that names module."""
     found = []
 
     def visit(node: ast.AST, in_function: bool) -> None:
@@ -70,7 +95,7 @@ def _scipy_imports(tree: ast.AST) -> list[tuple[int, bool]]:
                 names = [child.module or ""]
             else:
                 names = []
-            if any(n == "scipy" or n.startswith("scipy.") for n in names):
+            if any(n == module or n.startswith(module + ".") for n in names):
                 found.append((child.lineno, in_function))
             visit(child, in_function or isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)))
 
@@ -78,16 +103,32 @@ def _scipy_imports(tree: ast.AST) -> list[tuple[int, bool]]:
     return found
 
 
-def test_only_the_quadrature_module_imports_scipy_and_only_in_functions():
+def _package_trees() -> list[tuple[str, ast.AST]]:
     package = Path(trace_lab.__file__).resolve().parent
+    return [
+        (path.name, ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
+        for path in sorted(package.glob("*.py"))
+    ]
+
+
+def test_only_the_quadrature_module_imports_scipy_and_only_in_functions():
     seen = False
-    for path in sorted(package.glob("*.py")):
-        imports = _scipy_imports(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
-        if path.name == "quadrature.py":
+    for name, tree in _package_trees():
+        imports = _imports_of(tree, "scipy")
+        if name == "quadrature.py":
             seen = bool(imports)
             assert all(in_function for _, in_function in imports), imports
         else:
-            assert imports == [], (path.name, imports)
+            assert imports == [], (name, imports)
+    assert seen
+
+
+def test_numpy_is_imported_only_in_function_bodies():
+    seen = 0
+    for name, tree in _package_trees():
+        imports = _imports_of(tree, "numpy")
+        seen += len(imports)
+        assert all(in_function for _, in_function in imports), (name, imports)
     assert seen
 
 

@@ -413,7 +413,7 @@ def test_scale_by_idele_matches_per_window_loop(a_map):
     strict=True,
     raises=AssertionError,
     reason="the declared bound covers the omitted inner shells, not the rounding "
-    "of the window sum (ROADMAP item 5)",
+    "of the window sum (ROADMAP item 10)",
 )
 @pytest.mark.parametrize(
     "p, gamma, ct, n", [(5, 2.0, 0.5, 11), (3, 0.5, 1.0, 53), (2, 1.0, 1.0, 17)]
