@@ -21,6 +21,7 @@ _NUMPY_FREE = [
     ("idele-norm", {"diagonal": "84/55"}),
     ("adele-eval", {"side": "char", "y": "inf=1,fill=1", "x": "inf=0,2=1/2"}),
     ("rr-check", {"parts": "product,reduction", "count": "50"}),
+    ("adelic-theta", {"lam": "1"}),
     ("char-sum", {"mode": "paper_bound"}),
 ]
 
