@@ -63,10 +63,8 @@ from .adeles import (
     adele_char,
     adelic_theta_reduction,
     bs_eval,
-    enumerate_D,
     gaussian_factor,
     idele_norm,
-    is_in_D,
     make_mu_spec,
     rational_char_sum,
     scale_by_idele,
@@ -118,7 +116,6 @@ __all__ = [
     "char_fn",
     "char_qp",
     "density",
-    "enumerate_D",
     "exp_norm_function",
     "exp_radial_closed",
     "format_rational",
@@ -128,7 +125,6 @@ __all__ = [
     "gaussian_law",
     "idele_norm",
     "integrate_radial",
-    "is_in_D",
     "make_mu_spec",
     "mass_check",
     "mc_haar_zp",

@@ -396,7 +396,9 @@ _D_CELL_LIMIT = 17 * _D_HEIGHT_LIMIT
 
 
 def _d_members(S: Sequence[int], height: int) -> tuple[np.ndarray, ...]:
-    """D up to `height`, ordered by max(|a|, b) then numerically, as arrays.
+    """D up to `height` as arrays: all r = a/b with |a| <= height, b an
+    S-smooth positive integer <= height, gcd(a, b) = 1, ordered by
+    max(|a|, b) then numerically.
 
     Returns (b, vb, a, row, h).  The denominators b are built as products of
     the primes of S, so their valuation vectors vb (v_p(b) for p in sorted
@@ -437,31 +439,6 @@ def _d_members(S: Sequence[int], height: int) -> tuple[np.ndarray, ...]:
     h = np.maximum(np.abs(a), den)
     order = np.lexsort((a / den, h))
     return b, vb, a[order], row[order], h[order]
-
-
-def enumerate_D(S: Sequence[int], height: int) -> list[Fraction]:
-    """All r = a/b with |a| <= height, b an S-smooth positive integer
-    <= height, gcd(a, b) = 1, ordered by max(|a|, b) then numerically.
-
-    These are the members of _d_members, which rational_char_sum sums
-    over, as fractions.
-    """
-    b, _, a, row, _ = _d_members(S, height)
-    return [Fraction(n, d) for n, d in zip(a.tolist(), b[row].tolist())]
-
-
-def is_in_D(r: Rational, S: Sequence[int]) -> bool:
-    """gamma_p(r) != 0 for every p outside S, i.e. the denominator is S-smooth:
-    dividing out the primes of S leaves 1."""
-    b = Fraction(r).denominator
-    for p in {require_prime(int(p)) for p in S}:
-        while b % p == 0:
-            b //= p
-    return b == 1
-
-
-def d_height(r: Fraction) -> int:
-    return max(abs(r.numerator), r.denominator)
 
 
 @dataclass(frozen=True)
@@ -650,10 +627,10 @@ class ScaledDensity:
     def norm(self) -> float | Fraction:
         return idele_norm(self.a)
 
-    def eval(self, x: AdelePoint, plan: ShellSumPlan = _DEFAULT_PLAN) -> EvalResult:
+    def eval(self, x: AdelePoint) -> EvalResult:
         """||a|| f(ax).  A norm beyond double range saturates to inf; the
         value is then +-inf, unconverged, unless f(ax) is 0."""
-        base = bs_eval(self.spec, scale_point(self.a, x), "density", plan)
+        base = bs_eval(self.spec, scale_point(self.a, x), "density")
         nrm = rational_float(self.norm)
         if math.isfinite(nrm):
             return EvalResult(base.value * nrm, base.error_bound * nrm, base.terms_used, base.converged)

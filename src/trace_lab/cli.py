@@ -257,10 +257,8 @@ class _Params:
             raise ParameterError(f"--{key} must be <= {maximum}, got {val}")
         return val
 
-    def rational_(
-        self, key: str, default: str | None = None, required: bool = False
-    ) -> Fraction | None:
-        return self._get(key, default, required, _number(key, "rational"), format_rational)
+    def rational_(self, key: str) -> Fraction | None:
+        return self._get(key, None, False, _number(key, "rational"), format_rational)
 
     def _list(
         self,

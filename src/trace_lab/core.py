@@ -8,7 +8,7 @@ instead of bare tolerances.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
@@ -132,12 +132,6 @@ class CompensatedSum:
     @property
     def value(self) -> float:
         return self._s + self._c
-
-
-def comp_sum(terms: Iterable[float]) -> float:
-    acc = CompensatedSum()
-    acc.extend(terms)
-    return acc.value
 
 
 def product_results(parts: Iterable[EvalResult]) -> EvalResult:

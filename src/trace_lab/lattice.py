@@ -109,11 +109,6 @@ def _shell_tail_head(d: int, c: float, alpha: float, m_next: float) -> tuple[flo
     return pref, m_next ** (d - 1) * (math.exp(-w) if w < 745.0 else 0.0)
 
 
-def _shell_tail_bound(d: int, c: float, alpha: float, m_next: float) -> float:
-    pref, first = _shell_tail_head(d, c, alpha, m_next)
-    return pref * (first + stretched_exp_tail(d, c, alpha, m_next))
-
-
 def _normalize_point(x, d: int) -> tuple[float, ...]:
     if isinstance(x, (int, float, Fraction)):
         x = (x,)
@@ -282,9 +277,10 @@ def _cauchy_tail(c: float, m: float) -> tuple[float, float]:
     return val, (gp + gpp) / 24.0
 
 
-def _wrapped_cauchy_1d(c: float, x0: float, cutoff: int = 4000) -> EvalResult:
+def _wrapped_cauchy_1d(c: float, x0: float) -> EvalResult:
     import numpy as np
 
+    cutoff = 4000
     acc = CompensatedSum()
     acc.add(_cauchy_g(c, x0))
     n = np.arange(1, cutoff + 1)
@@ -297,14 +293,9 @@ def _wrapped_cauchy_1d(c: float, x0: float, cutoff: int = 4000) -> EvalResult:
     return EvalResult(acc.value, bound, 2 * cutoff + 1, True)
 
 
-def _wrapped_stable_numeric_1d(
-    symbol: StableSymbol,
-    t: float,
-    x0: float,
-    quad: QuadratureConfig,
-    direct_radius: int = 32,
-    k_max: int = 6,
-) -> EvalResult:
+def _wrapped_stable_numeric_1d(symbol: StableSymbol, t: float, x0: float) -> EvalResult:
+    direct_radius = 32
+    k_max = 6
     alpha = symbol.alpha
     acc = CompensatedSum()
     bound = 0.0
@@ -318,7 +309,7 @@ def _wrapped_stable_numeric_1d(
         u = abs(x0 + n)
         r = densities.get(u)
         if r is None:
-            r = densities[u] = stable_density_numeric(symbol, t, u, quad, envelope)
+            r = densities[u] = stable_density_numeric(symbol, t, u, _LATTICE_QUAD, envelope)
             neval += r.terms_used
         acc.add(r.value)
         bound += r.error_bound
@@ -340,7 +331,7 @@ def _wrapped_stable_numeric_1d(
     q_min = min(q_right, q_left)
     next_order = abs(coeffs[-1]) * hurwitz_zeta(alpha * (k_max + 1) + 1.0, q_min) / math.pi
     asym, _ = stable_asymptotic_density(symbol, t, q_min, k_max)
-    probe = stable_density_numeric(symbol, t, q_min, quad, envelope)
+    probe = stable_density_numeric(symbol, t, q_min, _LATTICE_QUAD, envelope)
     mismatch = abs(asym - probe.value) + probe.error_bound
     cal = mismatch * hurwitz_zeta(alpha + 1.0, q_min) * q_min ** (alpha + 1.0)
     bound += 2.0 * (next_order + cal)
@@ -370,7 +361,7 @@ def wrapped_density(
         raise CapabilityError("no density evaluator for d > 1 stable laws")
     if sym.alpha == 1.0:
         return _wrapped_cauchy_1d(a, xs[0])
-    return _wrapped_stable_numeric_1d(sym, t, xs[0], _LATTICE_QUAD)
+    return _wrapped_stable_numeric_1d(sym, t, xs[0])
 
 
 @dataclass(frozen=True)

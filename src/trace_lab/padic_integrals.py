@@ -135,7 +135,6 @@ def exp_radial_closed(
     gamma: float,
     tau: float,
     domain: str = "full",
-    tol: float = 1e-15,
 ) -> EvalResult:
     """Closed-form shell series for the integral of exp(-tau |y|^gamma).
 
@@ -152,6 +151,7 @@ def exp_radial_closed(
     if domain not in ("unit_ball", "full"):
         raise ParameterError(f"domain must be unit_ball or full, got {domain!r}")
 
+    tol = 1e-15
     g = exp_norm_function(tau, gamma)
     acc = CompensatedSum()
     terms = 0

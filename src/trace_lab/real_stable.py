@@ -242,22 +242,6 @@ def stable_asymptotic_density(
     return val, nxt
 
 
-def fit_moderate_constant(
-    symbol: StableSymbol,
-    t: float,
-    quad: QuadratureConfig = _DEFAULT_QUAD,
-    grid_max: float = 10.0,
-    grid_points: int = 41,
-) -> float:
-    """Fit K with |f(x)| <= K / (1 + |x|)^{1 + alpha} on [0, grid_max]."""
-    best = 0.0
-    for i in range(grid_points):
-        x = grid_max * i / (grid_points - 1)
-        f = stable_density(symbol, t, x, quad).value
-        best = max(best, abs(f) * (1.0 + x) ** (1.0 + symbol.alpha))
-    return best
-
-
 @dataclass(frozen=True)
 class PsfSumReport:
     """Both sides of sum_n f(n) = sum_n fhat(n) for the Cauchy law."""
@@ -268,9 +252,10 @@ class PsfSumReport:
     defect: float
 
 
-def _cauchy_lattice_sum(c: float, cutoff: int = 5000) -> EvalResult:
+def _cauchy_lattice_sum(c: float) -> EvalResult:
     import numpy as np
 
+    cutoff = 5000
     # sum over n in Z of 2c/(c^2 + 4 pi^2 n^2), tail by midpoint comparison:
     # sum_{n>N} g(n) = (1/pi)(pi/2 - arctan(2 pi (N+1/2)/c)) + O(|g'|/24)
     acc = CompensatedSum()
@@ -310,17 +295,3 @@ def cauchy_psf_report(convention: str = "consistent") -> PsfSumReport:
     spec = EvalResult(spec_val, 1e-15, 1, True)
     return PsfSumReport("consistent", dens, spec, abs(dens.value - spec.value))
 
-
-def gaussian_transform_numeric(
-    t: float, y: float, quad: QuadratureConfig = _DEFAULT_QUAD
-) -> EvalResult:
-    """Quadrature of int gaussian_density(t,x) e^{-2 pi i x y} dx (real part)."""
-    if t <= 0:
-        raise ParameterError("gaussian_transform_numeric needs t > 0")
-    half = math.sqrt(t * math.log(1.0 / ENVELOPE_CUTOFF) / math.pi)
-    v, e, neval, _ = panel(
-        lambda x: gaussian_density(t, x) * math.cos(_TWO_PI * x * y), -half, half, quad, 8.0, 1e-13
-    )
-    tail = 2.0 * ENVELOPE_CUTOFF * half
-    bound = e + tail
-    return EvalResult(v, bound, neval, bound <= quad.abs_tol)

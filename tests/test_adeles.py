@@ -21,11 +21,8 @@ from trace_lab.adeles import (
     adele_char,
     adelic_theta_reduction,
     bs_eval,
-    d_height,
-    enumerate_D,
     gaussian_factor,
     idele_norm,
-    is_in_D,
     make_mu_spec,
     rational_char_sum,
     scale_by_idele,
@@ -389,25 +386,46 @@ def test_bs_eval_checks_the_indicators_before_any_factor(monkeypatch):
 # ---------------------------------------------------------------------------
 
 
+def _d_fractions(S, height):
+    """The members of D up to `height`, from _d_members, as fractions."""
+    b, _, a, row, _ = adeles._d_members(S, height)
+    return [Fraction(n, d) for n, d in zip(a.tolist(), b[row].tolist())]
+
+
+def _s_smooth(r, S):
+    """The denominator of r is S-smooth: dividing out the primes of S leaves 1."""
+    b = Fraction(r).denominator
+    for p in S:
+        while b % p == 0:
+            b //= p
+    return b == 1
+
+
+def _height(r):
+    return max(abs(r.numerator), r.denominator)
+
+
 def test_enumerate_d_small():
-    rs = enumerate_D([2], 2)
+    rs = _d_fractions([2], 2)
     assert [str(r) for r in rs] == ["-1", "0", "1", "-2", "-1/2", "1/2", "2"]
     for r in rs:
-        assert is_in_D(r, [2])
-        assert d_height(r) <= 2
-    assert not is_in_D(Fraction(1, 3), [2])
-    assert is_in_D(Fraction(1, 3), [2, 3])
+        assert _s_smooth(r, [2])
+        assert _height(r) <= 2
+    assert not _s_smooth(Fraction(1, 3), [2])
+    assert _s_smooth(Fraction(1, 3), [2, 3])
 
 
 @given(st.integers(-60, 60), st.integers(0, 5), st.integers(0, 3))
 def test_d_membership(a, i, j):
     q = Fraction(a, 2**i * 3**j)
-    assert is_in_D(q, [2, 3])
-    assert d_height(q) == max(abs(q.numerator), q.denominator)
+    assert _s_smooth(q, [2, 3])
+    # q is a member of D at its own height, and _d_members reports that height
+    b, _, num, row, h = adeles._d_members([2, 3], _height(q))
+    assert (q.numerator, q.denominator, _height(q)) in zip(num.tolist(), b[row].tolist(), h.tolist())
 
 
 def test_enumerate_d_is_complete():
-    rs = set(enumerate_D([2, 3], 12))
+    rs = set(_d_fractions([2, 3], 12))
     for num in range(-12, 13):
         for den in (1, 2, 3, 4, 6, 8, 9, 12):
             q = Fraction(num, den)
@@ -417,12 +435,14 @@ def test_enumerate_d_is_complete():
 
 def test_is_in_d_large_prime_denominator():
     q = Fraction(1, 2 * 1000003)
-    assert not is_in_D(q, [2])
-    assert is_in_D(q, [2, 1000003])
-    assert is_in_D(Fraction(1000003, 2**40), [2])
-    assert is_in_D(Fraction(-7), [3])
+    assert not _s_smooth(q, [2])
+    assert _s_smooth(q, [2, 1000003])
+    assert _s_smooth(Fraction(1000003, 2**40), [2])
+    assert _s_smooth(Fraction(-7), [3])
+    # a prime of S above the height adds no denominator
+    assert _d_fractions([2, 1000003], 30) == _d_fractions([2], 30)
     with pytest.raises(ParameterError):
-        is_in_D(Fraction(1, 4), [4])
+        adeles._d_members([4], 8)
 
 
 def _enumerate_D_oracle(S, height):
@@ -454,7 +474,7 @@ def _char_sum_oracle(spec, height_schedule):
     partials = []
     idx = 0
     for h in schedule:
-        while idx < len(rs) and d_height(rs[idx]) <= h:
+        while idx < len(rs) and _height(rs[idx]) <= h:
             acc.add(bs_eval(spec, AdelePoint.diagonal(rs[idx]), "transform").value)
             idx += 1
         partials.append(acc.value)
@@ -469,8 +489,8 @@ _D_PRIMES = ([2], [3], [2, 3], [2, 3, 5], [7, 11])
 @pytest.mark.parametrize("S", _D_PRIMES, ids=str)
 def test_enumerate_d_matches_fraction_oracle(S):
     for height in (1, 2, 3, 12, 100, 512):
-        assert enumerate_D(S, height) == _enumerate_D_oracle(S, height)
-    assert enumerate_D(list(reversed(S)) + S, 30) == _enumerate_D_oracle(S, 30)
+        assert _d_fractions(S, height) == _enumerate_D_oracle(S, height)
+    assert _d_fractions(list(reversed(S)) + S, 30) == _enumerate_D_oracle(S, 30)
 
 
 _PRIMES_BELOW_30 = [p for p in range(2, 30) if is_prime(p)]
@@ -483,7 +503,7 @@ _PRIMES_BELOW_30 = [p for p in range(2, 30) if is_prime(p)]
 )
 def test_enumerate_d_matches_fraction_oracle_for_any_s(S, height):
     # S in any order and with repeats: D depends only on the set of primes
-    assert enumerate_D(S, height) == _enumerate_D_oracle(S, height)
+    assert _d_fractions(S, height) == _enumerate_D_oracle(S, height)
 
 
 def test_height_at_the_cap_is_refused_before_the_grid_is_built(capsys):
@@ -492,14 +512,14 @@ def test_height_at_the_cap_is_refused_before_the_grid_is_built(capsys):
     tracemalloc.start()
     try:
         with pytest.raises(ParameterError, match="height must be < 131072"):
-            enumerate_D([2], 1 << 17)
+            adeles._d_members([2], 1 << 17)
         assert main(["char-sum", "--heights", "8,131072"]) == 2
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert "131072" in capsys.readouterr().err
     assert peak < 1 << 20
-    assert enumerate_D([2], 1) == [Fraction(-1), Fraction(0), Fraction(1)]
+    assert _d_fractions([2], 1) == [Fraction(-1), Fraction(0), Fraction(1)]
 
 
 def test_d_past_the_cell_cap_is_refused_before_the_grid_is_built(capsys, monkeypatch):
@@ -509,7 +529,7 @@ def test_d_past_the_cell_cap_is_refused_before_the_grid_is_built(capsys, monkeyp
     tracemalloc.start()
     try:
         with pytest.raises(ParameterError, match=f"more than {cap} cells"):
-            enumerate_D([2, 3, 5, 7, 11, 13], (1 << 17) - 1)
+            adeles._d_members([2, 3, 5, 7, 11, 13], (1 << 17) - 1)
         assert main(["char-sum", "--S", "2,3,5,7,11,13", "--heights", "8,131071"]) == 2
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -520,9 +540,9 @@ def test_d_past_the_cell_cap_is_refused_before_the_grid_is_built(capsys, monkeyp
     assert cap >= 17 * (1 << 17)
     # at H = 512, S = {2} has 10 denominators: 5,130 cells
     monkeypatch.setattr(adeles, "_D_CELL_LIMIT", 10 * 513)
-    assert len(enumerate_D([2], 512)) == len(_enumerate_D_oracle([2], 512))
+    assert len(_d_fractions([2], 512)) == len(_enumerate_D_oracle([2], 512))
     with pytest.raises(ParameterError, match="more than 5130 cells"):
-        enumerate_D([2], 513)
+        adeles._d_members([2], 513)
 
 
 _SNAPSHOT = Path(__file__).resolve().parents[1] / "perfbench" / "reference"

@@ -14,7 +14,6 @@ from trace_lab.core import (
     CompensatedSum,
     EvalResult,
     ParameterError,
-    comp_sum,
     format_rational,
     is_prime,
     parse_number,
@@ -30,7 +29,9 @@ def test_compensated_sum_matches_fsum(xs):
     for x in xs:
         acc.add(x)
     assert math.isclose(acc.value, math.fsum(xs), rel_tol=0, abs_tol=1e-3)
-    assert comp_sum(xs) == acc.value
+    ext = CompensatedSum()
+    ext.extend(xs)
+    assert ext.value == acc.value
 
 
 @given(st.lists(st.floats(allow_nan=False), max_size=200), st.integers(min_value=0, max_value=200))
@@ -96,7 +97,9 @@ def test_compensated_extend_warns_about_nothing():
 def test_compensated_sum_beats_naive():
     # classic cancellation case: naive summation loses the small term
     terms = [1.0, 1e-16, -1.0] * 10_000
-    assert comp_sum(terms) == pytest.approx(1e-12, rel=1e-12)
+    acc = CompensatedSum()
+    acc.extend(terms)
+    assert acc.value == pytest.approx(1e-12, rel=1e-12)
 
 
 def test_is_prime_small():

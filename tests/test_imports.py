@@ -1,8 +1,10 @@
 """numpy loads only for requests that compute on arrays, and scipy only
-where real-line or torus quadrature runs."""
+where real-line or torus quadrature runs; the package holds no dead
+definitions or imports, and its exports resolve."""
 from __future__ import annotations
 
 import ast
+import inspect
 import json
 import os
 import subprocess
@@ -159,3 +161,74 @@ def test_bit_exact_sums_call_no_simd_libm():
             and node.attr in _SIMD_LIBM
         ]
         assert found == [], (name, found)
+
+
+def _named(node: ast.AST) -> set[str]:
+    """Every name the subtree reads, as a variable, an attribute or an import."""
+    out = set()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            out.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            out.add(n.attr)
+        elif isinstance(n, ast.alias):
+            out.add(n.name)
+    return out
+
+
+def test_every_private_definition_is_named_outside_its_body():
+    trees = _package_trees()
+    statements = [(stmt, _named(stmt)) for _, tree in trees for stmt in tree.body]
+    dead = [
+        f"{name[:-3]}.{stmt.name}"
+        for name, tree in trees
+        if name != "__init__.py"
+        for stmt in tree.body
+        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
+        and stmt.name.startswith("_")
+        and not any(stmt.name in names for other, names in statements if other is not stmt)
+    ]
+    assert dead == []
+
+
+# perfbench/test_perfbench.py::test_tracer_restores_every_binding checks that
+# the tracer restores semistable's binding of shell_char_integral
+_UNREAD_IMPORTS = {("semistable.py", "shell_char_integral")}
+
+
+def test_every_import_is_read_in_its_module():
+    unread = []
+    for name, tree in _package_trees():
+        if name == "__init__.py":
+            continue
+        read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    bound = alias.asname or alias.name.split(".")[0]
+                    if bound not in read and (name, bound) not in _UNREAD_IMPORTS:
+                        unread.append((name, node.lineno, bound))
+    assert unread == []
+
+
+def test_star_import_binds_every_exported_name():
+    names: dict = {}
+    exec("from trace_lab import *", names)
+    for name in trace_lab.__all__:
+        assert name in names and getattr(trace_lab, name) is names[name], name
+    # every public function or class __init__.py binds from a submodule,
+    # eagerly or on first use, is exported
+    tree = ast.parse(inspect.getsource(trace_lab))
+    bound = set(trace_lab._CLI_NAMES)
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            bound.update(alias.asname or alias.name for alias in node.names)
+    public = {
+        name
+        for name in bound
+        if not name.startswith("_")
+        and (inspect.isfunction(getattr(trace_lab, name)) or inspect.isclass(getattr(trace_lab, name)))
+    }
+    assert sorted(public - set(trace_lab.__all__)) == []

@@ -13,9 +13,7 @@ from trace_lab.real_stable import (
     StableSymbol,
     _cauchy_lattice_sum,
     cauchy_psf_report,
-    fit_moderate_constant,
     gaussian_density,
-    gaussian_transform_numeric,
     stable_asymptotic_coefficients,
     stable_density,
     stable_density_numeric,
@@ -62,16 +60,6 @@ def test_gaussian_density_self_dual(t, x):
     assert gaussian_density(t, x) == pytest.approx(
         math.exp(-math.pi * x * x / t) / math.sqrt(t), rel=1e-15
     )
-
-
-@given(
-    st.floats(min_value=0.3, max_value=3.0),
-    st.floats(min_value=-2.0, max_value=2.0),
-)
-@settings(max_examples=25, deadline=None)
-def test_gaussian_transform_numeric(t, y):
-    res = gaussian_transform_numeric(t, y)
-    assert abs(res.value - math.exp(-t * math.pi * y * y)) <= res.error_bound + 1e-10
 
 
 def test_stable_density_alpha2_closed_form():
@@ -131,7 +119,12 @@ def test_stable_asymptotic_leading_term():
 
 def test_moderate_decrease_constant():
     sym = StableSymbol(1.5, 1.0)
-    k = fit_moderate_constant(sym, 1.0)
+    # fit K with |f(x)| <= K / (1 + |x|)^{1 + alpha} on 41 points of [0, 10]
+    k = 0.0
+    for i in range(41):
+        x = 10.0 * i / 40
+        f = stable_density(sym, 1.0, x).value
+        k = max(k, abs(f) * (1.0 + x) ** (1.0 + sym.alpha))
     assert k > 0
     # fitted on [0, 10]; the envelope must keep dominating out to 100
     for x in (12.0, 25.0, 60.0, 100.0):
