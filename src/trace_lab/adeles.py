@@ -36,23 +36,14 @@ from .padic import (
     _char_qp,
     _norm_ratio,
     _valuation,
-    padic_norm,
     prime_support,
     rational_float,
-    valuation,
 )
-from .padic_integrals import ball_char_integral, norm_float, shell_char_kernel
+from .padic_integrals import norm_float, shell_char_kernel
 from .quadrature import ENVELOPE_CUTOFF, cos_panel, panel
 from .semistable import SemistableLaw, _ShellTable, _shell_mass, char_fn
 from .semistable import density as semistable_density
-from .real_stable import (
-    StableEnvelope,
-    StableSymbol,
-    gaussian_density,
-    stable_asymptotic_coefficients,
-    stable_density,
-    stable_density_numeric,
-)
+from .real_stable import StableSymbol, gaussian_density, stable_density
 
 _DEFAULT_PLAN = ShellSumPlan()
 _DEFAULT_QUAD = QuadratureConfig()
@@ -616,72 +607,19 @@ def adelic_theta_reduction(
     return ThetaReductionReport(lam, height, lhs, rhs)
 
 
-@dataclass(frozen=True)
-class ScaledDensity:
-    """Handle for f_a(x) = ||a|| f(ax)."""
-
-    spec: BruhatSchwartzSpec
-    a: Idele
-
-    @property
-    def norm(self) -> float | Fraction:
-        return idele_norm(self.a)
-
-    def eval(self, x: AdelePoint) -> EvalResult:
-        """||a|| f(ax).  A norm beyond double range saturates to inf; the
-        value is then +-inf, unconverged, unless f(ax) is 0."""
-        base = bs_eval(self.spec, scale_point(self.a, x), "density")
-        nrm = rational_float(self.norm)
-        if math.isfinite(nrm):
-            return EvalResult(base.value * nrm, base.error_bound * nrm, base.terms_used, base.converged)
-        if base.value == 0.0:
-            # the exact norm is finite, so times an exact 0 it is 0; a
-            # nonzero bound on that 0 is left unbounded by the huge norm
-            exact = base.error_bound == 0.0
-            return EvalResult(0.0, 0.0 if exact else math.inf, base.terms_used, base.converged and exact)
-        return EvalResult(base.value * nrm, math.inf, base.terms_used, False)
-
-
 def _real_scaled_mass(rf: RealFactor, a_inf: float, quad: QuadratureConfig) -> EvalResult:
-    """int |a| f(a u) du, numerically; converged is False when QUADPACK warns."""
+    """int |a| f(a u) du for the alpha = 2 real density, numerically;
+    converged is False when QUADPACK warns."""
     aa = abs(a_inf)
 
     def g(u: float) -> float:
         return aa * rf.density(a_inf * u).value
 
-    if rf.alpha == 2.0:
-        sig = rf.t * rf.sigma
-        half = math.sqrt(sig * math.log(1.0 / ENVELOPE_CUTOFF)) / math.pi / aa
-        v, e, neval, ok = panel(g, -half, half, quad, 8.0, 1e-13)
-        tail = 2.0 * ENVELOPE_CUTOFF * half * aa
-        return EvalResult(v, e + tail, neval, ok)
-    if rf.alpha == 1.0:
-        c = rf.t * rf.sigma
-        half = 64.0 * c / aa
-        v, e, neval, ok = panel(g, -half, half, quad, 8.0, 1e-13, points=[0.0])
-        # closed tail of the Cauchy integral beyond the panel
-        tail_val = 1.0 - 2.0 * math.atan(_TWO_PI * half * aa / c) / math.pi
-        return EvalResult(v + tail_val, e + 1e-14, neval, ok)
-    # numeric density: direct panel plus asymptotic-series tail integral
-    half = 32.0 / aa
-    sym = rf.symbol
-    # one envelope for every inversion of the panel: one law at one t
-    env = StableEnvelope(sym, rf.t)
-    v, e, neval, ok = panel(
-        lambda u: aa * stable_density_numeric(sym, rf.t, a_inf * u, envelope=env).value,
-        -half,
-        half,
-        quad,
-        4.0,
-        1e-11,
-    )
-    coeffs = stable_asymptotic_coefficients(sym, rf.t, 7)
-    edge = half * aa
-    tail_val = 2.0 * sum(
-        ck * edge ** (-sym.alpha * k) / (sym.alpha * k) for k, ck in enumerate(coeffs[:-1], 1)
-    ) / math.pi
-    tail_err = 2.0 * abs(coeffs[-1]) * edge ** (-sym.alpha * 7) / (sym.alpha * 7) / math.pi
-    return EvalResult(v + tail_val, e + 10.0 * tail_err, neval, ok)
+    sig = rf.t * rf.sigma
+    half = math.sqrt(sig * math.log(1.0 / ENVELOPE_CUTOFF)) / math.pi / aa
+    v, e, neval, ok = panel(g, -half, half, quad, 8.0, 1e-13)
+    tail = 2.0 * ENVELOPE_CUTOFF * half * aa
+    return EvalResult(v, e + tail, neval, ok)
 
 
 class _ScaledShells:
@@ -748,21 +686,12 @@ class ComponentCheck:
 
 @dataclass(frozen=True)
 class IdeleScalingReport:
-    scaled: ScaledDensity
     mass_checks: tuple[ComponentCheck, ...]
     fourier_checks: tuple[ComponentCheck, ...]
 
-    @property
-    def max_mass_defect(self) -> float:
-        return max((c.defect for c in self.mass_checks), default=0.0)
 
-    @property
-    def max_fourier_defect(self) -> float:
-        return max((c.defect for c in self.fourier_checks), default=0.0)
-
-
-def _fourier_grid(spec: BruhatSchwartzSpec, a: Idele, n_points: int) -> list[AdelePoint]:
-    primes = sorted(set(spec.S) | set(a.support))
+def _fourier_grid(spec: BruhatSchwartzSpec, n_points: int) -> list[AdelePoint]:
+    primes = spec.S
     reals = [0.0, 0.4, -0.9, 1.3, 2.1, -0.2, 0.75, 1.8, -1.1, 0.1]
     pows = [0, 1, -1, 2]
     grid = []
@@ -782,19 +711,20 @@ def scale_by_idele(
     plan: ShellSumPlan = _DEFAULT_PLAN,
     grid_points: int = 20,
 ) -> IdeleScalingReport:
-    """Scaled density handle plus its mass and Fourier-scaling checks.
+    """The mass and Fourier-scaling checks of f_a(x) = ||a|| f(ax).
 
     Masses are recomputed numerically component by component (each factor
-    rescales exactly, so every check must return 1); the transform of the
-    scaled density is compared against fhat(a^{-1}y) on a grid of adele
-    points, componentwise and as a product.
+    rescales exactly, so every check must return 1); the transform of f_a
+    is compared against fhat(a^{-1}y) on a grid of adele points,
+    componentwise and as a product.  The real factor must have alpha = 2,
+    and spec must hold a factor at every prime of a.
     """
     rf = spec.real_factor
-    if grid_points > 0 and rf.alpha not in (1.0, 2.0):
-        raise ParameterError(
-            "fourier scaling grid needs a closed-form real density (alpha in {1, 2})"
-        )
-    scaled = ScaledDensity(spec, a)
+    if rf.alpha != 2.0:
+        raise ParameterError(f"idele scaling needs a real factor with alpha = 2, got {rf.alpha!r}")
+    for p in a.support:
+        if p not in spec.finite_factors:
+            raise ParameterError(f"idele scaling needs a factor at every prime of a, none at p={p}")
     masses: list[ComponentCheck] = []
     m_inf = _real_scaled_mass(rf, float(a.real), quad)
     masses.append(ComponentCheck("inf", m_inf.value, m_inf.error_bound, 1.0, m_inf.converged))
@@ -802,72 +732,32 @@ def scale_by_idele(
     for p, sh in shells.items():
         r = sh.mass()
         masses.append(ComponentCheck(str(p), r.value, r.error_bound, 1.0, r.converged))
-    for p in a.support:
-        if p not in spec.finite_factors:
-            # |a_p| * vol(a_p^{-1} Z_p) is exactly 1
-            v = padic_norm(a.component(p), p).as_fraction() * Fraction(p) ** int(
-                valuation(a.component(p), p)
-            )
-            masses.append(ComponentCheck(f"{p} (unit-ball factor)", float(v), 0.0, 1.0, True))
 
     fourier: list[ComponentCheck] = []
     a_inv = a.inverse()
-    grid = _fourier_grid(spec, a, grid_points)
+    grid = _fourier_grid(spec, grid_points)
     transforms = {p: sh.transforms([y.component(p) for y in grid]) for p, sh in shells.items()}
     for i, y in enumerate(grid):
         lhs_parts: list[EvalResult] = []
         lhs_parts.append(_real_scaled_transform(rf, float(a.real), float(y.real), quad))
         for p in shells:
             lhs_parts.append(transforms[p][i])
-        for p in y.support:
-            if p not in spec.finite_factors:
-                va = int(valuation(a.component(p), p))
-                val = padic_norm(a.component(p), p).as_fraction() * ball_char_integral(
-                    p, va, y.component(p)
-                )
-                lhs_parts.append(EvalResult(float(val), 0.0, 1, True))
         lhs = product_results(lhs_parts)
         rhs = bs_eval(spec, scale_point(a_inv, y), "transform").value
         fourier.append(
             ComponentCheck(repr(y.to_dict()), lhs.value, lhs.error_bound, rhs, lhs.converged)
         )
-    return IdeleScalingReport(scaled, tuple(masses), tuple(fourier))
+    return IdeleScalingReport(tuple(masses), tuple(fourier))
 
 
 def _real_scaled_transform(
     rf: RealFactor, a_inf: float, y: float, quad: QuadratureConfig
 ) -> EvalResult:
     """Transform of |a| f(a .) at y by quadrature against cos(2 pi u y),
-    for a real density in closed form (alpha 1 or 2)."""
+    for the alpha = 2 real density."""
     aa = abs(a_inf)
-    if rf.alpha == 2.0:
-        sig = rf.t * rf.sigma
-        half = math.sqrt(sig * math.log(1.0 / ENVELOPE_CUTOFF)) / math.pi / aa
-        tail_val = 0.0
-        tail_err = 2.0 * ENVELOPE_CUTOFF * half * aa
-    else:
-        c = rf.t * rf.sigma
-        # panel edge X in the unscaled variable w = a u; beyond it the
-        # remainder comes from two integrations by parts of f(w) cos(bw)
-        beta = _TWO_PI * abs(y) / aa
-        big_x = 2048.0 * c if y == 0.0 else max(2048.0 * c, 8.0 * math.pi / beta)
-        half = big_x / aa
-
-        def fw(w: float) -> float:
-            return 2.0 * c / (c * c + 4.0 * math.pi ** 2 * w * w)
-
-        def fpw(w: float) -> float:
-            return -16.0 * math.pi ** 2 * c * w / (c * c + 4.0 * math.pi ** 2 * w * w) ** 2
-
-        if y == 0.0:
-            tail_val = 1.0 - 2.0 * math.atan(_TWO_PI * big_x / c) / math.pi
-            tail_err = 1e-15
-        else:
-            tail_val = (
-                -2.0 * fw(big_x) * math.sin(beta * big_x) / beta
-                - 2.0 * fpw(big_x) * math.cos(beta * big_x) / beta ** 2
-            )
-            tail_err = 2.0 * abs(fpw(big_x)) / beta ** 2
-
+    sig = rf.t * rf.sigma
+    half = math.sqrt(sig * math.log(1.0 / ENVELOPE_CUTOFF)) / math.pi / aa
+    tail_err = 2.0 * ENVELOPE_CUTOFF * half * aa
     v, e, neval, ok = cos_panel(lambda u: aa * rf.density(a_inf * u).value, half, y, quad)
-    return EvalResult(2.0 * v + tail_val, 2.0 * e + tail_err, neval, ok)
+    return EvalResult(2.0 * v, 2.0 * e + tail_err, neval, ok)

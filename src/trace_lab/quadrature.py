@@ -29,7 +29,7 @@ def panel(
 ) -> tuple[float, float, int, bool]:
     """QUADPACK on [a, b] with absolute tolerance quad.abs_tol / share.
 
-    Extra keywords (points, weight, wvar, maxp1) pass through to QUADPACK.
+    Extra keywords (weight, wvar, maxp1) pass through to QUADPACK.
     Returns (value, abserr, neval, no_warning); no_warning is False when
     QUADPACK warns, which it does by returning more than three items.
     """

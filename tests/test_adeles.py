@@ -659,62 +659,39 @@ def test_scale_by_idele_checks():
     spec = make_mu_spec(2.0, math.pi, 1.0, 1.0, 1.0, [2])
     a = Idele(2.0, {2: Fraction(1, 2)})
     rep = scale_by_idele(spec, a, grid_points=6)
-    assert rep.max_mass_defect <= 1e-9
+    assert max(c.defect for c in rep.mass_checks) <= 1e-9
     for chk in rep.fourier_checks:
         assert chk.defect <= chk.error_bound + 1e-8, chk.label
-    assert rep.scaled.norm == pytest.approx(float(idele_norm(a)))
 
 
-def test_scale_by_idele_refuses_a_numeric_real_density_at_entry(monkeypatch):
-    # the Fourier grid needs a closed-form real density: alpha = 1.5 is
-    # refused before the real mass quadrature runs, unless there is no grid
-    spec = make_mu_spec(1.5, 1.0, 1.0, 1.0, 1.0, [2])
-    a = Idele(2.0, {2: Fraction(1, 2)})
-    with monkeypatch.context() as m:
-        m.setattr(adeles, "_real_scaled_mass", lambda *args: pytest.fail("ran the mass quadrature"))
-        with pytest.raises(ParameterError, match="closed-form real density"):
-            scale_by_idele(spec, a, grid_points=4)
-    rep = scale_by_idele(spec, a, grid_points=0)
-    assert rep.fourier_checks == ()
-    assert [c.label for c in rep.mass_checks] == ["inf", "2"]
+@pytest.mark.parametrize(
+    "alpha, a",
+    [
+        (1.0, Idele(2.0, {2: Fraction(1, 2)})),
+        (1.5, Idele(2.0, {2: Fraction(1, 2)})),
+        (2.0, Idele(2.0, {3: Fraction(1, 3)})),
+    ],
+    ids=["alpha=1", "alpha=1.5", "3 outside S"],
+)
+def test_scale_by_idele_refuses_what_it_cannot_check_at_entry(monkeypatch, alpha, a):
+    # against S = {2}, a real factor off alpha = 2, or a prime of a without
+    # a factor, is refused before any quadrature or shell table is built
+    spec = make_mu_spec(alpha, math.pi, 1.0, 1.0, 1.0, [2])
+    monkeypatch.setattr(adeles, "_real_scaled_mass", lambda *args: pytest.fail("ran the mass quadrature"))
+    monkeypatch.setattr(adeles, "_ScaledShells", lambda *args: pytest.fail("built a shell table"))
+    with pytest.raises(ParameterError, match="idele scaling needs"):
+        scale_by_idele(spec, a, grid_points=4)
 
 
 def test_real_scaled_quadrature_reports_quadpack_warnings():
-    # ten panels cannot reach abs_tol 1e-30: QUADPACK then appends a
-    # warning to its output, and converged must say so
-    rf = adeles.RealFactor(1.0, 1.0, 1.0)
+    # ten panels cannot reach abs_tol 1e-30 on the oscillating transform:
+    # QUADPACK then appends a warning to its output, and converged must say
+    # so (the mass panel meets its relative tolerance within ten)
+    rf = gaussian_factor(1.0)
     starved = QuadratureConfig(abs_tol=1e-30, panel_limit=10)
-    mass = adeles._real_scaled_mass(rf, 2.0, starved)
-    assert not mass.converged and mass.error_bound > 0.1
-    assert not adeles._real_scaled_transform(rf, 2.0, 0.1, starved).converged
+    assert not adeles._real_scaled_transform(rf, 2.0, 3.1, starved).converged
     assert adeles._real_scaled_mass(rf, 2.0, QuadratureConfig()).converged
-    assert adeles._real_scaled_transform(rf, 2.0, 0.1, QuadratureConfig()).converged
-
-
-def test_real_scaled_mass_shares_one_envelope(monkeypatch):
-    # 483 inversions of one law at one t: with a fresh envelope each, they
-    # made 166,799 _safe_exp calls; one shared envelope makes one per node
-    rf = stable_factor(1.5, 1.0, 1.0)
-    calls = []
-    safe_exp = real_stable._safe_exp
-
-    def counting(w):
-        calls.append(w)
-        return safe_exp(w)
-
-    monkeypatch.setattr(real_stable, "_safe_exp", counting)
-    shared = adeles._real_scaled_mass(rf, 2.0, QuadratureConfig())
-    assert len(calls) <= 2000
-    assert len(set(calls)) == len(calls)
-    inversion = adeles.stable_density_numeric
-    monkeypatch.setattr(
-        adeles,
-        "stable_density_numeric",
-        lambda symbol, t, x, envelope=None: inversion(symbol, t, x),
-    )
-    fresh = adeles._real_scaled_mass(rf, 2.0, QuadratureConfig())
-    assert repr(shared) == repr(fresh)
-    assert shared.terms_used == 483
+    assert adeles._real_scaled_transform(rf, 2.0, 3.1, QuadratureConfig()).converged
 
 
 def test_scaled_shell_mass_stops_below_the_rounding_floor():
@@ -725,31 +702,6 @@ def test_scaled_shell_mass_stops_below_the_rounding_floor():
     assert not res.converged and res.error_bound == math.inf
     assert abs(res.value - 1.0) <= 1e-12
     assert res.terms_used < 1100
-
-
-def test_scaled_density_pointwise():
-    spec = make_mu_spec(2.0, math.pi, 1.0, 1.0, 1.0, [2])
-    a = Idele(2.0, {2: Fraction(1, 2)})
-    from trace_lab.adeles import ScaledDensity
-
-    sd = ScaledDensity(spec, a)
-    x = AdelePoint(0.3, {2: Fraction(2)})
-    direct = sd.eval(x)
-    ref = sd.norm * bs_eval(spec, scale_point(a, x), "density").value
-    assert direct.value == pytest.approx(ref, rel=1e-12)
-
-
-def test_scaled_density_past_double_range():
-    # ||a|| = 2^1100 saturates: a nonzero f(ax) gives inf, unconverged
-    spec = BruhatSchwartzSpec(gaussian_factor(1.0), {})
-    sd = adeles.ScaledDensity(spec, Idele(Fraction(1), {2: Fraction(1, 2**1100)}))
-    assert sd.norm == 2**1100
-    res = sd.eval(AdelePoint(0.0, {}))
-    assert res.value == math.inf and res.error_bound == math.inf
-    assert not res.converged
-    # a x outside Z_3 makes f(ax) an exact 0, and the finite norm keeps it 0
-    res = sd.eval(AdelePoint(0.0, {3: Fraction(1, 3)}))
-    assert (res.value, res.error_bound, res.converged) == (0.0, 0.0, True)
 
 
 # ---------------------------------------------------------------------------

@@ -230,6 +230,42 @@ def test_padic_mass_below_the_rounding_floor_exits_3():
     assert fourier and all(r["converged"] is False for r in fourier)
 
 
+# (name, value, error_bound) of each row of rr-check --parts scaling
+# --grid-points 5 at two values of --a
+_SCALING_ROWS = {
+    "inf=-3,3=1/9,5=25": [
+        ("scaled_mass[inf]", 1.0, 5.040794721470708e-11),
+        ("scaled_mass[2]", 0.9999999999999242, 7.580108799848702e-14),
+        ("scaled_mass[3]", 0.9999999999999672, 3.278536153304788e-14),
+        ("scaled_mass[5]", 0.9999999999999915, 8.74751148889345e-15),
+        ("fourier[0]", -9.754374415641893e-21, 3.545035081757635e-14),
+        ("fourier[1]", 0.15119515348861617, 2.5680892305676398e-11),
+        ("fourier[2]", 1.3992442576976245e-12, 1.0075242802070933e-14),
+        ("fourier[3]", 0.002603151641360655, 1.1931551161796002e-12),
+        ("fourier[4]", -2.092449610626469e-21, 7.604595737406845e-15),
+    ],
+    "inf=1/4,2=8": [
+        ("scaled_mass[inf]", 1.0, 5.0408106389138527e-11),
+        ("scaled_mass[2]", 0.9999999999999242, 7.580108799848702e-14),
+        ("fourier[0]", 0.0003354626279025021, 1.1691031840932428e-13),
+        ("fourier[1]", 5.8886888382429346e-06, 4.188812082501061e-12),
+        ("fourier[2]", 1.2249892443635752e-23, 8.90227703114428e-17),
+        ("fourier[3]", -2.4650775760644856e-18, 2.509949730503351e-10),
+        ("fourier[4]", -1.2366116538626034e-20, 9.601057952379303e-14),
+    ],
+}
+
+
+@pytest.mark.parametrize("a", sorted(_SCALING_ROWS))
+def test_rr_check_scaling_rows_off_the_default_idele_are_pinned(a):
+    # the benchmark snapshot holds only the default --a; these put S at
+    # {2, 3, 5} and the real component below 1
+    code, rep = run("rr-check", parts="scaling", grid_points="5", a=a)
+    assert code == 0
+    rows = [(r["name"], r["value"], r["error_bound"]) for r in rep["results"]]
+    assert rows == _SCALING_ROWS[a]
+
+
 def test_bruhat_schwartz_value_outside_the_unit_ball_is_zero():
     # |x_3|_3 = 3^700 is beyond double range; only v_3(x_3) < 0 matters
     for side in ("density", "transform"):

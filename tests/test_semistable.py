@@ -18,9 +18,8 @@ from trace_lab.core import (
     ShellSumPlan,
     product_results,
 )
-from trace_lab.padic import padic_norm, valuation
+from trace_lab.padic import valuation
 from trace_lab.padic_integrals import (
-    ball_char_integral,
     exp_norm_function,
     integrate_radial,
     norm_float,
@@ -294,27 +293,14 @@ def _scale_by_idele_per_window(spec, a, quad, plan, grid_points):
     for p, f in sorted(spec.finite_factors.items()):
         r = _shell_mass_per_window(f.law, f.t, a.component(p), plan).result
         masses.append(adeles.ComponentCheck(str(p), r.value, r.error_bound, 1.0, r.converged))
-    for p in a.support:
-        if p not in spec.finite_factors:
-            v = padic_norm(a.component(p), p).as_fraction() * Fraction(p) ** int(
-                valuation(a.component(p), p)
-            )
-            masses.append(adeles.ComponentCheck(f"{p} (unit-ball factor)", float(v), 0.0, 1.0, True))
     fourier = []
     a_inv = a.inverse()
-    for y in adeles._fourier_grid(spec, a, grid_points):
+    for y in adeles._fourier_grid(spec, grid_points):
         lhs_parts = [adeles._real_scaled_transform(rf, float(a.real), float(y.real), quad)]
         for p, f in sorted(spec.finite_factors.items()):
             lhs_parts.append(
                 _padic_scaled_transform_per_window(f, a.component(p), y.component(p), plan)
             )
-        for p in y.support:
-            if p not in spec.finite_factors:
-                va = int(valuation(a.component(p), p))
-                val = padic_norm(a.component(p), p).as_fraction() * ball_char_integral(
-                    p, va, y.component(p)
-                )
-                lhs_parts.append(EvalResult(float(val), 0.0, 1, True))
         lhs = product_results(lhs_parts)
         rhs = adeles.bs_eval(spec, adeles.scale_point(a_inv, y), "transform").value
         fourier.append(
