@@ -10,11 +10,9 @@ from fractions import Fraction
 
 from trace_lab import (
     AdelePoint,
-    BruhatSchwartzSpec,
     Idele,
     adele_char,
     adelic_theta_reduction,
-    gaussian_factor,
     idele_norm,
     make_mu_spec,
     scale_by_idele,
@@ -32,13 +30,12 @@ print(f"\nadele_char(diag({q}), diag({r})) = {adele_char(AdelePoint.diagonal(q),
 x = AdelePoint(0.0, {2: Fraction(1, 2)})
 print(f"adele_char(diag(1), (0; 1/2 at 2)) = {adele_char(AdelePoint.diagonal(Fraction(1)), x):.3f}")
 
-# S = {}: summing the gaussian spec over the diagonal of Q collapses to
+# S = {}: summing the gaussian at t = 1 over the diagonal of Q collapses to
 # theta, and scaling by the idele (lambda, 1, 1, ...) is the functional
 # equation
-spec = BruhatSchwartzSpec(gaussian_factor(1.0), {})
 print("\nscaled summation over the diagonal:")
 for lam in (0.5, 1.0, 2.0, 4.0):
-    rep = adelic_theta_reduction(spec, lam)
+    rep = adelic_theta_reduction(1.0, lam)
     print(f"  lambda={lam:<4g} lhs {rep.lhs.value:.15f}  rhs {rep.rhs.value:.15f}")
 
 # a spec with a finite factor at p=2, scaled by a = (2, 1/2)

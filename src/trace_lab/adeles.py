@@ -21,6 +21,8 @@ from functools import cached_property
 from typing import Callable, ClassVar, Mapping, Sequence
 
 from .core import (
+    N_MAX,
+    N_MIN,
     CompensatedSum,
     EvalResult,
     ParameterError,
@@ -166,6 +168,8 @@ class _PlaceMap:
                 fill = parse_number(raw, "rational", "fill")
             else:
                 p = parse_number(key, "int", "a place")
+                if p in comps:
+                    raise ParameterError(f"place {p} is given twice")
                 comps[p] = parse_number(raw, "rational", f"the component at {key}")
         return cls(real, comps, fill=fill)
 
@@ -569,24 +573,19 @@ class ThetaReductionReport:
         return abs(self.lhs.value - self.rhs.value)
 
 
-def adelic_theta_reduction(
-    spec: BruhatSchwartzSpec, lam: float, height: int = 64
-) -> ThetaReductionReport:
+def adelic_theta_reduction(t: float, lam: float, height: int = 64) -> ThetaReductionReport:
     """Both sides of the scaled summation identity for a = (lambda, 1, 1, ...).
 
-    With S empty and a gaussian real factor only integers survive the
-    gamma_p factors, so the left side is sum f_inf(lambda n) and the right
-    side (1/lambda) sum fhat_inf(n/lambda): the theta functional equation.
+    The test function is the gaussian at time t with S empty: only integers
+    survive the gamma_p factors, so the left side is sum f_inf(lambda n) and
+    the right side (1/lambda) sum fhat_inf(n/lambda), the theta functional
+    equation.
     """
-    if spec.S:
-        raise ParameterError("adelic_theta_reduction needs S = {}")
-    if not spec.real_factor.symbol.is_gaussian:
-        raise ParameterError("adelic_theta_reduction needs the gaussian real factor")
+    transform = gaussian_factor(t).transform
     if lam <= 0:
         raise ParameterError("lambda must be positive")
     if height < 4:
         raise ParameterError("height must be >= 4")
-    t = spec.real_factor.t
 
     def summed(f: Callable[[float], float]) -> EvalResult:
         acc = CompensatedSum()
@@ -603,7 +602,7 @@ def adelic_theta_reduction(
         return EvalResult(acc.value, bound, height, bound < math.inf)
 
     lhs = summed(lambda u: gaussian_density(t, lam * u))
-    rhs = summed(lambda u: spec.real_factor.transform(u / lam) / lam)
+    rhs = summed(lambda u: transform(u / lam) / lam)
     return ThetaReductionReport(lam, height, lhs, rhs)
 
 
@@ -646,20 +645,20 @@ class _ScaledShells:
         """Transform of |a_p| f_p(a_p .) at each y_p via shell character integrals."""
         p, plan, va, scale, f0 = self.p, self.plan, self.va, self.scale, self.f0
         vys = [_valuation(y, p) for y in ys]
-        tops = [plan.n_max if vy == math.inf else int(vy) + 1 for vy in vys]
+        tops = [N_MAX if vy == math.inf else int(vy) + 1 for vy in vys]
         if not tops:
             return []
-        # shell n reads the density at a_p p^{-n}: the window from n_min
+        # shell n reads the density at a_p p^{-n}: the window from N_MIN
         # at v = va - n, so one walk serves every grid point
         v_lo = va - max(tops)
-        dens = self.table.walk(plan.n_min, range(v_lo, 1 - plan.n_min), plan.tail_tolerance)
-        bound = scale * (f0.value + f0.error_bound) * norm_float(p, plan.n_min + va - 1)
+        dens = self.table.walk(N_MIN, range(v_lo, 1 - N_MIN), plan.tail_tolerance)
+        bound = scale * (f0.value + f0.error_bound) * norm_float(p, N_MIN + va - 1)
         out = []
         for vy, top in zip(vys, tops):
             acc = CompensatedSum()
             terms = 0
             converged = True
-            for n in range(plan.n_min + va, top + 1):
+            for n in range(N_MIN + va, top + 1):
                 s = shell_char_kernel(p, n, vy) if vy != math.inf else norm_float(p, n) * (1 - 1 / p)
                 if s != 0.0:
                     window = dens[va - n - v_lo]

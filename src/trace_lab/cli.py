@@ -62,9 +62,6 @@ from .padic_integrals import (
 from .real_stable import cauchy_psf_report, theta, theta_potential_integral
 from .semistable import SemistableLaw, density as semistable_density, mass_check
 
-_TOL_SHELL = 1e-12
-_TOL_QUAD = 1e-8
-
 # printed figures reproduced literally in the paper-mode Cauchy report
 _PRINTED_DENSITY_SUM = 1.365477
 _PRINTED_TRANSFORM_SUM = 2.163953
@@ -319,18 +316,13 @@ def _parse_place_map(key: str, raw: str) -> dict[str, str]:
         if "=" not in part:
             raise ParameterError(f"--{key} entries must look like place=value, got {part!r}")
         place, val = part.split("=", 1)
-        out[place.strip()] = val.strip()
+        place = place.strip()
+        if place in out:
+            raise ParameterError(f"--{key} gives {place!r} twice")
+        out[place] = val.strip()
     if not out:
         raise ParameterError(f"--{key} is empty")
     return out
-
-
-def _shell_plan(tol_shell: float) -> ShellSumPlan:
-    return ShellSumPlan(tail_tolerance=tol_shell)
-
-
-def _quad_cfg(tol_quad: float) -> QuadratureConfig:
-    return QuadratureConfig(abs_tol=tol_quad)
 
 
 # ---------------------------------------------------------------------------
@@ -340,9 +332,9 @@ def _quad_cfg(tol_quad: float) -> QuadratureConfig:
 
 def _cmd_theta(P: _Params) -> list[ResultRow]:
     t = P.float_("t", required=True, positive=True)
-    tol_shell = P.float_("tol-shell", _TOL_SHELL, positive=True)
+    tol_shell = P.float_("tol-shell", ShellSumPlan.tail_tolerance, positive=True)
     tol = P.float_("tol", tol_shell, positive=True)
-    plan = _shell_plan(tol_shell)
+    plan = ShellSumPlan(tol_shell)
     r = theta(t, plan)
     rinv = theta(1.0 / t, plan)
     rows = [_info_row("theta", r), _info_row("theta_inv", rinv)]
@@ -360,9 +352,9 @@ def _cmd_theta(P: _Params) -> list[ResultRow]:
 
 
 def _cmd_theta_integral(P: _Params) -> list[ResultRow]:
-    tol_quad = P.float_("tol-quad", _TOL_QUAD, positive=True)
+    tol_quad = P.float_("tol-quad", QuadratureConfig.abs_tol, positive=True)
     tol = P.float_("tol", tol_quad, positive=True)
-    quad = _quad_cfg(tol_quad)
+    quad = QuadratureConfig(tol_quad)
     lower = theta_potential_integral(quad, "lower")
     upper = theta_potential_integral(quad, "upper")
     rows = [_info_row("lower_piece", lower), _info_row("upper_piece", upper)]
@@ -404,10 +396,10 @@ def _cmd_psf_check(P: _Params) -> list[ResultRow]:
     xs = tuple(parse_number(part, "exact", "--x") for part in P.str_("x", "0").split(","))
     if len(xs) != spec.d:
         raise ParameterError(f"--x needs {spec.d} coordinates, got {len(xs)}")
-    tol_shell = P.float_("tol-shell", _TOL_SHELL, positive=True)
-    tol_quad = P.float_("tol-quad", _TOL_QUAD, positive=True)
+    tol_shell = P.float_("tol-shell", ShellSumPlan.tail_tolerance, positive=True)
+    tol_quad = P.float_("tol-quad", QuadratureConfig.abs_tol, positive=True)
     tol = P.float_("tol", tol_shell if closed else tol_quad, positive=True)
-    plan = _shell_plan(tol_shell)
+    plan = ShellSumPlan(tol_shell)
     lat = wrapped_density(spec, t, xs, "lattice", plan)
     sp = wrapped_density(spec, t, xs, "spectral", plan)
     return [
@@ -420,14 +412,14 @@ def _cmd_psf_check(P: _Params) -> list[ResultRow]:
 def _cmd_trace_check(P: _Params) -> list[ResultRow]:
     spec, closed = _lattice_spec(P)
     ts = P.floats_("t", "0.1,0.5,1,4")
-    tol_shell = P.float_("tol-shell", _TOL_SHELL, positive=True)
-    tol_quad = P.float_("tol-quad", _TOL_QUAD, positive=True)
+    tol_shell = P.float_("tol-shell", ShellSumPlan.tail_tolerance, positive=True)
+    tol_quad = P.float_("tol-quad", QuadratureConfig.abs_tol, positive=True)
     if closed:
         default_tol = tol_shell if spec.alpha == 2.0 else tol_quad
     else:
         default_tol = 1e-6
     tol = P.float_("tol", default_tol, positive=True)
-    plan = _shell_plan(tol_shell)
+    plan = ShellSumPlan(tol_shell)
     rows = []
     for t in ts:
         rep = trace_defect(spec, t, plan)
@@ -442,7 +434,7 @@ def _cmd_potential_identity(P: _Params) -> list[ResultRow]:
     else:
         alpha = P.float_("alpha", required=True, positive=True)
         sigma = P.float_("sigma", 1.0, positive=True)
-    tol_quad = P.float_("tol-quad", _TOL_QUAD, positive=True)
+    tol_quad = P.float_("tol-quad", QuadratureConfig.abs_tol, positive=True)
     tol = P.float_("tol", tol_quad, positive=True)
     rep = potential_identity(alpha, sigma)
     rows = [_bool_row("diverged", rep.diverged)]
@@ -466,9 +458,9 @@ def _cmd_padic_gamma(P: _Params) -> list[ResultRow]:
     p = P.int_("p", required=True, minimum=2)
     ss = P.floats_("s", "0.5")
     mode = P.str_("mode", "both", choices=("closed", "shell", "both"))
-    tol_shell = P.float_("tol-shell", _TOL_SHELL, positive=True)
+    tol_shell = P.float_("tol-shell", ShellSumPlan.tail_tolerance, positive=True)
     tol = P.float_("tol", tol_shell, positive=True)
-    plan = _shell_plan(tol_shell)
+    plan = ShellSumPlan(tol_shell)
     rows = []
     for s in ss:
         label = f"s={_g(s)}"
@@ -502,9 +494,9 @@ def _cmd_padic_integral(P: _Params) -> list[ResultRow]:
     tau = P.float_("tau", required=True, positive=True)
     domain = P.str_("domain", "both", choices=("unit_ball", "full", "both"))
     mode = P.str_("mode", "both", choices=("closed", "generic", "both"))
-    tol_shell = P.float_("tol-shell", _TOL_SHELL, positive=True)
+    tol_shell = P.float_("tol-shell", ShellSumPlan.tail_tolerance, positive=True)
     tol = P.float_("tol", tol_shell, positive=True)
-    plan = _shell_plan(tol_shell)
+    plan = ShellSumPlan(tol_shell)
     domains = ("unit_ball", "full") if domain == "both" else (domain,)
     rows = []
     for dom in domains:
@@ -528,9 +520,9 @@ def _cmd_padic_density(P: _Params) -> list[ResultRow]:
     method = P.str_("method", "both", choices=("series", "shell", "both"))
     exponent = P.str_("series-exponent", "n", choices=("n", "n-gamma"))
     variant = "plain" if exponent == "n" else "gamma-power"
-    tol_shell = P.float_("tol-shell", _TOL_SHELL, positive=True)
-    tol = P.float_("tol", _TOL_QUAD, positive=True)
-    plan = _shell_plan(tol_shell)
+    tol_shell = P.float_("tol-shell", ShellSumPlan.tail_tolerance, positive=True)
+    tol = P.float_("tol", QuadratureConfig.abs_tol, positive=True)
+    plan = ShellSumPlan(tol_shell)
     law = SemistableLaw(p, gamma, c_coef)
     rows = []
     for x in xs:
@@ -551,10 +543,10 @@ def _cmd_padic_mass(P: _Params) -> list[ResultRow]:
     gamma = P.float_("gamma", required=True, positive=True)
     c_coef = P.float_("C", 1.0, positive=True)
     t = P.float_("t", 1.0, positive=True)
-    tol_shell = P.float_("tol-shell", _TOL_SHELL, positive=True)
+    tol_shell = P.float_("tol-shell", ShellSumPlan.tail_tolerance, positive=True)
     tol = P.float_("tol", tol_shell, positive=True)
     law = SemistableLaw(p, gamma, c_coef)
-    mc = mass_check(law, t, _shell_plan(tol_shell))
+    mc = mass_check(law, t, ShellSumPlan(tol_shell))
     res = mc.result
     rows = [
         _identity_row("mass", res.value, res.error_bound, 1.0, tol, converged=res.converged)
@@ -619,7 +611,7 @@ def _cmd_mc_haar(P: _Params) -> list[ResultRow]:
 
 def _cmd_cauchy_report(P: _Params) -> list[ResultRow]:
     convention = P.str_("convention", "consistent", choices=("paper", "consistent"))
-    tol_shell = P.float_("tol-shell", _TOL_SHELL, positive=True)
+    tol_shell = P.float_("tol-shell", ShellSumPlan.tail_tolerance, positive=True)
     tol = P.float_("tol", tol_shell, positive=True)
     rep = cauchy_psf_report(convention)
     if convention == "paper":
@@ -678,15 +670,15 @@ def _cmd_adele_eval(P: _Params) -> list[ResultRow]:
         return [
             ResultRow("char_real", z.real),
             ResultRow("char_imag", z.imag),
-            _identity_row("char_modulus", abs(z), 1e-15, 1.0, _TOL_SHELL),
+            _identity_row("char_modulus", abs(z), 1e-15, 1.0, ShellSumPlan.tail_tolerance),
         ]
     kind = P.str_("kind", "stable", choices=("gaussian", "stable"))
     t = P.float_("t", 1.0, positive=True)
     gamma = P.float_("gamma", 1.0, positive=True)
     c_coef = P.float_("C", 1.0, positive=True)
     s_primes = P.ints_("S", "2", minimum=2)
-    tol_shell = P.float_("tol-shell", _TOL_SHELL, positive=True)
-    tol_quad = P.float_("tol-quad", _TOL_QUAD, positive=True)
+    tol_shell = P.float_("tol-shell", ShellSumPlan.tail_tolerance, positive=True)
+    tol_quad = P.float_("tol-quad", QuadratureConfig.abs_tol, positive=True)
     if kind == "gaussian":
         _gaussian_pin(P)
         real = gaussian_factor(t)
@@ -696,15 +688,15 @@ def _cmd_adele_eval(P: _Params) -> list[ResultRow]:
         real = stable_factor(alpha, sigma, t)
     factors = {q: FiniteFactor(SemistableLaw(q, gamma, c_coef), t) for q in s_primes}
     spec = BruhatSchwartzSpec(real, factors)
-    res = bs_eval(spec, x, side, _shell_plan(tol_shell), _quad_cfg(tol_quad))
+    res = bs_eval(spec, x, side, ShellSumPlan(tol_shell), QuadratureConfig(tol_quad))
     return [_info_row(side, res)]
 
 
 def _cmd_rr_check(P: _Params) -> list[ResultRow]:
     parts = P.strs_("parts", "reduction,product,scaling", ("reduction", "product", "scaling"))
     t = P.float_("t", 1.0, positive=True)
-    tol_shell = P.float_("tol-shell", _TOL_SHELL, positive=True)
-    tol_quad = P.float_("tol-quad", _TOL_QUAD, positive=True)
+    tol_shell = P.float_("tol-shell", ShellSumPlan.tail_tolerance, positive=True)
+    tol_quad = P.float_("tol-quad", QuadratureConfig.abs_tol, positive=True)
     tol = P.float_("tol", tol_shell, positive=True)
     # every flag of the chosen parts is read, and one that no chosen part
     # reads refused, before any part runs
@@ -725,9 +717,8 @@ def _cmd_rr_check(P: _Params) -> list[ResultRow]:
     rows: list[ResultRow] = []
 
     if "reduction" in parts:
-        spec0 = BruhatSchwartzSpec(gaussian_factor(t), {})
         for lam in lams:
-            rep = adelic_theta_reduction(spec0, lam, height)
+            rep = adelic_theta_reduction(t, lam, height)
             rows.append(_compare_row(f"reduction_lambda={_g(lam)}", rep.lhs, rep.rhs, tol))
 
     if "product" in parts:
@@ -759,7 +750,7 @@ def _cmd_rr_check(P: _Params) -> list[ResultRow]:
             gaussian_factor(t),
             {q: FiniteFactor(SemistableLaw(q, gamma, c_coef), t) for q in s_primes},
         )
-        rep = scale_by_idele(spec, a, _quad_cfg(tol_quad), _shell_plan(tol_shell), grid_points)
+        rep = scale_by_idele(spec, a, QuadratureConfig(tol_quad), ShellSumPlan(tol_shell), grid_points)
         for chk in rep.mass_checks:
             rows.append(
                 _identity_row(
@@ -789,10 +780,9 @@ def _cmd_adelic_theta(P: _Params) -> list[ResultRow]:
     t = P.float_("t", 1.0, positive=True)
     lam = P.float_("lam", required=True, positive=True)
     height = P.int_("height", 64, minimum=4)
-    tol_shell = P.float_("tol-shell", _TOL_SHELL, positive=True)
+    tol_shell = P.float_("tol-shell", ShellSumPlan.tail_tolerance, positive=True)
     tol = P.float_("tol", tol_shell, positive=True)
-    spec = BruhatSchwartzSpec(gaussian_factor(t), {})
-    rep = adelic_theta_reduction(spec, lam, height)
+    rep = adelic_theta_reduction(t, lam, height)
     return [
         _info_row("lhs", rep.lhs),
         _info_row("rhs", rep.rhs),

@@ -43,42 +43,39 @@ class EvalResult:
         }
 
 
+# The shell window and term cap of every shell and lattice series: norm
+# exponents (or lattice radii) run over [N_MIN, N_MAX], and no series sums
+# more than MAX_TERMS terms.
+N_MIN = -60
+N_MAX = 60
+MAX_TERMS = 200_000
+
+
 @dataclass(frozen=True)
 class ShellSumPlan:
-    """Truncation window and tail policy for shell and lattice series.
+    """Tail policy for shell and lattice series.
 
-    n_min/n_max bound the norm exponents (or lattice radii) visited; the
-    accumulation stops early once a rigorous tail bound falls below
-    tail_tolerance.  For monotone integrands the reported error bound
-    dominates the true omitted tail.
+    The series visit the window [N_MIN, N_MAX] and stop early once a
+    rigorous tail bound falls below tail_tolerance.  For monotone
+    integrands the reported error bound dominates the true omitted tail.
     """
 
-    n_min: int = -60
-    n_max: int = 60
     tail_tolerance: float = 1e-12
-    max_terms: int = 200_000
 
     def __post_init__(self):
-        if self.n_min > self.n_max:
-            raise ParameterError("ShellSumPlan requires n_min <= n_max")
         if self.tail_tolerance <= 0:
             raise ParameterError("tail_tolerance must be positive")
-        if self.max_terms < 1:
-            raise ParameterError("max_terms must be >= 1")
 
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Absolute tolerance and panel policy for the quadrature routines."""
+    """Absolute tolerance for the quadrature routines."""
 
     abs_tol: float = 1e-8
-    panel_limit: int = 200
 
     def __post_init__(self):
         if self.abs_tol <= 0:
             raise ParameterError("quadrature tolerances must be positive")
-        if self.panel_limit < 10:
-            raise ParameterError("panel_limit must be >= 10")
 
 
 class CompensatedSum:

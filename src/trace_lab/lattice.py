@@ -20,6 +20,7 @@ from fractions import Fraction
 from itertools import repeat
 
 from .core import (
+    MAX_TERMS,
     CapabilityError,
     CompensatedSum,
     EvalResult,
@@ -41,7 +42,7 @@ _DEFAULT_PLAN = ShellSumPlan()
 _TWO_PI = 2.0 * math.pi
 
 # quadrature used for per-point density evaluations inside lattice sums
-_LATTICE_QUAD = QuadratureConfig(abs_tol=1e-10, panel_limit=300)
+_LATTICE_QUAD = QuadratureConfig(abs_tol=1e-10)
 
 
 def gaussian_law(d: int = 1) -> StableSymbol:
@@ -166,10 +167,6 @@ def _shell_sums(e: np.ndarray, phase: np.ndarray | None) -> np.ndarray:
     return np.add.accumulate(e, axis=-1)[..., -1]
 
 
-# d = 1 shells hold two points, too few for one numpy call each
-_D1_BLOCK = 4096
-
-
 def _spectral_sum(
     sym: StableSymbol, t: float, x: tuple[float, ...] | None, plan: ShellSumPlan
 ) -> EvalResult:
@@ -181,7 +178,7 @@ def _spectral_sum(
     # the truncation depends on the shell sizes alone; sum shells 0..shells-1
     points = 0
     shells = 0
-    while points <= plan.max_terms:
+    while points <= MAX_TERMS:
         points += (2 * shells + 1) ** d - (2 * shells - 1) ** d if shells else 1
         shells += 1
         # the first-term-plus-integral comparison needs the shell weight
@@ -204,12 +201,11 @@ def _spectral_sum(
     acc.add(_weight(sym, t, 0))
     if d == 1:
         # one row per shell, the point m before -m; each k = m^2 occurs in
-        # one row only, so the weights are formed per block
-        for m0 in range(1, shells, _D1_BLOCK):
-            ms = np.arange(m0, min(m0 + _D1_BLOCK, shells), dtype=np.int64)
-            w = _weights(sym, t, ms * ms)
-            phase = None if x is None else np.stack([ms, -ms], axis=1) * x[0]
-            acc.extend(_shell_sums(np.stack([w, w], axis=1), phase))
+        # one row only, so each weight is formed once without a table
+        ms = np.arange(1, shells, dtype=np.int64)
+        w = _weights(sym, t, ms * ms)
+        phase = None if x is None else np.stack([ms, -ms], axis=1) * x[0]
+        acc.extend(_shell_sums(np.stack([w, w], axis=1), phase))
     else:
         # shells share most of their k = |n|^2: one weight per k that occurs
         # in shells 0..shells-1 (the octant n >= 0 holds them all), looked
@@ -250,7 +246,7 @@ def _wrapped_gauss_1d(a: float, x0: float, plan: ShellSumPlan) -> EvalResult:
     acc.add(f(x0))
     prev = math.inf
     n = 1
-    while n < plan.max_terms:
+    while n < MAX_TERMS:
         term = f(x0 + n) + f(x0 - n)
         acc.add(term)
         if term < plan.tail_tolerance / 10.0 and term < prev:

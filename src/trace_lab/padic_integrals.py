@@ -30,6 +30,8 @@ from fractions import Fraction
 from typing import Callable
 
 from .core import (
+    N_MAX,
+    N_MIN,
     CompensatedSum,
     EvalResult,
     ParameterError,
@@ -82,34 +84,32 @@ def integrate_radial(
 ) -> EvalResult:
     """Shell-sum integral of a radial function over Z_p or Q_p.
 
-    domain 'unit_ball' sums shells n <= 0; 'full' sums the plan window.
-    The inner tail (n < n_min) is bounded by the remaining ball mass
-    p^{n_min - 1} times an endpoint bound on g; the outer tail (full
-    domain only) by geometric comparison of the first two omitted terms.
-    Both bounds dominate the true tail for integrands monotone in the
-    norm with non-increasing term ratios past the window, which covers
-    the exp(-tau u^gamma) family used throughout.
+    domain 'unit_ball' sums shells N_MIN <= n <= 0; 'full' sums
+    N_MIN <= n <= N_MAX.  The inner tail (n < N_MIN) is bounded by the
+    remaining ball mass p^{N_MIN - 1} times an endpoint bound on g; the
+    outer tail (full domain only) by geometric comparison of the first two
+    omitted terms.  Both bounds dominate the true tail for integrands
+    monotone in the norm with non-increasing term ratios past the window,
+    which covers the exp(-tau u^gamma) family used throughout.
     """
     require_prime(p)
     if domain not in ("unit_ball", "full"):
         raise ParameterError(f"domain must be unit_ball or full, got {domain!r}")
-    top = 0 if domain == "unit_ball" else plan.n_max
-    if top - plan.n_min + 1 > plan.max_terms:
-        return EvalResult(math.nan, math.inf, 0, False)
+    top = 0 if domain == "unit_ball" else N_MAX
 
     w_unit = 1.0 - 1.0 / p
     acc = CompensatedSum()
     terms = 0
-    for n in range(plan.n_min, top + 1):
+    for n in range(N_MIN, top + 1):
         gu = g(norm_float(p, n))
         if gu != 0.0:
             acc.add(gu * norm_float(p, n) * w_unit)
         terms += 1
 
-    # Inner tail: remaining ball {|y| <= p^{n_min-1}} has mass p^{n_min-1};
+    # Inner tail: remaining ball {|y| <= p^{N_MIN-1}} has mass p^{N_MIN-1};
     # sup|g| there is bracketed by the endpoint and the zero-norm limit.
-    g_inner = max(abs(g(norm_float(p, plan.n_min - 1))), abs(g(0.0)))
-    bound = g_inner * norm_float(p, plan.n_min - 1)
+    g_inner = max(abs(g(norm_float(p, N_MIN - 1))), abs(g(0.0)))
+    bound = g_inner * norm_float(p, N_MIN - 1)
 
     def _term(n: int) -> float:
         gu = abs(g(norm_float(p, n)))
@@ -255,7 +255,7 @@ def padic_gamma(
     p: int,
     s: float,
     mode: str = "closed",
-    plan: ShellSumPlan | None = None,
+    plan: ShellSumPlan = _DEFAULT_PLAN,
 ) -> EvalResult:
     """The p-adic gamma function, by closed form or by its defining integral.
 
@@ -263,9 +263,9 @@ def padic_gamma(
     the shell integrals of chi_1(y) (x = 1, so v = 0),
     shell by shell; the shells n >= 2 vanish and the sum over n <= 0
     converges (geometrically with ratio p^{-s}) exactly for 0 < s < 1,
-    the region where the defining integral makes sense.  The window starts
-    deep enough for the omitted tail to fall below plan.tail_tolerance
-    (1e-12 without a plan); plan.n_min is not read.
+    the region where the defining integral makes sense.  Its window is
+    sized by s and plan.tail_tolerance, not [N_MIN, N_MAX]: it starts deep
+    enough for the omitted tail to fall below the tolerance.
     """
     require_prime(p)
     if mode == "closed":
@@ -275,7 +275,7 @@ def padic_gamma(
     if not 0.0 < s < 1.0:
         raise ParameterError("shell_oracle mode requires 0 < s < 1")
 
-    tol = plan.tail_tolerance if plan is not None else 1e-12
+    tol = plan.tail_tolerance
     # geometric ratio p^{-s}: size the window for the tolerance, keeping
     # p^{depth(1-s)} and p^{-depth} inside double range
     lp = math.log(p)

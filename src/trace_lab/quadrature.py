@@ -17,6 +17,9 @@ _TWO_PI = 2.0 * math.pi
 # drops below this; the remainder is covered by an explicit tail bound
 ENVELOPE_CUTOFF = 1e-16
 
+# QUADPACK's cap on the subintervals of one panel
+PANEL_LIMIT = 200
+
 
 def panel(
     f: Callable[[float], float],
@@ -27,7 +30,8 @@ def panel(
     epsrel: float,
     **kwargs,
 ) -> tuple[float, float, int, bool]:
-    """QUADPACK on [a, b] with absolute tolerance quad.abs_tol / share.
+    """QUADPACK on [a, b] with absolute tolerance quad.abs_tol / share and
+    at most PANEL_LIMIT subintervals.
 
     Extra keywords (weight, wvar, maxp1) pass through to QUADPACK.
     Returns (value, abserr, neval, no_warning); no_warning is False when
@@ -41,7 +45,7 @@ def panel(
         b,
         epsabs=quad.abs_tol / share,
         epsrel=epsrel,
-        limit=quad.panel_limit,
+        limit=PANEL_LIMIT,
         full_output=1,
         **kwargs,
     )

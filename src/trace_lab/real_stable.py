@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass
 
 from .core import (
+    MAX_TERMS,
     CompensatedSum,
     EvalResult,
     ParameterError,
@@ -78,7 +79,7 @@ def theta(t: float, plan: ShellSumPlan = _DEFAULT_PLAN) -> EvalResult:
     acc = CompensatedSum()
     acc.add(1.0)
     n = 0
-    while n < plan.max_terms:
+    while n < MAX_TERMS:
         n += 1
         acc.add(2.0 * _safe_exp(-t * math.pi * n * n))
         # consecutive-term ratio is e^{-t pi (2n+1)} < 1, decreasing in n

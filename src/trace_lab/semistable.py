@@ -19,9 +19,9 @@ is evaluated two independent ways:
   shell_char_kernel, the closed-form, bit-identical float form of the
   exact definition ball_char_integral: on v = v_p(x) they are
   p^n (1 - 1/p) for n <= v, -p^v at n = v+1 and 0 above, so each density
-  is a compensated sum over a window [n_min, v+1].  A shell table forms
+  is a compensated sum over a window [N_MIN, v+1].  A shell table forms
   each weight and each n <= v term once per law and t.  Windows that start
-  at the same n_min share one accumulation, and each takes its n = v+1
+  at the same shell share one accumulation, and each takes its n = v+1
   term on a copy of the state; the additions and their order are those of
   summing the window alone, so the values are bit-identical to it.
   mass_check and the idele scaling checks read all their densities off
@@ -36,7 +36,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import CompensatedSum, EvalResult, ParameterError, ShellSumPlan
+from .core import MAX_TERMS, N_MIN, CompensatedSum, EvalResult, ParameterError, ShellSumPlan
 from .padic import Rational, _valuation
 from .padic_integrals import (
     _padic_gamma_closed,
@@ -164,7 +164,7 @@ def _density_shell(law: SemistableLaw, t: float, x: Rational, plan: ShellSumPlan
     if v == math.inf:
         # f_t(0) is the full radial integral of the characteristic function
         return integrate_radial(exp_norm_function(law.C * t, law.gamma), law.p, "full", plan)
-    return _ShellTable(law, t).walk(plan.n_min, [int(v)], plan.tail_tolerance)[0]
+    return _ShellTable(law, t).walk(N_MIN, [int(v)], plan.tail_tolerance)[0]
 
 
 def _density_series_direct(
@@ -182,7 +182,7 @@ def _density_series_direct(
     coef_abs = 1.0  # a^n / n!
     xg = big_x**gamma
     n = 0
-    while n < plan.max_terms:
+    while n < MAX_TERMS:
         acc.add(coef * big_x * _padic_gamma_closed(p, n * gamma + 1.0))
         n += 1
         coef *= -ct_eff * xg / n
@@ -204,7 +204,7 @@ def _density_series_regrouped(
     acc = CompensatedSum()
     j = 0
     r = float(p) ** (-(gamma + 1.0))
-    while j < plan.max_terms:
+    while j < MAX_TERMS:
         scale = big_x * float(p) ** (-j)
         aj = ct * scale**gamma
         lo = math.exp(-aj) if aj < 745.0 else 0.0
@@ -294,11 +294,11 @@ def _shell_mass(
     eval_bound = 0.0
 
     # inner shells m <= va: a x has v = va - m >= 0, and every window
-    # starts at n_min, so one walk gives them all; the density is bounded
+    # starts at N_MIN, so one walk gives them all; the density is bounded
     # by f_t(0), so the omitted ball below n_lo carries mass at most
     # scale f_t(0) p^{n_lo - 1}
-    n_lo = plan.n_min + va
-    inner = table.walk(plan.n_min, range(0, 1 - plan.n_min), plan.tail_tolerance)
+    n_lo = N_MIN + va
+    inner = table.walk(N_MIN, range(0, 1 - N_MIN), plan.tail_tolerance)
     for m in range(n_lo, va + 1):
         fr = inner[va - m]
         if fr.value < min_density:
@@ -313,10 +313,10 @@ def _shell_mass(
     outer_tail = math.inf
     converged_out = False
     m = va + 1
-    while terms < plan.max_terms:
+    while terms < MAX_TERMS:
         # deepen the window with n = m - va so the evaluation error stays
-        # below p^{n_min - 1} after the measure weight scale p^m = p^n
-        fr = table.walk(plan.n_min - (m - va), [va - m], plan.tail_tolerance)[0]
+        # below p^{N_MIN - 1} after the measure weight scale p^m = p^n
+        fr = table.walk(N_MIN - (m - va), [va - m], plan.tail_tolerance)[0]
         if fr.value < min_density:
             min_density, min_shell = fr.value, m
         term = scale * fr.value * norm_float(p, m) * w_unit

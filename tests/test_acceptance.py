@@ -162,9 +162,8 @@ def test_criterion_09_cauchy_report():
 
 def test_criterion_10_adelic_theta_and_scaling():
     with _Criterion(10, "adelic theta reduction, scaled mass, product formula", 5.0):
-        spec0 = tl.BruhatSchwartzSpec(tl.gaussian_factor(1.0), {})
         for lam in (0.5, 1.0, 2.0, 4.0):
-            rep = tl.adelic_theta_reduction(spec0, lam)
+            rep = tl.adelic_theta_reduction(1.0, lam)
             assert rep.defect <= 1e-12, (lam, rep.defect)
         spec = tl.BruhatSchwartzSpec(
             tl.gaussian_factor(1.0),

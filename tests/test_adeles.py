@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from trace_lab import adeles, core, padic, real_stable
+from trace_lab import adeles, core, padic, quadrature, real_stable
 from trace_lab.adeles import (
     AdelePoint,
     BruhatSchwartzSpec,
@@ -293,6 +293,15 @@ def test_point_serialization_round_trip():
     assert AdelePoint.from_dict(x.to_dict()) == x
     a = Idele(2.5, {3: Fraction(1, 3)})
     assert Idele.from_dict(a.to_dict()) == a
+
+
+@pytest.mark.parametrize("cls", [AdelePoint, Idele])
+@pytest.mark.parametrize("keys", [("2", "02"), ("3", "+3"), ("7", " 7")])
+def test_from_dict_refuses_two_keys_for_one_place(cls, keys):
+    # the later component would silently replace the earlier one
+    data = {"inf": "2", keys[0]: "1/2", keys[1]: "4"}
+    with pytest.raises(ParameterError, match="given twice"):
+        cls.from_dict(data)
 
 
 def test_scale_point_componentwise():
@@ -603,25 +612,21 @@ def test_char_sum_direct_matches_bs_eval_oracle_at_cli_heights(S):
 
 
 def test_theta_reduction_equalizes():
-    spec = BruhatSchwartzSpec(gaussian_factor(1.0), {})
     for lam in (0.5, 1.0, 2.0, 4.0):
-        rep = adelic_theta_reduction(spec, lam)
+        rep = adelic_theta_reduction(1.0, lam)
         assert rep.defect <= 1e-12
     # lambda = 2 side is theta(4)
-    rep = adelic_theta_reduction(spec, 2.0)
+    rep = adelic_theta_reduction(1.0, 2.0)
     assert rep.lhs.value == pytest.approx(1.000006974684712418, abs=1e-14)
 
 
 def test_theta_reduction_guards():
-    spec = BruhatSchwartzSpec(gaussian_factor(1.0), {})
     with pytest.raises(ParameterError):
-        adelic_theta_reduction(spec, -1.0)
-    spec_s = make_mu_spec(2.0, math.pi, 1.0, 1.0, 1.0, [2])
+        adelic_theta_reduction(1.0, -1.0)
     with pytest.raises(ParameterError):
-        adelic_theta_reduction(spec_s, 1.0)
-    spec_c = BruhatSchwartzSpec(stable_factor(1.0, 1.0, 1.0), {})
+        adelic_theta_reduction(0.0, 1.0)
     with pytest.raises(ParameterError):
-        adelic_theta_reduction(spec_c, 1.0)
+        adelic_theta_reduction(1.0, 1.0, height=3)
 
 
 @given(st.floats(min_value=0.05, max_value=4.0), st.floats(min_value=-5.0, max_value=5.0))
@@ -633,17 +638,6 @@ def test_the_gaussian_factor_has_one_density(t, x):
     assert g == s
     assert g.density(x) == s.density(x)
     assert s.density(x).value == real_stable.gaussian_density(t, x)
-
-
-def test_theta_reduction_accepts_either_gaussian_factor():
-    reports = [
-        adelic_theta_reduction(BruhatSchwartzSpec(rf, {}), 2.0)
-        for rf in (gaussian_factor(0.7), stable_factor(2.0, math.pi, 0.7))
-    ]
-    assert reports[0] == reports[1]
-    assert reports[0].defect <= 1e-12
-    with pytest.raises(ParameterError, match="gaussian"):
-        adelic_theta_reduction(BruhatSchwartzSpec(stable_factor(2.0, 3.0, 0.7), {}), 2.0)
 
 
 @pytest.mark.parametrize("sigma", [1.0, 3.0, 3.1415926535897936])
@@ -683,20 +677,23 @@ def test_scale_by_idele_refuses_what_it_cannot_check_at_entry(monkeypatch, alpha
         scale_by_idele(spec, a, grid_points=4)
 
 
-def test_real_scaled_quadrature_reports_quadpack_warnings():
-    # ten panels cannot reach abs_tol 1e-30 on the oscillating transform:
-    # QUADPACK then appends a warning to its output, and converged must say
-    # so (the mass panel meets its relative tolerance within ten)
+def test_real_scaled_quadrature_reports_quadpack_warnings(monkeypatch):
+    # ten subintervals cannot reach abs_tol 1e-30 on the oscillating
+    # transform: QUADPACK then appends a warning to its output, and
+    # converged must say so (the mass panel meets its relative tolerance
+    # within ten)
     rf = gaussian_factor(1.0)
-    starved = QuadratureConfig(abs_tol=1e-30, panel_limit=10)
-    assert not adeles._real_scaled_transform(rf, 2.0, 3.1, starved).converged
-    assert adeles._real_scaled_mass(rf, 2.0, QuadratureConfig()).converged
+    with monkeypatch.context() as m:
+        m.setattr(quadrature, "PANEL_LIMIT", 10)
+        starved = QuadratureConfig(abs_tol=1e-30)
+        assert not adeles._real_scaled_transform(rf, 2.0, 3.1, starved).converged
+        assert adeles._real_scaled_mass(rf, 2.0, QuadratureConfig()).converged
     assert adeles._real_scaled_transform(rf, 2.0, 3.1, QuadratureConfig()).converged
 
 
 def test_scaled_shell_mass_stops_below_the_rounding_floor():
     # the outer terms never fall below tol/10; the loop must end when p^m
-    # overflows, not run on to max_terms
+    # overflows, not run on to MAX_TERMS
     f = FiniteFactor(SemistableLaw(2, 1.0, 1.0), 1.0)
     res = adeles._ScaledShells(f, Fraction(1), ShellSumPlan(tail_tolerance=1e-20)).mass()
     assert not res.converged and res.error_bound == math.inf

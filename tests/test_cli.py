@@ -421,7 +421,7 @@ def test_torus_rows_match_the_benchmark_snapshot():
     # the real-line and torus layer behind trace-check, psf-check,
     # potential-identity, theta and cauchy-report must keep the seed
     # commit's rows and exit codes, the d = 3, t <= 0.01 requests that stop
-    # at max_terms unconverged (exit 3) included
+    # at MAX_TERMS unconverged (exit 3) included
     snapshot = Path(__file__).resolve().parents[1] / "perfbench" / "reference" / "torus_small_t.json"
     with open(snapshot) as fh:
         ref = json.load(fh)
@@ -566,6 +566,13 @@ def test_every_flag_refuses_malformed_values(capsys):
         ["idele-norm", "--a", "abc=1"],
         ["idele-norm", "--a", "inf=nan"],
         ["adele-eval", "--x", "inf=0,2=abc"],
+        # a place given twice, or two keys that name one place
+        ["idele-norm", "--a", "inf=2,inf=3"],
+        ["idele-norm", "--a", "inf=2,2=1/2,02=4"],
+        ["rr-check", "--parts", "scaling", "--a", "inf=2,2=1/2,2=4"],
+        ["adele-eval", "--x", "inf=0,fill=1,fill=2"],
+        ["adele-eval", "--x", "inf=0,3=1/3,+3=3"],
+        ["adele-eval", "--side", "char", "--y", "inf=1,2=1,02=1/2", "--x", "inf=0"],
         ["rr-check", "--parts", ","],
         ["rr-check", "--parts", "product,bogus"],
         # counts and D past their declared maxima

@@ -11,7 +11,14 @@ from hypothesis import strategies as st
 import numpy as np
 
 from trace_lab import lattice, real_stable
-from trace_lab.core import CapabilityError, CompensatedSum, EvalResult, ParameterError, ShellSumPlan
+from trace_lab.core import (
+    MAX_TERMS,
+    CapabilityError,
+    CompensatedSum,
+    EvalResult,
+    ParameterError,
+    ShellSumPlan,
+)
 from trace_lab.lattice import (
     _LATTICE_QUAD,
     _TWO_PI,
@@ -223,7 +230,7 @@ def _spectral_sum_per_point(spec, t, x, plan=ShellSumPlan()):
     acc = CompensatedSum()
     points = 0
     m = 0
-    while points <= plan.max_terms:
+    while points <= MAX_TERMS:
         shell = 0.0
         for n in _supnorm_shell(d, m):
             w = t * spec.eta(n)
@@ -245,7 +252,7 @@ _X_GRID = (None, 0, 0.5, (0.1, 0.2, 0.3), (0.3, 0, 0))
 _SPECTRAL_GRID = (
     [(gaussian_law(d), t, _X_GRID) for d in (1, 2, 3) for t in (0.005, 0.03, 0.7)]
     + [(stable_law(a, 1.0), 0.7, _X_GRID) for a in (0.5, 1.0, 1.5, 1.9)]
-    # about 5,500 shells, so the d = 1 shells span more than one block
+    # about 5,500 shells, all summed by one CompensatedSum.extend call
     + [(stable_law(1.0, 1.0), 0.005, (None, 0.3))]
 )
 
@@ -256,7 +263,7 @@ _SPECTRAL_GRID = (
     ids=[f"{'gaussian' if s.is_gaussian else 'stable'}-a{s.alpha}-d{s.d}-t{t}" for s, t, _ in _SPECTRAL_GRID],
 )
 def test_spectral_sum_matches_per_point_loop(spec, t, xs):
-    # d = 3, t = 0.005 stops at max_terms unconverged; the rest converge
+    # d = 3, t = 0.005 stops at MAX_TERMS unconverged; the rest converge
     for x in xs:
         if x is None:
             got = spectral_trace(spec, t)
@@ -282,10 +289,9 @@ def test_spectral_error_bound_is_a_python_float(d):
 def test_hypot_is_sqrt_of_square_sum(d, bound):
     # the spectral sum evaluates eta at math.sqrt(|n|^2) where the
     # per-point loop used math.hypot(*n); the two must agree bit for bit
-    # on every point the default plan reaches.  A shell m is started while
-    # the (2m-1)^d points inside it number at most max_terms.
-    max_terms = ShellSumPlan().max_terms
-    reach = max(m for m in range(1, bound + 2) if (2 * m - 1) ** d <= max_terms)
+    # on every point a sum reaches.  A shell m is started while the
+    # (2m-1)^d points inside it number at most MAX_TERMS.
+    reach = max(m for m in range(1, bound + 2) if (2 * m - 1) ** d <= MAX_TERMS)
     assert reach <= bound
     # hypot takes absolute values, so nonnegative ordered tuples cover all signs
     bad = [
@@ -326,7 +332,7 @@ def _spectral_sum_per_shell(spec, t, x, plan=ShellSumPlan()):
     d = spec.d
     points = 0
     shells = 0
-    while points <= plan.max_terms:
+    while points <= MAX_TERMS:
         points += (2 * shells + 1) ** d - (2 * shells - 1) ** d if shells else 1
         shells += 1
         if c * alpha * float(shells) ** alpha >= d:
@@ -352,7 +358,7 @@ def _spectral_sum_per_shell(spec, t, x, plan=ShellSumPlan()):
 
 @pytest.mark.parametrize("d", [2, 3])
 def test_weight_table_matches_per_shell_weights(d):
-    # t = 1e-4 stops at max_terms: about 224 shells at d = 2, 29 at d = 3
+    # t = 1e-4 stops at MAX_TERMS: about 224 shells at d = 2, 29 at d = 3
     t = 1e-4
     for x in (None, (0.1, 0.2, 0.3)[:d]):
         got = spectral_trace(gaussian_law(d), t) if x is None else wrapped_density(gaussian_law(d), t, x)
@@ -529,7 +535,7 @@ def _tail_search_unscreened(sym, t, plan=ShellSumPlan()):
     d = sym.d
     points = 0
     shells = 0
-    while points <= plan.max_terms:
+    while points <= MAX_TERMS:
         points += (2 * shells + 1) ** d - (2 * shells - 1) ** d if shells else 1
         shells += 1
         if c * alpha * float(shells) ** alpha >= d:
@@ -542,7 +548,7 @@ def _tail_search_unscreened(sym, t, plan=ShellSumPlan()):
 @pytest.mark.parametrize("d", [1, 2, 3])
 @pytest.mark.parametrize("alpha, sigma", [(0.5, 1.0), (1.0, 1.0), (1.5, 1.0), (2.0, math.pi)])
 def test_screened_tail_search_matches_the_unscreened_loop(d, alpha, sigma):
-    # the d = 3 gaussian stops at max_terms for t <= 0.01; at d = 1 and
+    # the d = 3 gaussian stops at MAX_TERMS for t <= 0.01; at d = 1 and
     # alpha = 0.5 small t costs the unscreened loop some 10^5 scipy calls
     sym = StableSymbol(alpha, sigma, d)
     ts = (0.3, 2.0) if (d, alpha) == (1, 0.5) else (0.002, 0.005, 0.01, 0.05, 0.3, 2.0)

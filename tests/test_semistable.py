@@ -11,6 +11,9 @@ from hypothesis import strategies as st
 from trace_lab import adeles, padic_integrals
 from trace_lab.adeles import BruhatSchwartzSpec, FiniteFactor, Idele, gaussian_factor, scale_by_idele
 from trace_lab.core import (
+    MAX_TERMS,
+    N_MAX,
+    N_MIN,
     CompensatedSum,
     EvalResult,
     ParameterError,
@@ -26,7 +29,7 @@ from trace_lab.padic_integrals import (
     padic_gamma_closed,
     shell_char_kernel,
 )
-from trace_lab.semistable import MassCheck, SemistableLaw, char_fn, density, mass_check
+from trace_lab.semistable import MassCheck, SemistableLaw, _ShellTable, char_fn, density, mass_check
 
 laws = st.builds(
     SemistableLaw,
@@ -132,7 +135,7 @@ def test_mass_is_one(law, t):
 
 def test_mass_check_stops_below_the_rounding_floor():
     # the outer terms stall near the rounding floor above tol/10; the loop
-    # must end when p^n overflows (n = 1024), not run on to max_terms
+    # must end when p^n overflows (n = 1024), not run on to MAX_TERMS
     mc = mass_check(SemistableLaw(2, 1.0, 1.0), 1.0, ShellSumPlan(tail_tolerance=1e-20))
     assert not mc.result.converged and mc.result.error_bound == math.inf
     assert abs(mc.result.value - 1.0) <= 1e-12
@@ -178,42 +181,35 @@ def test_density_rejects_bad_input():
 # per-window reference for the shell-mode density
 # ---------------------------------------------------------------------------
 #
-# Each shell-mode density used to sum its own window of shells, and every
-# caller formed every density on its own.  The shell table shares one
-# accumulation among the windows that start together; these copies of the
-# per-window code are the oracle it must match bit for bit.
+# Each shell-mode density used to sum its own window [lo, v + 1] of shells,
+# and every caller formed every density on its own.  The shell table shares
+# one accumulation among the windows that start together; these copies of
+# the per-window code are the oracle it must match bit for bit.
+
+_TOL = ShellSumPlan.tail_tolerance
 
 
-def _density_shell_per_window(law, t, x, plan):
+def _density_shell_per_window(law, t, x, lo=N_MIN, tol=_TOL):
     p, g, ct = law.p, law.gamma, law.C * t
     v = valuation(x, p)
     if v == math.inf:
-        return integrate_radial(exp_norm_function(ct, g), p, "full", plan)
+        return integrate_radial(exp_norm_function(ct, g), p, "full", ShellSumPlan(tol))
     v = int(v)
     weight = exp_norm_function(ct, g)
-    terms = max(v + 2 - plan.n_min, 0)
+    terms = max(v + 2 - lo, 0)
     log_p = math.log(p)
     log_cut = math.log(745.0 / ct) if ct > 0.0 else math.inf
     acc = CompensatedSum()
-    for n in range(plan.n_min, v + 2):
+    for n in range(lo, v + 2):
         w = weight(norm_float(p, n))
         if w == 0.0 and n * g * log_p > log_cut:
             break
         acc.add(w * shell_char_kernel(p, n, v))
-    bound = norm_float(p, plan.n_min - 1)
-    return EvalResult(acc.value, bound, terms, bound <= plan.tail_tolerance)
+    bound = norm_float(p, lo - 1)
+    return EvalResult(acc.value, bound, terms, bound <= tol)
 
 
-def _deeper(plan, k):
-    return ShellSumPlan(
-        n_min=plan.n_min - max(k, 0),
-        n_max=plan.n_max,
-        tail_tolerance=plan.tail_tolerance,
-        max_terms=plan.max_terms,
-    )
-
-
-def _shell_mass_per_window(law, t, a_p, plan=ShellSumPlan()):
+def _shell_mass_per_window(law, t, a_p, tol=_TOL):
     # the mass of |a_p| f_t(a_p x), shell by shell in x; a_p = 1 is mass_check
     p = law.p
     va = int(valuation(a_p, p))
@@ -222,15 +218,15 @@ def _shell_mass_per_window(law, t, a_p, plan=ShellSumPlan()):
 
     def eval_at_shell(m):
         point = a_p * Fraction(p) ** (-m)
-        return _density_shell_per_window(law, t, point, _deeper(plan, m - va))
+        return _density_shell_per_window(law, t, point, N_MIN - max(m - va, 0), tol)
 
-    f0 = _density_shell_per_window(law, t, Fraction(0), plan)
+    f0 = _density_shell_per_window(law, t, Fraction(0), N_MIN, tol)
     acc = CompensatedSum()
     terms = 0
     min_density = f0.value
     min_shell = 0
     eval_bound = 0.0
-    n_lo = plan.n_min + va
+    n_lo = N_MIN + va
     for m in range(n_lo, va + 1):
         fr = eval_at_shell(m)
         if fr.value < min_density:
@@ -243,7 +239,7 @@ def _shell_mass_per_window(law, t, a_p, plan=ShellSumPlan()):
     outer_tail = math.inf
     converged_out = False
     m = va + 1
-    while terms < plan.max_terms:
+    while terms < MAX_TERMS:
         fr = eval_at_shell(m)
         if fr.value < min_density:
             min_density, min_shell = fr.value, m
@@ -251,7 +247,7 @@ def _shell_mass_per_window(law, t, a_p, plan=ShellSumPlan()):
         acc.add(term)
         eval_bound += scale * fr.error_bound * norm_float(p, m) * w_unit
         terms += 1
-        if abs(term) < plan.tail_tolerance / 10.0 and abs(term) < prev_term:
+        if abs(term) < tol / 10.0 and abs(term) < prev_term:
             ratio = abs(term) / prev_term if prev_term > 0 else 0.0
             ratio = max(ratio, float(p) ** (-law.gamma))
             if ratio < 1.0:
@@ -261,27 +257,27 @@ def _shell_mass_per_window(law, t, a_p, plan=ShellSumPlan()):
         prev_term = abs(term) if term != 0.0 else prev_term
         m += 1
     bound = inner_tail + outer_tail + eval_bound if converged_out else math.inf
-    converged = converged_out and bound <= 10.0 * plan.tail_tolerance
+    converged = converged_out and bound <= 10.0 * tol
     return MassCheck(EvalResult(acc.value, bound, terms, converged), min_density, min_shell)
 
 
-def _padic_scaled_transform_per_window(f, a_p, y_p, plan):
+def _padic_scaled_transform_per_window(f, a_p, y_p, tol):
     law = f.law
     p = law.p
     va = int(valuation(a_p, p))
     scale = norm_float(p, -va)
     vy = valuation(y_p, p)
-    top = plan.n_max if vy == math.inf else int(vy) + 1
+    top = N_MAX if vy == math.inf else int(vy) + 1
     acc = CompensatedSum()
-    f0 = _density_shell_per_window(law, f.t, Fraction(0), plan)
+    f0 = _density_shell_per_window(law, f.t, Fraction(0), N_MIN, tol)
     terms = 0
-    for n in range(plan.n_min + va, top + 1):
+    for n in range(N_MIN + va, top + 1):
         s = shell_char_kernel(p, n, vy) if vy != math.inf else norm_float(p, n) * (1 - 1 / p)
         if s != 0.0:
-            r = _density_shell_per_window(law, f.t, a_p * Fraction(p) ** (-n), plan)
+            r = _density_shell_per_window(law, f.t, a_p * Fraction(p) ** (-n), N_MIN, tol)
             acc.add(scale * r.value * s)
         terms += 1
-    bound = scale * (f0.value + f0.error_bound) * norm_float(p, plan.n_min + va - 1)
+    bound = scale * (f0.value + f0.error_bound) * norm_float(p, N_MIN + va - 1)
     return EvalResult(acc.value, bound + 1e-13, terms, True)
 
 
@@ -290,8 +286,9 @@ def _scale_by_idele_per_window(spec, a, quad, plan, grid_points):
     rf = spec.real_factor
     m_inf = adeles._real_scaled_mass(rf, float(a.real), quad)
     masses.append(adeles.ComponentCheck("inf", m_inf.value, m_inf.error_bound, 1.0, m_inf.converged))
+    tol = plan.tail_tolerance
     for p, f in sorted(spec.finite_factors.items()):
-        r = _shell_mass_per_window(f.law, f.t, a.component(p), plan).result
+        r = _shell_mass_per_window(f.law, f.t, a.component(p), tol).result
         masses.append(adeles.ComponentCheck(str(p), r.value, r.error_bound, 1.0, r.converged))
     fourier = []
     a_inv = a.inverse()
@@ -299,7 +296,7 @@ def _scale_by_idele_per_window(spec, a, quad, plan, grid_points):
         lhs_parts = [adeles._real_scaled_transform(rf, float(a.real), float(y.real), quad)]
         for p, f in sorted(spec.finite_factors.items()):
             lhs_parts.append(
-                _padic_scaled_transform_per_window(f, a.component(p), y.component(p), plan)
+                _padic_scaled_transform_per_window(f, a.component(p), y.component(p), tol)
             )
         lhs = product_results(lhs_parts)
         rhs = adeles.bs_eval(spec, adeles.scale_point(a_inv, y), "transform").value
@@ -311,8 +308,8 @@ def _scale_by_idele_per_window(spec, a, quad, plan, grid_points):
 
 @st.composite
 def _shell_windows(draw):
-    n_min = draw(st.integers(-80, 5))
-    return n_min, draw(st.integers(n_min - 3, 70))
+    lo = draw(st.integers(-80, 5))
+    return lo, draw(st.integers(lo - 3, 70))
 
 
 @given(
@@ -324,13 +321,16 @@ def _shell_windows(draw):
 )
 @settings(max_examples=300, deadline=None)
 def test_shell_density_matches_per_window_loop(p, gamma, ct, window):
-    n_min, v = window
+    # x = p^{-v} on the window [lo, 1 - v]; density() reads the window
+    # [N_MIN, 1 - v] and the valuation off x, here of a unit times p^{-v}
+    lo, v = window
     law = SemistableLaw(p, gamma, ct)
-    plan = ShellSumPlan(n_min=n_min, n_max=max(n_min, 60))
-    for x in (Fraction(p) ** (-v), (1 + p) * Fraction(p) ** (-v)):
-        got = density(law, 1.0, x, "shell", plan)
-        ref = _density_shell_per_window(law, 1.0, x, plan)
-        assert got == ref and repr(got) == repr(ref)
+    got = _ShellTable(law, 1.0).walk(lo, [-v], _TOL)[0]
+    ref = _density_shell_per_window(law, 1.0, Fraction(p) ** (-v), lo)
+    assert got == ref and repr(got) == repr(ref)
+    x = (1 + p) * Fraction(p) ** (-v)
+    got, ref = density(law, 1.0, x, "shell"), _density_shell_per_window(law, 1.0, x)
+    assert got == ref and repr(got) == repr(ref)
 
 
 def _outcome(fn, *args):
@@ -346,9 +346,9 @@ def test_shell_density_matches_per_window_loop_past_double_range(gamma, v):
     # near n = v the shell integrals of p = 7919 exceed double range: with
     # gamma = 1 the zero weights end the sum first, with gamma = 0.001 the
     # kernel raises, and both forms must do the same
-    law, x, plan = SemistableLaw(7919, gamma, 1.0), Fraction(7919) ** v, ShellSumPlan()
-    got = _outcome(density, law, 1.0, x, "shell", plan)
-    assert got == _outcome(_density_shell_per_window, law, 1.0, x, plan)
+    law, x = SemistableLaw(7919, gamma, 1.0), Fraction(7919) ** v
+    got = _outcome(density, law, 1.0, x, "shell")
+    assert got == _outcome(_density_shell_per_window, law, 1.0, x)
 
 
 _PAPER_MASS_CASES = [
@@ -365,16 +365,10 @@ def test_mass_check_matches_per_window_loop(p, gamma, ct):
 
 
 def test_mass_check_matches_per_window_loop_off_the_default_plan():
-    # a shallow window never converges and runs to max_terms; a window
-    # above n = 0 has no inner shells
+    # a coarser tolerance ends the outer shells sooner
     law = SemistableLaw(3, 0.7, 2.0)
-    for plan in (
-        ShellSumPlan(n_min=-50, tail_tolerance=1e-9),
-        ShellSumPlan(n_min=-5, max_terms=300),
-        ShellSumPlan(n_min=3, n_max=5, max_terms=50),
-    ):
-        got = mass_check(law, 1.0, plan)
-        assert got == _shell_mass_per_window(law, 1.0, Fraction(1), plan), plan
+    got = mass_check(law, 1.0, ShellSumPlan(tail_tolerance=1e-9))
+    assert got == _shell_mass_per_window(law, 1.0, Fraction(1), 1e-9)
 
 
 @pytest.mark.parametrize(
@@ -406,11 +400,10 @@ def test_scale_by_idele_matches_per_window_loop(a_map):
 )
 def test_outer_shell_density_bound_covers_rounding(p, gamma, ct, n):
     # outer shells of the paper mass checks: x = p^{-n} on the window
-    # [n_min - n, 1 - n].  For |x|_p large the density is far below the
+    # [N_MIN - n, 1 - n].  For |x|_p large the density is far below the
     # terms p^m it is summed from, so rounding dominates its error.
     mpmath = pytest.importorskip("mpmath")
-    x = Fraction(p) ** (-n)
-    got = density(SemistableLaw(p, gamma, ct), 1.0, x, "shell", ShellSumPlan(n_min=-60 - n))
+    got = _ShellTable(SemistableLaw(p, gamma, ct), 1.0).walk(N_MIN - n, [-n], _TOL)[0]
     with mpmath.workdps(60):
         P, g = mpmath.mpf(p), mpmath.mpf(gamma)
 
