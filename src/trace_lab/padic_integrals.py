@@ -243,12 +243,23 @@ def padic_gamma_closed(p: int, s: float) -> float:
     return _padic_gamma_closed(p, s)
 
 
+def _one_minus_pow(p: int, e: float) -> float:
+    # 1 - p^e.  Near e = 0 the plain difference loses about
+    # log2(1/|e ln p|) bits to cancellation, so for |e ln p| < 1/16 it is
+    # taken as -expm1(e ln p), which keeps its relative precision; above,
+    # the plain difference loses at most four bits and is kept as it was
+    x = e * math.log(p)
+    if abs(x) < 0.0625:
+        return 0.0 - math.expm1(x)
+    return 1.0 - float(p) ** e
+
+
 def _padic_gamma_closed(p: int, s: float) -> float:
     # Gamma_p for a p that was checked prime where it entered
-    denom = 1.0 - float(p) ** (-s)
+    denom = _one_minus_pow(p, -s)
     if denom == 0.0:
         raise ParameterError("Gamma_p has a pole at s = 0")
-    return (1.0 - float(p) ** (s - 1.0)) / denom
+    return _one_minus_pow(p, s - 1.0) / denom
 
 
 def padic_gamma(
