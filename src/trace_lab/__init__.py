@@ -33,7 +33,7 @@ from .padic_integrals import (
     shell_char_integral,
     shell_measure,
 )
-from .semistable import MassCheck, SemistableLaw, char_fn, density, mass_check
+from .semistable import MassCheck, SemistableLaw, char_fn, density, mass_check, shell_densities
 from .real_stable import (
     PsfSumReport,
     StableSymbol,
@@ -142,6 +142,7 @@ __all__ = [
     "scale_by_idele",
     "scale_point",
     "shell_char_integral",
+    "shell_densities",
     "shell_measure",
     "spectral_trace",
     "stable_density",

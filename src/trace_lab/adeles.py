@@ -43,7 +43,7 @@ from .padic import (
 )
 from .padic_integrals import norm_float, shell_char_kernel
 from .quadrature import ENVELOPE_CUTOFF, cos_panel, panel
-from .semistable import SemistableLaw, _ShellTable, _shell_mass, char_fn
+from .semistable import SemistableLaw, _ShellTable, _shell_mass, _zero_density, char_fn
 from .semistable import density as semistable_density
 from .real_stable import StableSymbol, gaussian_density, stable_density
 
@@ -635,7 +635,7 @@ class _ScaledShells:
         self.va = int(_valuation(a_p, self.p))
         self.scale = norm_float(self.p, -self.va)
         self.table = _ShellTable(f.law, f.t)
-        self.f0 = semistable_density(f.law, f.t, Fraction(0), "shell", plan)
+        self.f0 = _zero_density(f.law, f.t, plan)
 
     def mass(self) -> EvalResult:
         """int |a_p| f_p(a_p x) dx over Q_p, shell by shell in x."""

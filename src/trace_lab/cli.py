@@ -60,7 +60,7 @@ from .padic_integrals import (
     padic_gamma_closed,
 )
 from .real_stable import cauchy_psf_report, theta, theta_potential_integral
-from .semistable import SemistableLaw, density as semistable_density, mass_check
+from .semistable import SemistableLaw, density as semistable_density, mass_check, shell_densities
 
 # printed figures reproduced literally in the paper-mode Cauchy report
 _PRINTED_DENSITY_SUM = 1.365477
@@ -524,14 +524,18 @@ def _cmd_padic_density(P: _Params) -> list[ResultRow]:
     tol = P.float_("tol", QuadratureConfig.abs_tol, positive=True)
     plan = ShellSumPlan(tol_shell)
     law = SemistableLaw(p, gamma, c_coef)
+    # with both methods the series at x = 0 raises before any later shell
+    # is formed, so the shells stop there and the same error is raised
+    upto = xs.index(0) if method == "both" and 0 in xs else len(xs)
+    shells = shell_densities(law, t, xs[:upto], plan) if method != "series" else []
+    shells += [None] * (len(xs) - len(shells))
     rows = []
-    for x in xs:
+    for x, shl in zip(xs, shells):
         label = f"x={format_rational(x)}"
         if method in ("series", "both"):
             ser = semistable_density(law, t, x, "series", plan, series_variant=variant)
             rows.append(_info_row(f"{label}:series", ser))
         if method in ("shell", "both"):
-            shl = semistable_density(law, t, x, "shell", plan)
             rows.append(_info_row(f"{label}:shell", shl))
         if method == "both":
             rows.append(_compare_row(label, ser, shl, tol))
@@ -566,18 +570,21 @@ def _cmd_padic_mass(P: _Params) -> list[ResultRow]:
     return rows
 
 
-# Declared maxima of --count, named in --help; a larger count exits 2
-# before any work.  At each cap on a 2-core machine: mc-haar draws in about
-# 0.2 s with a peak RSS of about 170 MB at any p, and rr-check --parts
-# product answers in about 3 s without growing its memory.
+# Declared maxima of --count and of mc-haar's --depth, named in --help; a
+# larger value exits 2 before any work.  At each cap on a 2-core machine:
+# mc-haar draws in 0.2-0.3 s with a peak RSS of about 103 MB at any p and
+# either depth cap (the 2^22 rows of one int64 block and one temporary;
+# the depth only sizes the histogram), and rr-check --parts product
+# answers in about 3 s without growing its memory.
 _COUNT_MAX = {"mc-haar": 1 << 22, "rr-check": 100_000}
+_DEPTH_MAX = 1 << 16
 
 
 def _cmd_mc_haar(P: _Params) -> list[ResultRow]:
     import numpy as np
 
     p = P.int_("p", required=True, minimum=2)
-    depth = P.int_("depth", 64, minimum=1)
+    depth = P.int_("depth", 64, minimum=1, maximum=_DEPTH_MAX)
     count = P.int_("count", 100_000, minimum=1, maximum=_COUNT_MAX["mc-haar"])
     seed = P.int_("seed", 0, minimum=0)
     gamma = P.float_("gamma", None, positive=True)
@@ -1100,10 +1107,13 @@ def _usage_text(sub: str | None = None) -> str:
             flags = "--" + ", --".join(command.flags) if command.flags else "(no flags)"
             lines.append(f"  {name:20s} {flags}")
         lines += ["", "limits:"] + [f"  {name:20s} --count <= {cap}" for name, cap in _COUNT_MAX.items()]
+        lines.append(f"  {'mc-haar':20s} --depth <= {_DEPTH_MAX}")
         return "\n".join(lines)
     text = f"usage: trace-lab {sub} " + " ".join(f"[--{f} VALUE]" for f in _COMMANDS[sub].flags)
     if sub in _COUNT_MAX:
         text += f"\n--count is at most {_COUNT_MAX[sub]}"
+    if sub == "mc-haar":
+        text += f"\n--depth is at most {_DEPTH_MAX}"
     return text
 
 

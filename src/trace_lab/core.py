@@ -63,7 +63,7 @@ class ShellSumPlan:
     tail_tolerance: float = 1e-12
 
     def __post_init__(self):
-        if self.tail_tolerance <= 0:
+        if not self.tail_tolerance > 0:
             raise ParameterError("tail_tolerance must be positive")
 
 
@@ -74,7 +74,7 @@ class QuadratureConfig:
     abs_tol: float = 1e-8
 
     def __post_init__(self):
-        if self.abs_tol <= 0:
+        if not self.abs_tol > 0:
             raise ParameterError("quadrature tolerances must be positive")
 
 

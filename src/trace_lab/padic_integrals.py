@@ -9,8 +9,8 @@ Carlo Haar sampler used as a second oracle.
 
 The Haar sampler draws the base-p digits of each sample in packed blocks:
 one uniform int64 on Z/p^k holds k digits, k the largest with p^k < 2^63,
-and the valuation is read off the block.  It never uses the shell masses
-p^n(1 - 1/p) it is compared against.
+and the valuations read off each block go straight into a histogram.  It
+never uses the shell masses p^n(1 - 1/p) it is compared against.
 
 ball_char_integral is the exact Fraction definition of the character
 integrals.  shell_char_kernel is its bit-identical float form on a shell,
@@ -25,7 +25,7 @@ evaluation boundary.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
@@ -314,17 +314,15 @@ def padic_gamma_reflection_defect(p: int, s: float) -> float:
 
 @dataclass(frozen=True)
 class HaarSample:
-    """count Haar-uniform samples of Z_p, reduced to their norm exponents.
+    """count Haar-uniform samples of Z_p, reduced to their norm histogram.
 
-    valuations[i] = k means the i-th sample has |y|_p = p^{-k}; k = depth
-    means the first depth base-p digits were all zero (norm at most
-    p^{-depth}, evaluated as p^{-depth}; the truncation bias is far below
-    statistical error at the default depth of 64).  The digits are drawn
-    in packed blocks by mc_haar_zp.
+    counts[k] is the number of samples with |y|_p = p^{-k}; k = depth
+    counts those whose first depth base-p digits were all zero (norm at
+    most p^{-depth}, evaluated as p^{-depth}; the truncation bias is far
+    below statistical error at the default depth of 64).  The digits are
+    drawn in packed blocks by mc_haar_zp.
 
-    Only depth + 1 valuations can occur, so the statistics are read from
-    the histogram counts[k] = #{i : valuations[i] = k}, computed once at
-    construction: frequencies from its counts, and mean_of from g at the
+    Frequencies are read from the counts, and mean_of evaluates g at the
     occupied norms p^{-k} weighted by their counts.
     """
 
@@ -332,13 +330,11 @@ class HaarSample:
     depth: int
     count: int
     seed: int
-    valuations: np.ndarray
-    counts: np.ndarray = field(init=False, repr=False, compare=False)
+    counts: np.ndarray
 
     def __post_init__(self) -> None:
-        import numpy as np
-
-        object.__setattr__(self, "counts", np.bincount(self.valuations, minlength=self.depth + 1))
+        if len(self.counts) != self.depth + 1 or int(self.counts.sum()) != self.count:
+            raise ParameterError("HaarSample needs depth + 1 counts that sum to count")
 
     def _frequency(self, hits: int) -> tuple[float, float]:
         f = hits / self.count
@@ -380,30 +376,30 @@ class HaarSample:
         return mean, math.sqrt(var) / math.sqrt(self.count)
 
 
-def _block_valuation(x: np.ndarray, p: int, kk: int) -> np.ndarray:
-    """v_p of each int64 entry of x, with kk for the entries equal to 0.
+def _block_histogram(x: np.ndarray, p: int) -> tuple[np.ndarray, int]:
+    """(h, zeros): h[j] counts the nonzero int64 entries of x with v_p = j,
+    up to the largest v_p that occurs, and zeros the entries equal to 0.
 
     A block x uniform on Z/p^kk holds kk base-p digits at once; v_p(x) is
     the number of its low digits that are zero.  At p = 2 that is the
-    trailing-zero count: x & -x is the lowest set bit 2^v, exact as a
-    float, and frexp returns v + 1 as its exponent.
+    trailing-zero count, the number of bits set in (x & -x) - 1, and all
+    64 are set for x = 0.  The bits are counted on the uint64 view: on
+    int64, bitwise_count counts the bits of |x|, which gives 1 for -1.  At
+    other p the rows divisible by p are kept and divided by p until only
+    the zeros are left, and the rows dropped at step j have v_p = j.
     """
     import numpy as np
 
     if p == 2:
-        _, v = np.frexp((x & -x).astype(np.float64))
-        v -= 1
-        v[x == 0] = kk
-        return v
-    v = np.where(x == 0, kk, 0)
-    idx = np.flatnonzero((x != 0) & (x % p == 0))
-    y = x[idx]
-    while idx.size:
-        y //= p
-        v[idx] += 1
-        keep = y % p == 0
-        idx, y = idx[keep], y[keep]
-    return v
+        h = np.bincount(np.bitwise_count(((x & -x) - 1).view(np.uint64)), minlength=65)
+        return np.trim_zeros(h[:64], "b"), int(h[64])
+    zeros = x.size - np.count_nonzero(x)
+    y, h = x, []
+    while y.size > zeros:  # the zeros stay: 0 is divisible by p
+        rows = y.size
+        y = y[y % p == 0] // p
+        h.append(rows - y.size)
+    return np.array(h, dtype=np.int64), zeros
 
 
 def mc_haar_zp(p: int, depth: int = 64, count: int = 100_000, seed: int = 0) -> HaarSample:
@@ -411,10 +407,12 @@ def mc_haar_zp(p: int, depth: int = 64, count: int = 100_000, seed: int = 0) -> 
 
     The digits are drawn in blocks of k, the largest k with p^k < 2^63.
     With done digits drawn so far, the next block is one uniform int64 on
-    Z/p^kk, kk = min(k, depth - done), for each row (in row order) whose
-    earlier blocks were all zero.  A nonzero block gives the valuation
-    done + v_p(block); a row that is zero in every block gets depth.  The valuations come from the
-    digits alone, never from the shell masses p^{-n}(1 - 1/p) they check.
+    Z/p^kk, kk = min(k, depth - done), for each row whose earlier blocks
+    were all zero.  A nonzero block gives the valuation done + v_p(block);
+    a row that is zero in every block gets depth.  Only the histogram of
+    the valuations is kept: each block adds to it, and the next block has
+    one row per zero of this one.  The valuations come from the digits
+    alone, never from the shell masses p^{-n}(1 - 1/p) they check.
     """
     import numpy as np
 
@@ -427,14 +425,12 @@ def mc_haar_zp(p: int, depth: int = 64, count: int = 100_000, seed: int = 0) -> 
     while p ** (k + 1) < 2**63:
         k += 1
     rng = np.random.default_rng(seed)
-    done = min(k, depth)
-    x = rng.integers(0, p**done, size=count, dtype=np.int64)
-    out = _block_valuation(x, p, done).astype(np.int32, copy=False)
-    live = np.flatnonzero(x == 0)
-    while done < depth and live.size:
+    counts = np.zeros(depth + 1, dtype=np.int64)
+    done, live = 0, count
+    while done < depth and live:
         kk = min(k, depth - done)
-        x = rng.integers(0, p**kk, size=live.size, dtype=np.int64)
-        out[live] = done + _block_valuation(x, p, kk)
-        live = live[x == 0]
+        h, live = _block_histogram(rng.integers(0, p**kk, size=live, dtype=np.int64), p)
+        counts[done : done + h.size] += h
         done += kk
-    return HaarSample(p, depth, count, seed, out)
+    counts[depth] += live
+    return HaarSample(p, depth, count, seed, counts)

@@ -20,14 +20,16 @@ is evaluated two independent ways:
   exact definition ball_char_integral: on v = v_p(x) they are
   p^n (1 - 1/p) for n <= v, -p^v at n = v+1 and 0 above, so each density
   is a compensated sum over a window [N_MIN, v+1].  A shell table forms
-  each weight and each n <= v term once per law and t.  Windows that start
-  at the same shell share one accumulation, and each takes its n = v+1
-  term on a copy of the state; the additions and their order are those of
+  each weight and each n <= v term once per law and t, and keeps them in
+  two lists indexed from its lowest shell.  Windows that start at the
+  same shell share one accumulation, and each takes its n = v+1 term on
+  a copy of the state; the additions and their order are those of
   summing the window alone, so the values are bit-identical to it.
-  mass_check and the idele scaling checks read all their densities off
-  one table, and both run one shell-mass loop: with n = m - v_p(a), the
-  mass of |a|_p f_t(a x) over the shells |x|_p = p^m is the mass check's
-  own sum, scaled by |a|_p.
+  Each request builds one table: shell_densities walks all the x of a
+  padic-density request at once, and mass_check and the idele scaling
+  checks read all their densities off one table.  Those two run one
+  shell-mass loop: with n = m - v_p(a), the mass of |a|_p f_t(a x) over
+  the shells |x|_p = p^m is the mass check's own sum, scaled by |a|_p.
 
 Agreement of the two modes is the package's core p-adic cross-check.
 """
@@ -85,6 +87,11 @@ class _ShellTable:
     its kernel value is K_m = p^m (1 - 1/p), so its term w_m K_m does not
     depend on x.  The density at v_p(x) = v on the window [lo, v + 1] is
     the compensated sum of the terms lo..v followed by w_{v+1} (-p^v).
+
+    The weights and terms of the shells base, base + 1, ... are kept in two
+    lists, grown downward when a window starts below base and upward to
+    the highest v asked for.  The weights may run one shell past the
+    terms, since the n = v+1 term reads w_{v+1} alone.
     """
 
     def __init__(self, law: SemistableLaw, t: float):
@@ -94,8 +101,10 @@ class _ShellTable:
         self.gamma = law.gamma
         self._log_p = math.log(law.p)
         self._log_cut = math.log(745.0 / ct) if ct > 0.0 else math.inf
-        self._w: dict[int, float | None] = {}
-        self._t: dict[int, float] = {}
+        self._base: int | None = None
+        self._w: list[float] = []
+        self._terms: list[float] = []
+        self._end = math.inf  # the first shell whose weight ends the sum, once met
 
     def _weight(self, m: int) -> float | None:
         """w_m, or None where a window reaching shell m ends before it.
@@ -103,13 +112,53 @@ class _ShellTable:
         The weights decrease in n.  Once one is 0.0 in double every later
         shell adds nothing, and its kernel value, which may exceed double
         range, is never formed.  The log-space test keeps a weight that is
-        0.0 only because p^n saturated to inf from ending the sum.
+        0.0 only because p^n saturated to inf from ending the sum.  Both of
+        its conditions, once true at m, stay true above m, so the shells
+        that end a window are exactly those from one shell upward.
         """
-        if m not in self._w:
-            w = self._weight_fn(norm_float(self.p, m))
-            ends = w == 0.0 and m * self.gamma * self._log_p > self._log_cut
-            self._w[m] = None if ends else w
-        return self._w[m]
+        w = self._weight_fn(norm_float(self.p, m))
+        ends = w == 0.0 and m * self.gamma * self._log_p > self._log_cut
+        return None if ends else w
+
+    def _start(self, lo: int) -> None:
+        """Make the lists start at or below shell lo and run on unbroken to it.
+
+        A window that starts above the last term starts a new table, so
+        that no shell below it is ever formed.
+        """
+        base, terms = self._base, self._terms
+        if base is None or not terms or lo > base + len(terms):
+            self._base, self._w, self._terms = lo, [], []
+        elif lo < base:
+            # shells below one that has a term never end the sum
+            shells = range(lo, base)
+            ws = [self._weight(m) for m in shells]
+            terms[:0] = [w * shell_char_kernel(self.p, m, math.inf) for m, w in zip(shells, ws)]
+            self._w[:0] = ws
+            self._base = lo
+
+    def _weights_to(self, top: int) -> int:
+        """Form the weights of the shells up to top, stopping at the end;
+        return min(top + 1, the first shell without a weight)."""
+        ws = self._w
+        m = self._base + len(ws)
+        while m <= top and m < self._end:
+            w = self._weight(m)
+            if w is None:
+                self._end = m
+                break
+            ws.append(w)
+            m += 1
+        return min(m, top + 1)
+
+    def _terms_to(self, v: int) -> int:
+        """Form the terms of the shells up to v, stopping at the end; return
+        the shell after the last."""
+        top = self._weights_to(v)
+        p, ws, terms, base = self.p, self._w, self._terms, self._base
+        for m in range(base + len(terms), top):
+            terms.append(ws[m - base] * shell_char_kernel(p, m, math.inf))
+        return top
 
     def walk(self, lo: int, vs, tail_tolerance: float) -> list[EvalResult]:
         """Shell-mode densities at v_p(x) = v for each v of the ascending vs.
@@ -120,51 +169,66 @@ class _ShellTable:
         window on its own.  The error bound p^{lo - 1} covers the omitted
         inner shells: |integrand| <= 1 times the remaining ball mass.
         """
-        p, terms = self.p, self._t
+        self._start(lo)
+        # the terms of every window, up to the last v or the end
+        last = self._terms_to(vs[-1]) if vs else lo
+        p, ws, terms, base = self.p, self._w, self._terms, self._base
         bound = norm_float(p, lo - 1)
         converged = bound <= tail_tolerance
         s = c = 0.0
         m = lo
-        ended = False
         out = []
         for v in vs:
-            while m <= v and not ended:
-                x = terms.get(m)
-                if x is None:
-                    w = self._weight(m)
-                    if w is None:
-                        ended = True
-                        break
-                    x = terms[m] = w * shell_char_kernel(p, m, math.inf)
-                u = s + x
-                if abs(s) >= abs(x):
-                    c += (s - u) + x
-                else:
-                    c += (x - u) + s
-                s = u
-                m += 1
-            w = None if ended or m != v + 1 else self._weight(m)
-            if w is None:
-                value = s + c
-            else:
-                x = w * shell_char_kernel(p, m, v)
+            if m <= v:
+                top = min(v + 1, last)
+                # Each term is w_m p^m (1 - 1/p) with w_m in [0, 1], so it
+                # is >= 0, and s starts at +0.0 and only adds such terms:
+                # on these operands s >= x is Neumaier's |s| >= |x|
+                for x in terms[m - base : top - base]:
+                    u = s + x
+                    if s >= x:
+                        c += (s - u) + x
+                    else:
+                        c += (x - u) + s
+                    s = u
+                m = top
+            # the n = v+1 term, unless the window ended below it or ends there
+            if m == v + 1 and (m - base < len(ws) or self._weights_to(m) > m):
+                x = ws[m - base] * shell_char_kernel(p, m, v)
                 u = s + x
                 if abs(s) >= abs(x):
                     value = u + (c + ((s - u) + x))
                 else:
                     value = u + (c + ((x - u) + s))
+            else:
+                value = s + c
             # shells above n = v+1 vanish identically (third branch of the
             # shell character integral), so the sum is finite upward
             out.append(EvalResult(value, bound, max(v + 2 - lo, 0), converged))
         return out
 
 
-def _density_shell(law: SemistableLaw, t: float, x: Rational, plan: ShellSumPlan) -> EvalResult:
-    v = _valuation(x, law.p)
-    if v == math.inf:
-        # f_t(0) is the full radial integral of the characteristic function
-        return integrate_radial(exp_norm_function(law.C * t, law.gamma), law.p, "full", plan)
-    return _ShellTable(law, t).walk(N_MIN, [int(v)], plan.tail_tolerance)[0]
+def _zero_density(law: SemistableLaw, t: float, plan: ShellSumPlan) -> EvalResult:
+    # f_t(0) is the full radial integral of the characteristic function
+    return integrate_radial(exp_norm_function(law.C * t, law.gamma), law.p, "full", plan)
+
+
+def shell_densities(
+    law: SemistableLaw, t: float, xs, plan: ShellSumPlan = _DEFAULT_PLAN
+) -> list[EvalResult]:
+    """Shell-mode densities of mu_t at each x of xs, in the order of xs.
+
+    The distinct finite valuations are walked once, in ascending order, on
+    one shell table: each density is bit-identical to summing its own
+    window [N_MIN, v + 1].  x = 0 takes the full radial integral.
+    """
+    if t <= 0:
+        raise ParameterError("density needs t > 0")
+    vs = [_valuation(x, law.p) for x in xs]
+    finite = sorted({int(v) for v in vs if v != math.inf})
+    at = dict(zip(finite, _ShellTable(law, t).walk(N_MIN, finite, plan.tail_tolerance)))
+    f0 = _zero_density(law, t, plan) if math.inf in vs else None
+    return [f0 if v == math.inf else at[int(v)] for v in vs]
 
 
 def _density_series_direct(
@@ -237,7 +301,7 @@ def density(
     if t <= 0:
         raise ParameterError("density needs t > 0")
     if method == "shell":
-        return _density_shell(law, t, x, plan)
+        return shell_densities(law, t, [x], plan)[0]
     if method != "series":
         raise ParameterError(f"method must be series or shell, got {method!r}")
     v = _valuation(x, law.p)
@@ -272,7 +336,7 @@ def mass_check(law: SemistableLaw, t: float, plan: ShellSumPlan = _DEFAULT_PLAN)
     """
     if t <= 0:
         raise ParameterError("mass_check needs t > 0")
-    return _shell_mass(_ShellTable(law, t), _density_shell(law, t, Rational(0), plan), plan)
+    return _shell_mass(_ShellTable(law, t), _zero_density(law, t, plan), plan)
 
 
 def _shell_mass(

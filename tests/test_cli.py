@@ -578,6 +578,7 @@ def test_every_flag_refuses_malformed_values(capsys):
         # counts and D past their declared maxima
         ["mc-haar", "--p", "2", "--count", "1000000000"],
         ["mc-haar", "--p", "3", "--count", str(cli._COUNT_MAX["mc-haar"] + 1)],
+        ["mc-haar", "--p", "2", "--count", "1000", "--depth", "10000000000000"],
         ["rr-check", "--parts", "product", "--count", "10000000"],
         ["rr-check", "--count", str(cli._COUNT_MAX["rr-check"] + 1)],
         ["char-sum", "--S", "2,3,5,7,11,13", "--heights", "131071"],
@@ -606,6 +607,34 @@ def test_count_above_its_maximum_is_refused_before_any_work(sub, extra, capsys, 
     assert main([sub, *extra, "--count", "50"]) == 0
     assert main([sub, *extra, "--count", "51"]) == 2
     capsys.readouterr()
+
+
+def test_depth_above_its_maximum_is_refused_before_any_draw(capsys, monkeypatch):
+    cap = cli._DEPTH_MAX
+    assert f"--depth <= {cap}" in cli._usage_text()
+    assert f"--depth is at most {cap}" in cli._usage_text("mc-haar")
+    # the cap itself is admitted
+    assert main(["mc-haar", "--p", "2", "--count", "1000", "--depth", str(cap)]) == 0
+
+    def draw(*args):
+        raise AssertionError("drew a sample")
+
+    monkeypatch.setattr(cli, "mc_haar_zp", draw)
+    capsys.readouterr()
+    # 10^13 once asked numpy for a 73 TiB histogram and died with a traceback
+    for depth in (cap + 1, 10**13):
+        assert main(["mc-haar", "--p", "2", "--count", "1000", "--depth", str(depth)]) == 2
+        assert f"--depth must be <= {cap}" in capsys.readouterr().err
+
+
+def test_padic_density_names_the_first_failure_in_x_order(capsys):
+    # the series refuses x = 0, and the shell integrals of 7919^95 pass
+    # double range; the shells of all x are formed together, but the
+    # error is still the one the x order meets first
+    big = str(7919**95)
+    for xs, message in ((f"0,{big}", "series mode needs x != 0"), (f"{big},0", "exceeds double range")):
+        assert main(["padic-density", "--p", "7919", "--gamma", "0.001", "--x", xs]) == 2
+        assert message in capsys.readouterr().err
 
 
 def test_gaussian_kind_pins_alpha_and_sigma():

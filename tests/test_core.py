@@ -14,6 +14,8 @@ from trace_lab.core import (
     CompensatedSum,
     EvalResult,
     ParameterError,
+    QuadratureConfig,
+    ShellSumPlan,
     format_rational,
     is_prime,
     parse_number,
@@ -227,3 +229,14 @@ def test_product_results_flags_nonconverged():
     a = EvalResult(2.0, 1e-9, 1, True)
     b = EvalResult(3.0, 1e-8, 1, False)
     assert not product_results([a, b]).converged
+
+
+@pytest.mark.parametrize("tol", [0.0, -1e-12, -math.inf, math.nan])
+def test_tolerances_must_be_positive(tol):
+    # nan <= 0 is False, so a "<= 0" check let a NaN tolerance through and
+    # every shell sum then ran to its term cap without converging
+    with pytest.raises(ParameterError):
+        ShellSumPlan(tol)
+    with pytest.raises(ParameterError):
+        QuadratureConfig(tol)
+    assert ShellSumPlan(1e-300).tail_tolerance == QuadratureConfig(1e-300).abs_tol == 1e-300

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -17,7 +18,7 @@ from trace_lab.padic_integrals import (
     exp_norm_function,
     exp_radial_closed,
     integrate_radial,
-    _block_valuation,
+    _block_histogram,
     mc_haar_zp,
     norm_float,
     padic_gamma,
@@ -156,12 +157,12 @@ def test_mc_haar_shell_frequencies():
     assert abs(f - 3.0**-3) <= 4.0 * se
 
 
-def test_mc_haar_deterministic():
-    a = mc_haar_zp(2, count=1000, seed=5)
-    b = mc_haar_zp(2, count=1000, seed=5)
-    assert np.array_equal(a.valuations, b.valuations)
-    c = mc_haar_zp(2, count=1000, seed=6)
-    assert not np.array_equal(a.valuations, c.valuations)
+def test_mc_haar_deterministic(monkeypatch):
+    a, va = _recorded_sample(monkeypatch, 2, 64, 1000, 5)
+    b, vb = _recorded_sample(monkeypatch, 2, 64, 1000, 5)
+    assert va == vb and np.array_equal(a.counts, b.counts)
+    c, vc = _recorded_sample(monkeypatch, 2, 64, 1000, 6)
+    assert va != vc and not np.array_equal(a.counts, c.counts)
 
 
 def test_mc_haar_mean_scalar_fallback():
@@ -195,14 +196,15 @@ def test_block_valuation_matches_padic_valuation(p):
     values = [0, 1, p**k, 2**62 - 1, m, p - 1, p + 1]
     values += [p**j * m for j in range(k) if p**j * m < 2**63]
     values += [p**j for j in range(k)]
+    # negative entries: on int64, bitwise_count would count the bits of |x|
+    values += [-1, -p, -(2**63), -(p ** (k - 1)) * m, 0, 0]
     rng = np.random.default_rng(p)
     values += rng.integers(0, 2**63 - 1, size=200, dtype=np.int64).tolist()
     values += rng.integers(0, p**k, size=200, dtype=np.int64).tolist()
     values += (p * rng.integers(1, 2**40, size=50, dtype=np.int64)).tolist()
-    x = np.array(values, dtype=np.int64)
-    for kk in (1, k):
-        expected = [kk if v == 0 else valuation(v, p) for v in values]
-        assert _block_valuation(x, p, kk).tolist() == expected
+    h, zeros = _block_histogram(np.array(values, dtype=np.int64), p)
+    assert h.tolist() == np.bincount([valuation(v, p) for v in values if v != 0]).tolist()
+    assert zeros == values.count(0) == 3
 
 
 _REAL_DEFAULT_RNG = np.random.default_rng
@@ -249,58 +251,77 @@ def _digit_valuations(p, depth, count, blocks):
     return out
 
 
-@pytest.mark.parametrize("zero_every", [None, 2])
-@pytest.mark.parametrize(
-    "p, depth",
-    [(2, 1), (2, 62), (2, 63), (2, 200), (7919, 1), (7919, 4), (7919, 5), (7919, 200)],
-)
-def test_mc_haar_block_layout(monkeypatch, p, depth, zero_every):
-    count = 3000
+def _record_draws(monkeypatch, p, depth, count, seed, zero_every=None):
+    """mc_haar_zp's sample and the blocks it drew, through a _RecordingRng."""
     recorders = []
 
     def fake_default_rng(seed):
         recorders.append(_RecordingRng(seed, zero_every))
         return recorders[-1]
 
-    monkeypatch.setattr(np.random, "default_rng", fake_default_rng)
-    sample = mc_haar_zp(p, depth=depth, count=count, seed=17)
-    blocks = recorders[0].blocks
+    with monkeypatch.context() as mp:
+        mp.setattr(np.random, "default_rng", fake_default_rng)
+        sample = mc_haar_zp(p, depth=depth, count=count, seed=seed)
+    return sample, recorders[0].blocks
+
+
+def _recorded_sample(monkeypatch, p, depth, count, seed):
+    """mc_haar_zp's sample, and the valuations read digit by digit from its draws."""
+    sample, blocks = _record_draws(monkeypatch, p, depth, count, seed)
+    valuations = _digit_valuations(p, depth, count, blocks)
+    assert sample.counts.tolist() == np.bincount(valuations, minlength=depth + 1).tolist()
+    return sample, valuations
+
+
+@pytest.mark.parametrize("zero_every", [None, 2])
+@pytest.mark.parametrize(
+    "p, depth",
+    [
+        (2, 1), (2, 62), (2, 63), (2, 200),
+        (3, 1), (3, 39), (3, 40), (3, 200),
+        (7919, 1), (7919, 4), (7919, 5), (7919, 200),
+    ],
+)
+def test_mc_haar_block_layout(monkeypatch, p, depth, zero_every):
+    count = 3000
+    sample, blocks = _record_draws(monkeypatch, p, depth, count, 17, zero_every)
     k = _BLOCK_DIGITS[p]
     sizes = [round(math.log(high, p)) for high, _ in blocks]
     assert sizes == [min(k, depth - done) for done in range(0, k * len(sizes), k)]
-    v = sample.valuations
-    assert v.min() >= 0 and v.max() <= depth
-    assert v.tolist() == _digit_valuations(p, depth, count, blocks)
+    v = _digit_valuations(p, depth, count, blocks)
+    assert sample.counts.dtype == np.int64
+    assert sample.counts.tolist() == np.bincount(v, minlength=depth + 1).tolist()
     if zero_every:
         assert v[0] == depth  # row 0 is zero in every block
     elif depth == 1:
-        assert 0 < np.count_nonzero(v == depth) < count
+        assert 0 < sample.counts[depth] < count
 
 
 # The full-array statistics HaarSample computed before it kept a histogram,
-# copied as they were: the oracle for the histogram reads.
+# copied as they were but for reading the valuations from an argument: the
+# oracle for the histogram reads.
 
 
-def _oracle_norms(self):
-    return np.power(float(self.p), -self.valuations.astype(np.float64))
+def _oracle_norms(self, valuations):
+    return np.power(float(self.p), -valuations.astype(np.float64))
 
 
-def _oracle_shell_frequency(self, n):
+def _oracle_shell_frequency(self, valuations, n):
     if n > 0:
         return 0.0, 0.0
-    f = float(np.mean(self.valuations == -n))
+    f = float(np.mean(valuations == -n))
     se = math.sqrt(max(f * (1.0 - f), 1.0 / self.count) / self.count)
     return f, se
 
 
-def _oracle_ball_frequency(self, k):
-    f = float(np.mean(self.valuations >= k))
+def _oracle_ball_frequency(self, valuations, k):
+    f = float(np.mean(valuations >= k))
     se = math.sqrt(max(f * (1.0 - f), 1.0 / self.count) / self.count)
     return f, se
 
 
-def _oracle_mean_of(self, g):
-    u = _oracle_norms(self)
+def _oracle_mean_of(self, valuations, g):
+    u = _oracle_norms(self, valuations)
     try:
         vals = np.asarray(g(u), dtype=np.float64)
         if vals.shape != u.shape:
@@ -321,40 +342,71 @@ _MEAN_INTEGRANDS = [
 ]
 
 
-def _assert_statistics_match_oracle(sample):
+def _assert_statistics_match_oracle(sample, valuations):
+    valuations = np.asarray(valuations)
+    assert sample.counts.tolist() == np.bincount(valuations, minlength=sample.depth + 1).tolist()
     depth = sample.depth
     for n in range(1, -depth - 3, -1):  # past both ends of the histogram
-        assert sample.shell_frequency(n) == _oracle_shell_frequency(sample, n), n
+        assert sample.shell_frequency(n) == _oracle_shell_frequency(sample, valuations, n), n
     for k in range(-2, depth + 4):
-        assert sample.ball_frequency(k) == _oracle_ball_frequency(sample, k), k
+        assert sample.ball_frequency(k) == _oracle_ball_frequency(sample, valuations, k), k
     for g in _MEAN_INTEGRANDS:
         mean, se = sample.mean_of(g)
-        ref_mean, ref_se = _oracle_mean_of(sample, g)
+        ref_mean, ref_se = _oracle_mean_of(sample, valuations, g)
         assert abs(mean - ref_mean) <= 4 * math.ulp(ref_mean), (mean, ref_mean)
         assert abs(se - ref_se) <= 4 * math.ulp(ref_se), (se, ref_se)
 
 
 @pytest.mark.parametrize("depth", [1, 3, 64, 200])
 @pytest.mark.parametrize("p", [2, 3, 5, 7919])
-def test_haar_statistics_match_full_array_oracle(p, depth):
-    _assert_statistics_match_oracle(mc_haar_zp(p, depth=depth, count=20_000, seed=p + depth))
+def test_haar_statistics_match_full_array_oracle(monkeypatch, p, depth):
+    _assert_statistics_match_oracle(*_recorded_sample(monkeypatch, p, depth, 20_000, p + depth))
     # every norm occupied, the truncation bucket included
     valuations = np.random.default_rng(depth).integers(0, depth + 1, size=20_000).astype(np.int32)
-    _assert_statistics_match_oracle(HaarSample(p, depth, 20_000, 0, valuations))
+    counts = np.bincount(valuations, minlength=depth + 1)
+    _assert_statistics_match_oracle(HaarSample(p, depth, 20_000, 0, counts), valuations)
 
 
-def test_haar_histogram_counts_the_valuations():
-    sample = mc_haar_zp(3, depth=5, count=1000, seed=2)
-    assert sample.counts.tolist() == [np.count_nonzero(sample.valuations == k) for k in range(6)]
+def test_haar_histogram_counts_the_valuations(monkeypatch):
+    # depth 5 < 39 digits: one block on Z/3^5, and each row's valuation is
+    # v_3 of its block, or 5 where the block is 0
+    sample, blocks = _record_draws(monkeypatch, 3, 5, 1000, 2)
+    [(high, x)] = blocks
+    assert high == 3**5
+    vals = [5 if b == 0 else valuation(b, 3) for b in x.tolist()]
+    assert sample.counts.tolist() == [vals.count(k) for k in range(6)]
+
+
+def test_haar_sample_checks_its_histogram():
+    HaarSample(3, 2, 5, 0, np.array([3, 1, 1]))
+    with pytest.raises(ParameterError):
+        HaarSample(3, 2, 5, 0, np.array([3, 2]))  # depth + 1 bins
+    with pytest.raises(ParameterError):
+        HaarSample(3, 2, 5, 0, np.array([3, 1, 0]))  # counts sum to count
+
+
+def test_mc_haar_keeps_no_per_row_array():
+    # a million rows: the first block's draw is 8 MB of int64 and the p = 2
+    # trailing-zero count one int64 temporary more.  Per-row valuation
+    # arrays beside them (an int32 result, a float64 copy, frexp's outputs)
+    # took the peak to 28 MB
+    tracemalloc.start()
+    try:
+        sample = mc_haar_zp(2, 64, 10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sample.counts.sum() == 10**6
+    assert peak < 20 * 10**6
 
 
 def test_haar_mean_over_one_occupied_norm_is_exact():
     # every sample has norm 1, so the sample variance is exactly 0; the
     # full-array oracle reports the rounding of its pairwise mean instead
-    sample = HaarSample(7919, 3, 20_000, 0, np.zeros(20_000, dtype=np.int32))
+    sample = HaarSample(7919, 3, 20_000, 0, np.array([20_000, 0, 0, 0]))
     g = _MEAN_INTEGRANDS[1]
     assert sample.mean_of(g) == (float(g(np.ones(1))[0]), 0.0)
-    assert _oracle_mean_of(sample, g)[1] > 0.0
+    assert _oracle_mean_of(sample, np.zeros(20_000, dtype=np.int32), g)[1] > 0.0
 
 
 def test_haar_mean_needs_two_samples():
@@ -362,4 +414,3 @@ def test_haar_mean_needs_two_samples():
     assert sample.shell_frequency(0)[0] in (0.0, 1.0)
     with pytest.raises(ParameterError):
         sample.mean_of(lambda u: np.exp(-u))
-

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trace_lab import adeles, padic_integrals
+from trace_lab import adeles, padic_integrals, semistable
 from trace_lab.adeles import BruhatSchwartzSpec, FiniteFactor, Idele, gaussian_factor, scale_by_idele
 from trace_lab.core import (
     MAX_TERMS,
@@ -29,7 +29,16 @@ from trace_lab.padic_integrals import (
     padic_gamma_closed,
     shell_char_kernel,
 )
-from trace_lab.semistable import MassCheck, SemistableLaw, _ShellTable, char_fn, density, mass_check
+from trace_lab.cli import CommandRequest, run_request
+from trace_lab.semistable import (
+    MassCheck,
+    SemistableLaw,
+    _ShellTable,
+    char_fn,
+    density,
+    mass_check,
+    shell_densities,
+)
 
 laws = st.builds(
     SemistableLaw,
@@ -331,6 +340,84 @@ def test_shell_density_matches_per_window_loop(p, gamma, ct, window):
     x = (1 + p) * Fraction(p) ** (-v)
     got, ref = density(law, 1.0, x, "shell"), _density_shell_per_window(law, 1.0, x)
     assert got == ref and repr(got) == repr(ref)
+
+
+@given(
+    st.sampled_from([2, 3, 5, 7, 101]),
+    st.floats(0.05, 4.0),
+    st.one_of(st.floats(1e-3, 50.0), st.floats(745.0, 1e6)),
+    st.lists(
+        st.tuples(st.integers(-80, 5), st.lists(st.integers(-83, 75), min_size=1, max_size=4)),
+        min_size=2,
+        max_size=6,
+    ),
+)
+@settings(max_examples=200, deadline=None)
+def test_one_shell_table_serves_windows_in_any_order(p, gamma, ct, walks):
+    # windows starting below, inside and above what the table holds, so
+    # that its lists grow down, grow up and start over
+    law = SemistableLaw(p, gamma, ct)
+    table = _ShellTable(law, 1.0)
+    for lo, vs in walks:
+        vs = sorted(vs)
+        got = table.walk(lo, vs, _TOL)
+        ref = [_density_shell_per_window(law, 1.0, Fraction(p) ** v, lo) for v in vs]
+        assert got == ref and repr(got) == repr(ref)
+
+
+def test_a_window_above_the_table_forms_no_shell_below_it():
+    # at gamma = 0.001 the shell integrals of p = 2 pass double range from
+    # n = 1025 on, and the weights, 0.0 from n = 1024 on only because p^n
+    # saturated, end a window only above n = 9541.  A window starting at
+    # 9600 is empty, and the table must not form the shells between its
+    # first window and this one
+    law = SemistableLaw(2, 0.001, 1.0)
+    table = _ShellTable(law, 1.0)
+    assert table.walk(N_MIN, [0], _TOL) == [_density_shell_per_window(law, 1.0, Fraction(1))]
+    got = table.walk(9600, [9700], _TOL)
+    assert got == [_density_shell_per_window(law, 1.0, Fraction(2) ** 9700, 9600)]
+    assert got[0].value == 0.0
+
+
+@given(
+    laws,
+    st.floats(0.05, 4.0),
+    st.lists(
+        st.tuples(
+            st.integers(0, 4),
+            st.one_of(st.integers(-3, 3), st.integers(-70, 70)),  # repeats are likely
+        ),
+        min_size=1,
+        max_size=12,
+    ),
+)
+@settings(max_examples=200, deadline=None)
+def test_shell_densities_match_density_per_x(law, t, draws):
+    p = law.p
+    units = (0, 1, -1, p + 1, Fraction(1, p + 1))  # 0 gives x = 0
+    xs = [units[i] * Fraction(p) ** v for i, v in draws]  # unsorted, as drawn
+    got = shell_densities(law, t, xs)
+    want = [density(law, t, x, "shell") for x in xs]
+    assert got == want and repr(got) == repr(want)
+    assert want == [_density_shell_per_window(law, t, x) for x in xs]
+
+
+def test_a_padic_density_request_builds_one_shell_table(monkeypatch):
+    built = []
+
+    class CountingTable(_ShellTable):
+        def __init__(self, law, t):
+            built.append((law, t))
+            super().__init__(law, t)
+
+    monkeypatch.setattr(semistable, "_ShellTable", CountingTable)
+    xs = "1,1/3,9,2/3,1/9,5,1/27,0"
+    for method in ("shell", "both"):
+        built.clear()
+        params = {"p": "3", "gamma": "0.5", "x": xs if method == "shell" else xs[:-2], "method": method}
+        code, rep = run_request(CommandRequest("padic-density", params))
+        assert code == 0 and len(rep["results"]) > 7
+        assert built == [(SemistableLaw(3, 0.5, 1.0), 1.0)]
 
 
 def _outcome(fn, *args):
