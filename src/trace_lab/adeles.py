@@ -274,7 +274,7 @@ class RealFactor:
     sigma: float
 
     def __post_init__(self):
-        if self.t <= 0:
+        if not self.t > 0:
             raise ParameterError("real factor needs t > 0")
         StableSymbol(self.alpha, self.sigma, 1)
 
@@ -310,7 +310,7 @@ class FiniteFactor:
     t: float
 
     def __post_init__(self):
-        if self.t <= 0:
+        if not self.t > 0:
             raise ParameterError("finite factor needs t > 0")
 
     def density(self, x: Rational, plan: ShellSumPlan = _DEFAULT_PLAN) -> EvalResult:
@@ -582,7 +582,7 @@ def adelic_theta_reduction(t: float, lam: float, height: int = 64) -> ThetaReduc
     equation.
     """
     transform = gaussian_factor(t).transform
-    if lam <= 0:
+    if not lam > 0:
         raise ParameterError("lambda must be positive")
     if height < 4:
         raise ParameterError("height must be >= 4")

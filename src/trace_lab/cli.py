@@ -397,8 +397,7 @@ def _cmd_psf_check(P: _Params) -> list[ResultRow]:
     if len(xs) != spec.d:
         raise ParameterError(f"--x needs {spec.d} coordinates, got {len(xs)}")
     tol_shell = P.float_("tol-shell", ShellSumPlan.tail_tolerance, positive=True)
-    tol_quad = P.float_("tol-quad", QuadratureConfig.abs_tol, positive=True)
-    tol = P.float_("tol", tol_shell if closed else tol_quad, positive=True)
+    tol = P.float_("tol", tol_shell if closed else QuadratureConfig.abs_tol, positive=True)
     plan = ShellSumPlan(tol_shell)
     lat = wrapped_density(spec, t, xs, "lattice", plan)
     sp = wrapped_density(spec, t, xs, "spectral", plan)
@@ -413,9 +412,8 @@ def _cmd_trace_check(P: _Params) -> list[ResultRow]:
     spec, closed = _lattice_spec(P)
     ts = P.floats_("t", "0.1,0.5,1,4")
     tol_shell = P.float_("tol-shell", ShellSumPlan.tail_tolerance, positive=True)
-    tol_quad = P.float_("tol-quad", QuadratureConfig.abs_tol, positive=True)
     if closed:
-        default_tol = tol_shell if spec.alpha == 2.0 else tol_quad
+        default_tol = tol_shell if spec.alpha == 2.0 else QuadratureConfig.abs_tol
     else:
         default_tol = 1e-6
     tol = P.float_("tol", default_tol, positive=True)
@@ -434,8 +432,7 @@ def _cmd_potential_identity(P: _Params) -> list[ResultRow]:
     else:
         alpha = P.float_("alpha", required=True, positive=True)
         sigma = P.float_("sigma", 1.0, positive=True)
-    tol_quad = P.float_("tol-quad", QuadratureConfig.abs_tol, positive=True)
-    tol = P.float_("tol", tol_quad, positive=True)
+    tol = P.float_("tol", QuadratureConfig.abs_tol, positive=True)
     rep = potential_identity(alpha, sigma)
     rows = [_bool_row("diverged", rep.diverged)]
     if rep.diverged:
@@ -618,8 +615,7 @@ def _cmd_mc_haar(P: _Params) -> list[ResultRow]:
 
 def _cmd_cauchy_report(P: _Params) -> list[ResultRow]:
     convention = P.str_("convention", "consistent", choices=("paper", "consistent"))
-    tol_shell = P.float_("tol-shell", ShellSumPlan.tail_tolerance, positive=True)
-    tol = P.float_("tol", tol_shell, positive=True)
+    tol = P.float_("tol", ShellSumPlan.tail_tolerance, positive=True)
     rep = cauchy_psf_report(convention)
     if convention == "paper":
         return [
@@ -701,17 +697,16 @@ def _cmd_adele_eval(P: _Params) -> list[ResultRow]:
 
 def _cmd_rr_check(P: _Params) -> list[ResultRow]:
     parts = P.strs_("parts", "reduction,product,scaling", ("reduction", "product", "scaling"))
-    t = P.float_("t", 1.0, positive=True)
-    tol_shell = P.float_("tol-shell", ShellSumPlan.tail_tolerance, positive=True)
-    tol_quad = P.float_("tol-quad", QuadratureConfig.abs_tol, positive=True)
-    tol = P.float_("tol", tol_shell, positive=True)
     # every flag of the chosen parts is read, and one that no chosen part
     # reads refused, before any part runs
+    if "reduction" in parts or "scaling" in parts:
+        t = P.float_("t", 1.0, positive=True)
     if "reduction" in parts:
         lams = P.floats_("lams", "0.5,1,2,4")
         height = P.int_("height", 64, minimum=4)
         if min(lams) <= 0:
             raise ParameterError("--lams entries must be positive")
+        tol = P.float_("tol", ShellSumPlan.tail_tolerance, positive=True)
     if "product" in parts:
         count = P.int_("count", 100, minimum=1, maximum=_COUNT_MAX["rr-check"])
         seed = P.int_("seed", 7, minimum=0)
@@ -720,6 +715,8 @@ def _cmd_rr_check(P: _Params) -> list[ResultRow]:
         c_coef = P.float_("C", 1.0, positive=True)
         a = Idele.from_dict(P.point_("a", "inf=2,2=1/2"))
         grid_points = P.int_("grid-points", 12, minimum=1)
+        tol_shell = P.float_("tol-shell", ShellSumPlan.tail_tolerance, positive=True)
+        tol_quad = P.float_("tol-quad", QuadratureConfig.abs_tol, positive=True)
     P.finish()
     rows: list[ResultRow] = []
 
@@ -787,8 +784,7 @@ def _cmd_adelic_theta(P: _Params) -> list[ResultRow]:
     t = P.float_("t", 1.0, positive=True)
     lam = P.float_("lam", required=True, positive=True)
     height = P.int_("height", 64, minimum=4)
-    tol_shell = P.float_("tol-shell", ShellSumPlan.tail_tolerance, positive=True)
-    tol = P.float_("tol", tol_shell, positive=True)
+    tol = P.float_("tol", ShellSumPlan.tail_tolerance, positive=True)
     rep = adelic_theta_reduction(t, lam, height)
     return [
         _info_row("lhs", rep.lhs),
@@ -929,14 +925,12 @@ _COMMANDS: dict[str, _Command] = {
     "theta": _Command(_cmd_theta, ("t", "tol-shell", "tol")),
     "theta-integral": _Command(_cmd_theta_integral, ("tol-quad", "tol")),
     "psf-check": _Command(
-        _cmd_psf_check, ("kind", "alpha", "sigma", "d", "t", "x", "tol-shell", "tol-quad", "tol")
+        _cmd_psf_check, ("kind", "alpha", "sigma", "d", "t", "x", "tol-shell", "tol")
     ),
     "trace-check": _Command(
-        _cmd_trace_check, ("kind", "alpha", "sigma", "d", "t", "tol-shell", "tol-quad", "tol")
+        _cmd_trace_check, ("kind", "alpha", "sigma", "d", "t", "tol-shell", "tol")
     ),
-    "potential-identity": _Command(
-        _cmd_potential_identity, ("kind", "alpha", "sigma", "tol-quad", "tol")
-    ),
+    "potential-identity": _Command(_cmd_potential_identity, ("kind", "alpha", "sigma", "tol")),
     "padic-gamma": _Command(_cmd_padic_gamma, ("p", "s", "mode", "tol-shell", "tol")),
     "padic-integral": _Command(
         _cmd_padic_integral, ("p", "gamma", "tau", "domain", "mode", "tol-shell", "tol")
@@ -947,7 +941,7 @@ _COMMANDS: dict[str, _Command] = {
     ),
     "padic-mass": _Command(_cmd_padic_mass, ("p", "gamma", "C", "t", "tol-shell", "tol")),
     "mc-haar": _Command(_cmd_mc_haar, ("p", "depth", "count", "seed", "gamma", "tau")),
-    "cauchy-report": _Command(_cmd_cauchy_report, ("convention", "tol-shell", "tol")),
+    "cauchy-report": _Command(_cmd_cauchy_report, ("convention", "tol")),
     "idele-norm": _Command(_cmd_idele_norm, ("a", "diagonal")),
     "adele-eval": _Command(
         _cmd_adele_eval,
@@ -958,7 +952,7 @@ _COMMANDS: dict[str, _Command] = {
         ("parts", "t", "lams", "height", "count", "seed", "a", "gamma", "C", "grid-points",
          "tol-shell", "tol-quad", "tol"),
     ),
-    "adelic-theta": _Command(_cmd_adelic_theta, ("t", "lam", "height", "tol-shell", "tol")),
+    "adelic-theta": _Command(_cmd_adelic_theta, ("t", "lam", "height", "tol")),
     "char-sum": _Command(
         _cmd_char_sum, ("mode", "alpha", "sigma", "gamma", "C", "t", "S", "heights", "A", "M")
     ),

@@ -228,7 +228,7 @@ def spectral_trace(
     sym: StableSymbol, t: float, plan: ShellSumPlan = _DEFAULT_PLAN
 ) -> EvalResult:
     """sum_{n in Z^d} e^{-t eta(n)} over sup-norm shells with tail bound."""
-    if t <= 0:
+    if not t > 0:
         raise ParameterError("spectral_trace needs t > 0")
     return _spectral_sum(sym, t, None, plan)
 
@@ -342,7 +342,7 @@ def wrapped_density(
     plan: ShellSumPlan = _DEFAULT_PLAN,
 ) -> EvalResult:
     """Density of the wrapped law at x in [0,1)^d, by either summation."""
-    if t <= 0:
+    if not t > 0:
         raise ParameterError("wrapped_density needs t > 0")
     xs = _normalize_point(x, sym.d)
     if mode == "spectral":

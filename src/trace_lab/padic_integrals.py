@@ -61,7 +61,7 @@ def shell_measure(p: int, n: int) -> float:
 
 def exp_norm_function(tau: float, gamma: float) -> RadialFunction:
     """The radial integrand u -> exp(-tau * u**gamma)."""
-    if tau < 0 or gamma <= 0:
+    if not tau >= 0 or not gamma > 0:
         raise ParameterError("exp_norm_function needs tau >= 0, gamma > 0")
 
     def g(u: float) -> float:
@@ -146,7 +146,7 @@ def exp_radial_closed(
     shell integrator adjudicates, see the report emitted by the CLI).
     """
     require_prime(p)
-    if gamma <= 0 or tau <= 0:
+    if not gamma > 0 or not tau > 0:
         raise ParameterError("gamma and tau must be positive")
     if domain not in ("unit_ball", "full"):
         raise ParameterError(f"domain must be unit_ball or full, got {domain!r}")

@@ -42,7 +42,7 @@ class StableSymbol:
     def __post_init__(self):
         if not 0.0 < self.alpha <= 2.0:
             raise ParameterError("alpha must lie in (0, 2]")
-        if self.sigma <= 0.0:
+        if not self.sigma > 0.0:
             raise ParameterError("sigma must be positive")
         if self.d < 1:
             raise ParameterError("d must be a positive integer")
@@ -67,14 +67,14 @@ def _safe_exp(w: float) -> float:
 
 def gaussian_density(t: float, x: float) -> float:
     """t^{-1/2} e^{-pi x^2 / t}; transform pair of e^{-t pi y^2}."""
-    if t <= 0:
+    if not t > 0:
         raise ParameterError("gaussian_density needs t > 0")
     return _safe_exp(-math.pi * x * x / t) / math.sqrt(t)
 
 
 def theta(t: float, plan: ShellSumPlan = _DEFAULT_PLAN) -> EvalResult:
     """1 + 2 sum_{n>=1} e^{-t pi n^2} with a geometric tail bound."""
-    if t <= 0:
+    if not t > 0:
         raise ParameterError("theta needs t > 0")
     acc = CompensatedSum()
     acc.add(1.0)
@@ -100,7 +100,7 @@ def _theta_value(t: float) -> float:
 
 def theta_functional_defect(t: float) -> float:
     """|theta(1/t) - sqrt(t) theta(t)|."""
-    if t <= 0:
+    if not t > 0:
         raise ParameterError("theta_functional_defect needs t > 0")
     return abs(_theta_value(1.0 / t) - math.sqrt(t) * _theta_value(t))
 
@@ -176,7 +176,7 @@ def stable_density_numeric(
     for many x pass one StableEnvelope(symbol, t) to every call;
     without one, the call builds its own.  The result is the same either way.
     """
-    if t <= 0:
+    if not t > 0:
         raise ParameterError("stable_density_numeric needs t > 0")
     if symbol.d != 1:
         raise ParameterError("numeric inversion is one-dimensional")
@@ -192,7 +192,7 @@ def stable_density(
     symbol: StableSymbol, t: float, x: float, quad: QuadratureConfig = _DEFAULT_QUAD
 ) -> EvalResult:
     """Stable density at x: closed form for alpha in {1, 2}, else numeric."""
-    if t <= 0:
+    if not t > 0:
         raise ParameterError("stable_density needs t > 0")
     if symbol.d != 1:
         raise ParameterError("stable_density evaluates one-dimensional laws")
@@ -234,7 +234,7 @@ def stable_asymptotic_density(
 ) -> tuple[float, float]:
     """Large-x expansion value at x and the magnitude of the next order."""
     xx = abs(float(x))
-    if xx <= 0:
+    if not xx > 0:
         raise ParameterError("asymptotic expansion needs x != 0")
     coeffs = stable_asymptotic_coefficients(symbol, t, k_max + 1)
     alpha = symbol.alpha

@@ -66,13 +66,13 @@ class SemistableLaw:
 
     def __post_init__(self):
         require_prime(self.p)
-        if self.gamma <= 0 or self.C <= 0:
+        if not self.gamma > 0 or not self.C > 0:
             raise ParameterError("SemistableLaw needs gamma > 0 and C > 0")
 
 
 def char_fn(law: SemistableLaw, t: float, y: Rational) -> float:
     """Characteristic function exp(-Ct |y|_p^gamma); 1 at t = 0 or y = 0."""
-    if t < 0:
+    if not t >= 0:
         raise ParameterError("char_fn needs t >= 0")
     v = _valuation(y, law.p)
     if t == 0 or v == math.inf:
@@ -222,7 +222,7 @@ def shell_densities(
     one shell table: each density is bit-identical to summing its own
     window [N_MIN, v + 1].  x = 0 takes the full radial integral.
     """
-    if t <= 0:
+    if not t > 0:
         raise ParameterError("density needs t > 0")
     vs = [_valuation(x, law.p) for x in xs]
     finite = sorted({int(v) for v in vs if v != math.inf})
@@ -298,7 +298,7 @@ def density(
     oracle confirms; "gamma-power" substitutes (Ct)^{n gamma} so the effect
     of that alternative reading can be measured rather than argued about.
     """
-    if t <= 0:
+    if not t > 0:
         raise ParameterError("density needs t > 0")
     if method == "shell":
         return shell_densities(law, t, [x], plan)[0]
@@ -334,7 +334,7 @@ def mass_check(law: SemistableLaw, t: float, plan: ShellSumPlan = _DEFAULT_PLAN)
     Also tracks the minimum density value seen across shells as a
     nonnegativity diagnostic.
     """
-    if t <= 0:
+    if not t > 0:
         raise ParameterError("mass_check needs t > 0")
     return _shell_mass(_ShellTable(law, t), _zero_density(law, t, plan), plan)
 

@@ -6,6 +6,7 @@ import importlib.util
 import inspect
 import json
 import os
+import shlex
 import subprocess
 import sys
 import time
@@ -486,6 +487,23 @@ def test_main_csv_format(capsys):
     assert out.startswith("name,value")
 
 
+def _readme_cli_lines() -> list[str]:
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [line for line in block.splitlines() if line.startswith("trace-lab ")]
+
+
+def test_readme_cli_examples_run(tmp_path, monkeypatch, capsys):
+    # a flag removed from a command must leave no README example behind
+    monkeypatch.chdir(tmp_path)
+    lines = _readme_cli_lines()
+    assert len(lines) == 13
+    failed = [line for line in lines if main(shlex.split(line)[1:]) != 0]
+    capsys.readouterr()
+    assert failed == []
+    assert json.loads((tmp_path / "report.json").read_text())["command"] == "reproduce-paper"
+
+
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     assert main(["theta", "--help"]) == 0
@@ -658,7 +676,7 @@ def test_mc_haar_checks_gamma_and_tau_before_drawing(monkeypatch):
     assert main(["mc-haar", "--p", "2", "--tau", "1"]) == 2
 
 
-def test_a_flag_the_mode_does_not_read_is_refused_before_any_work(monkeypatch):
+def test_a_flag_the_mode_does_not_read_is_refused_before_any_work(monkeypatch, capsys):
     def work(*args, **kwargs):
         raise AssertionError("computed before refusing a flag")
 
@@ -671,6 +689,57 @@ def test_a_flag_the_mode_does_not_read_is_refused_before_any_work(monkeypatch):
     assert main(["rr-check", "--parts", "scaling", "--count", "5"]) == 2
     assert main(["rr-check", "--parts", "product", "--lams", "1"]) == 2
     assert main(["rr-check", "--parts", "product,reduction", "--lams", "1,-1"]) == 2
+    for parts, flag in (
+        ("product", "t"),
+        ("product", "tol"),
+        ("product", "tol-shell"),
+        ("product", "tol-quad"),
+        ("reduction", "tol-shell"),
+        ("reduction", "tol-quad"),
+        ("scaling", "tol"),
+    ):
+        capsys.readouterr()
+        assert main(["rr-check", "--parts", parts, f"--{flag}", "0.5"]) == 2
+        assert f"unknown parameter(s): {flag}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["psf-check", "--tol-quad", "1e-3"],
+        ["trace-check", "--tol-quad", "1e-3"],
+        ["potential-identity", "--alpha", "1.5", "--tol-quad", "1e-3"],
+        ["cauchy-report", "--tol-shell", "1e-3"],
+        ["adelic-theta", "--lam", "1", "--tol-shell", "1e-3"],
+    ],
+)
+def test_a_tolerance_flag_that_sets_nothing_is_refused(argv, capsys):
+    # no sum or quadrature of these commands reads the flag
+    assert main(argv) == 2
+    assert f"unknown parameter(s): {argv[-2][2:]}" in capsys.readouterr().err
+
+
+def test_tol_sets_the_tolerance_of_the_rows_it_judges():
+    for sub, params, name in (
+        ("psf-check", {}, "poisson_summation"),
+        ("psf-check", {"kind": "stable", "alpha": "1.5"}, "poisson_summation"),
+        ("trace-check", {"kind": "stable", "alpha": "1", "t": "1"}, "t=1"),
+        ("potential-identity", {"alpha": "1.5"}, "zeta_identity"),
+        ("cauchy-report", {}, "poisson_summation"),
+        ("adelic-theta", {"lam": "2"}, "scaled_summation"),
+        ("rr-check", {"parts": "reduction"}, "reduction_lambda=1"),
+    ):
+        code, rep = run_request(CommandRequest(sub, {**params, "tol": "1e-7"}))
+        assert code == 0, sub
+        assert {r["name"]: r.get("tolerance") for r in rep["results"]}[name] == 1e-7, sub
+    # rr-check judges its reduction rows at --tol alone, and its scaling
+    # rows at --tol-quad
+    code, rep = run("rr-check", parts="reduction,scaling", grid_points="2", tol_shell="1e-10", tol_quad="1e-7")
+    assert code == 0
+    tols: dict[str, set] = {}
+    for r in rep["results"]:
+        tols.setdefault(r["name"].split("[")[0].split("=")[0], set()).add(r["tolerance"])
+    assert tols == {"reduction_lambda": {1e-12}, "scaled_mass": {1e-7}, "fourier": {1e-7}}
 
 
 def test_an_unknown_key_is_refused_before_any_work(monkeypatch):

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from trace_lab import adeles, lattice, padic_integrals, real_stable, semistable
 from trace_lab.core import (
     CompensatedSum,
     EvalResult,
@@ -240,3 +241,38 @@ def test_tolerances_must_be_positive(tol):
     with pytest.raises(ParameterError):
         QuadratureConfig(tol)
     assert ShellSumPlan(1e-300).tail_tolerance == QuadratureConfig(1e-300).abs_tol == 1e-300
+
+
+_LAW, _SYM = semistable.SemistableLaw(2, 1.0, 1.0), real_stable.StableSymbol(1.5, 1.0)
+_NAN_INPUTS = {
+    "SemistableLaw.gamma": lambda: semistable.SemistableLaw(2, math.nan, 1.0),
+    "SemistableLaw.C": lambda: semistable.SemistableLaw(2, 1.0, math.nan),
+    "char_fn": lambda: semistable.char_fn(_LAW, math.nan, 1),
+    "shell_densities": lambda: semistable.shell_densities(_LAW, math.nan, [1]),
+    "density": lambda: semistable.density(_LAW, math.nan, 1),
+    "mass_check": lambda: semistable.mass_check(_LAW, math.nan),
+    "StableSymbol.sigma": lambda: real_stable.StableSymbol(1.5, math.nan),
+    "gaussian_density": lambda: real_stable.gaussian_density(math.nan, 0.0),
+    "theta": lambda: real_stable.theta(math.nan),
+    "theta_functional_defect": lambda: real_stable.theta_functional_defect(math.nan),
+    "stable_density_numeric": lambda: real_stable.stable_density_numeric(_SYM, math.nan, 0.0),
+    "stable_density": lambda: real_stable.stable_density(_SYM, math.nan, 0.0),
+    "stable_asymptotic_density": lambda: real_stable.stable_asymptotic_density(_SYM, 1.0, math.nan),
+    "spectral_trace": lambda: lattice.spectral_trace(_SYM, math.nan),
+    "wrapped_density": lambda: lattice.wrapped_density(_SYM, math.nan, (0.0,)),
+    "RealFactor.t": lambda: adeles.gaussian_factor(math.nan),
+    "FiniteFactor.t": lambda: adeles.FiniteFactor(_LAW, math.nan),
+    "adelic_theta_reduction": lambda: adeles.adelic_theta_reduction(1.0, math.nan),
+    "exp_norm_function.tau": lambda: padic_integrals.exp_norm_function(math.nan, 1.0),
+    "exp_norm_function.gamma": lambda: padic_integrals.exp_norm_function(1.0, math.nan),
+    "exp_radial_closed": lambda: padic_integrals.exp_radial_closed(2, 1.0, math.nan, "unit_ball"),
+}
+
+
+@pytest.mark.parametrize("site", sorted(_NAN_INPUTS))
+def test_positivity_checks_refuse_nan(site):
+    # each check reads "not x > 0": nan <= 0 is False, and a NaN law
+    # parameter or time once gave a wrong value marked converged, or ran
+    # a series to its term cap
+    with pytest.raises(ParameterError):
+        _NAN_INPUTS[site]()
