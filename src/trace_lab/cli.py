@@ -569,8 +569,8 @@ def _cmd_padic_mass(P: _Params) -> list[ResultRow]:
 
 # Declared maxima of --count and of mc-haar's --depth, named in --help; a
 # larger value exits 2 before any work.  At each cap on a 2-core machine:
-# mc-haar draws in 0.2-0.3 s with a peak RSS of about 103 MB at any p and
-# either depth cap (the 2^22 rows of one int64 block and one temporary;
+# mc-haar draws in 0.06-0.15 s at any p and either depth cap, and its
+# memory does not grow with --count (the sampler draws in fixed chunks;
 # the depth only sizes the histogram), and rr-check --parts product
 # answers in about 3 s without growing its memory.
 _COUNT_MAX = {"mc-haar": 1 << 22, "rr-check": 100_000}

@@ -79,7 +79,8 @@ def _norm_ratio(components: Iterable[tuple[int, Fraction]]) -> tuple[int, int]:
     denominator, for nonzero x_p and primes p checked where they entered."""
     num = den = 1
     for p, x in components:
-        v = _int_valuation(x.numerator, p) - _int_valuation(x.denominator, p)
+        a, b = x.as_integer_ratio()
+        v = _int_valuation(a, p) - _int_valuation(b, p)
         if v > 0:
             den *= p**v
         elif v < 0:
@@ -207,7 +208,8 @@ def prime_support(q: Rational) -> tuple[int, ...]:
     TRIAL_DIVISOR_LIMIT lies past the proven range of is_prime, or is a
     composite below it.
     """
-    q = Fraction(q)
+    if type(q) is not Fraction:
+        q = Fraction(q)
     out: set[int] = set()
     _int_prime_support(abs(q.numerator), out)
     _int_prime_support(q.denominator, out)

@@ -402,6 +402,12 @@ def _block_histogram(x: np.ndarray, p: int) -> tuple[np.ndarray, int]:
     return np.array(h, dtype=np.int64), zeros
 
 
+# rows per draw of a Haar block: 256 KB of int64, and a peak of about
+# 0.56 MB with the chunk's temporaries.  2^14 rows ran as fast, 2^13 and
+# 2^16 slower (BENCH_26.json)
+_HAAR_CHUNK = 1 << 15
+
+
 def mc_haar_zp(p: int, depth: int = 64, count: int = 100_000, seed: int = 0) -> HaarSample:
     """Sample Z_p as uniform base-p digit strings; deterministic per seed.
 
@@ -413,6 +419,15 @@ def mc_haar_zp(p: int, depth: int = 64, count: int = 100_000, seed: int = 0) -> 
     the valuations is kept: each block adds to it, and the next block has
     one row per zero of this one.  The valuations come from the digits
     alone, never from the shell masses p^{-n}(1 - 1/p) they check.
+
+    A block is drawn in chunks of at most _HAAR_CHUNK rows, so memory
+    does not grow with count.  The chunks give exactly the values of one
+    draw of the whole block and leave the generator in the same state:
+    numpy draws bounded integers one at a time (Lemire's method, each
+    rejection taking the next word of the stream), and below 2^32 the
+    spare 32-bit half of a word is buffered in the bit generator, not in
+    the call.  The tests compare counts and generator state with a
+    one-call sampler.
     """
     import numpy as np
 
@@ -429,8 +444,13 @@ def mc_haar_zp(p: int, depth: int = 64, count: int = 100_000, seed: int = 0) -> 
     done, live = 0, count
     while done < depth and live:
         kk = min(k, depth - done)
-        h, live = _block_histogram(rng.integers(0, p**kk, size=live, dtype=np.int64), p)
-        counts[done : done + h.size] += h
+        zeros = 0
+        for start in range(0, live, _HAAR_CHUNK):
+            size = min(_HAAR_CHUNK, live - start)
+            h, z = _block_histogram(rng.integers(0, p**kk, size=size, dtype=np.int64), p)
+            counts[done : done + h.size] += h
+            zeros += z
+        live = zeros
         done += kk
     counts[depth] += live
     return HaarSample(p, depth, count, seed, counts)

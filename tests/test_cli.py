@@ -27,6 +27,7 @@ from trace_lab.cli import (
     run_request,
 )
 from trace_lab.core import ParameterError
+from trace_lab.padic_integrals import _HAAR_CHUNK
 
 
 def run(sub: str, **params) -> tuple[int, dict]:
@@ -643,6 +644,22 @@ def test_depth_above_its_maximum_is_refused_before_any_draw(capsys, monkeypatch)
     for depth in (cap + 1, 10**13):
         assert main(["mc-haar", "--p", "2", "--count", "1000", "--depth", str(depth)]) == 2
         assert f"--depth must be <= {cap}" in capsys.readouterr().err
+
+
+def test_mc_haar_at_both_caps_stays_within_chunk_memory(capsys):
+    # eight int64 arrays of one Haar chunk, as in test_padic_integrals; at
+    # --depth 2^16 the histogram adds 0.5 MB to the chunk's 0.56 MB
+    bound = 8 * 8 * _HAAR_CHUNK
+    argv = ["mc-haar", "--p", "2", "--count", str(cli._COUNT_MAX["mc-haar"]), "--depth", str(cli._DEPTH_MAX)]
+    tracemalloc.start()
+    try:
+        code = main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < bound
+    capsys.readouterr()
 
 
 def test_padic_density_names_the_first_failure_in_x_order(capsys):

@@ -18,6 +18,7 @@ from trace_lab.padic_integrals import (
     exp_norm_function,
     exp_radial_closed,
     integrate_radial,
+    _HAAR_CHUNK,
     _block_histogram,
     mc_haar_zp,
     norm_float,
@@ -398,6 +399,98 @@ def test_mc_haar_keeps_no_per_row_array():
         tracemalloc.stop()
     assert sample.counts.sum() == 10**6
     assert peak < 20 * 10**6
+
+
+# the tracemalloc peak a Haar sample may reach at any count: eight int64
+# arrays of one chunk, 2 MiB.  A chunk's draw, its divisibility mask, the
+# rows kept and their quotients come to about 2.2 of them
+HAAR_PEAK_BOUND = 8 * 8 * _HAAR_CHUNK
+
+
+@pytest.mark.parametrize("p", [2, 3, 7919])
+def test_mc_haar_memory_at_the_count_cap(p):
+    # one int64 array of all count rows took the peak to 71 MB here
+    from trace_lab.cli import _COUNT_MAX
+
+    cap = _COUNT_MAX["mc-haar"]
+    tracemalloc.start()
+    try:
+        sample = mc_haar_zp(p, 64, cap)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sample.counts.sum() == cap
+    assert peak < HAAR_PEAK_BOUND
+
+
+def _one_call_counts(rng, p, depth, count):
+    """mc_haar_zp's block loop as it was before chunks: one rng.integers
+    call per block, all its live rows at once.  The oracle for the chunks."""
+    k = 1
+    while p ** (k + 1) < 2**63:
+        k += 1
+    counts = np.zeros(depth + 1, dtype=np.int64)
+    done, live = 0, count
+    while done < depth and live:
+        kk = min(k, depth - done)
+        h, live = _block_histogram(rng.integers(0, p**kk, size=live, dtype=np.int64), p)
+        counts[done : done + h.size] += h
+        done += kk
+    counts[depth] += live
+    return counts
+
+
+class _HalfZeroRng:
+    """A seeded Generator that zeroes every drawn value below high // 2, so
+    about half the rows of each block go on to the next.  The zeroing reads
+    values, not positions, so it gives the same blocks in chunks or at once.
+    """
+
+    def __init__(self, seed):
+        self.rng = _REAL_DEFAULT_RNG(seed)
+        self.bit_generator = self.rng.bit_generator
+        self.sizes = []
+
+    def integers(self, low, high, size, dtype):
+        self.sizes.append(size)
+        x = self.rng.integers(low, high, size=size, dtype=dtype)
+        x[x < high // 2] = 0
+        return x
+
+
+@pytest.mark.parametrize("half_zero", [False, True])
+@pytest.mark.parametrize(
+    "count", [1, _HAAR_CHUNK - 1, _HAAR_CHUNK, _HAAR_CHUNK + 1, 3 * _HAAR_CHUNK + 7]
+)
+@pytest.mark.parametrize(
+    "p, depth",
+    [
+        # ranges of the last or only block: 2^20, 3^20 (Lemire's method
+        # rejects about 19 % of its draws), 5^10 and 7919^2 lie below
+        # 2^32, where numpy buffers the spare 32-bit half in the bit
+        # generator; 2^62, 3^39, 5^27 and 7919^4 lie above
+        (2, 20), (2, 64), (3, 20), (3, 59), (3, 64), (5, 37), (7919, 6), (7919, 64),
+    ],
+)
+def test_mc_haar_chunks_draw_as_one_call(monkeypatch, p, depth, count, half_zero):
+    make = _HalfZeroRng if half_zero else _REAL_DEFAULT_RNG
+    seed = 1000 * p + depth
+    rngs = []
+
+    def fake_default_rng(seed):
+        rngs.append(make(seed))
+        return rngs[-1]
+
+    with monkeypatch.context() as mp:
+        mp.setattr(np.random, "default_rng", fake_default_rng)
+        sample = mc_haar_zp(p, depth=depth, count=count, seed=seed)
+    oracle = make(seed)
+    assert sample.counts.tolist() == _one_call_counts(oracle, p, depth, count).tolist()
+    assert rngs[0].bit_generator.state == oracle.bit_generator.state
+    if half_zero:
+        # the same rows drawn, none more than a chunk at a time
+        assert sum(rngs[0].sizes) == sum(oracle.sizes)
+        assert max(rngs[0].sizes) <= _HAAR_CHUNK
 
 
 def test_haar_mean_over_one_occupied_norm_is_exact():
