@@ -387,10 +387,10 @@ def test_haar_sample_checks_its_histogram():
 
 
 def test_mc_haar_keeps_no_per_row_array():
-    # a million rows: the first block's draw is 8 MB of int64 and the p = 2
-    # trailing-zero count one int64 temporary more.  Per-row valuation
-    # arrays beside them (an int32 result, a float64 copy, frexp's outputs)
-    # took the peak to 28 MB
+    # a million rows: while the first block was one 8 MB int64 draw,
+    # per-row valuation arrays beside it (an int32 result, a float64 copy,
+    # frexp's outputs) took the peak to 28 MB.  The chunked sampler's own
+    # bound is in test_mc_haar_memory_at_the_count_cap
     tracemalloc.start()
     try:
         sample = mc_haar_zp(2, 64, 10**6)
@@ -404,7 +404,7 @@ def test_mc_haar_keeps_no_per_row_array():
 # the tracemalloc peak a Haar sample may reach at any count: eight int64
 # arrays of one chunk, 2 MiB.  A chunk's draw, its divisibility mask, the
 # rows kept and their quotients come to about 2.2 of them
-HAAR_PEAK_BOUND = 8 * 8 * _HAAR_CHUNK
+_HAAR_PEAK_BOUND = 8 * 8 * _HAAR_CHUNK
 
 
 @pytest.mark.parametrize("p", [2, 3, 7919])
@@ -420,7 +420,7 @@ def test_mc_haar_memory_at_the_count_cap(p):
     finally:
         tracemalloc.stop()
     assert sample.counts.sum() == cap
-    assert peak < HAAR_PEAK_BOUND
+    assert peak < _HAAR_PEAK_BOUND
 
 
 def _one_call_counts(rng, p, depth, count):
@@ -465,11 +465,11 @@ class _HalfZeroRng:
 @pytest.mark.parametrize(
     "p, depth",
     [
-        # ranges of the last or only block: 2^20, 3^20 (Lemire's method
-        # rejects about 19 % of its draws), 5^10 and 7919^2 lie below
-        # 2^32, where numpy buffers the spare 32-bit half in the bit
-        # generator; 2^62, 3^39, 5^27 and 7919^4 lie above
-        (2, 20), (2, 64), (3, 20), (3, 59), (3, 64), (5, 37), (7919, 6), (7919, 64),
+        # the last or only block's range lies below 2^32, where numpy
+        # buffers the spare 32-bit half in the bit generator, for the first
+        # six and above it for the last two; every earlier block is above.
+        # On 3^20 Lemire's method rejects about 19 % of the draws
+        (2, 20), (2, 64), (3, 20), (3, 59), (5, 37), (7919, 6), (3, 64), (7919, 64),
     ],
 )
 def test_mc_haar_chunks_draw_as_one_call(monkeypatch, p, depth, count, half_zero):
