@@ -18,6 +18,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import repeat
 from typing import Callable, ClassVar, Mapping, Sequence
 
 from .core import (
@@ -289,8 +290,44 @@ class RealFactor:
         return stable_density(self.symbol, self.t, x, quad)
 
     def transform(self, y: float) -> float:
-        w = self.t * self.sigma * abs(y) ** self.alpha
+        u = abs(y) ** self.alpha
+        if u == 0.0:
+            # e^0 = 1 even where t * sigma overflows, and inf * 0.0 is nan
+            return 1.0
+        w = self.t * self.sigma * u
         return math.exp(-w) if w < 745.0 else 0.0
+
+
+# Cells per chunk of _real_transforms: its Python lists stay this short
+# whatever the size of the grid.
+_CHUNK = 1 << 15
+
+
+def _real_transforms(rf: RealFactor, y: np.ndarray) -> np.ndarray:
+    """rf.transform at each y >= 0 of the float array y, bit for bit.
+
+    The power and the exponential stay scalar (Python pow and math.exp),
+    because np.power and np.exp take CPU-dependent SIMD paths that differ
+    in the last bit; the product with t * sigma is one correctly rounded
+    multiply either way.
+    """
+    import numpy as np
+
+    c = rf.t * rf.sigma
+    out = np.empty(len(y))
+    # Python float arithmetic warns about nothing (inf * 0.0 is nan)
+    with np.errstate(all="ignore"):
+        for lo in range(0, len(y), _CHUNK):
+            ys = y[lo : lo + _CHUNK].tolist()
+            u = np.fromiter(map(pow, ys, repeat(rf.alpha)), np.float64, len(ys))
+            w = c * u
+            e = np.fromiter(map(math.exp, (-w).tolist()), np.float64, len(ys))
+            # not w < 745 rather than w >= 745: w is nan where c is inf and
+            # u is 0, and those cells are e^0 = 1
+            e[~(w < 745.0)] = 0.0
+            e[u == 0.0] = 1.0
+            out[lo : lo + _CHUNK] = e
+    return out
 
 
 def gaussian_factor(t: float) -> RealFactor:
@@ -382,11 +419,11 @@ def bs_eval(
 # one ulp of H whenever H^3 < 2^52, and correctly rounded division is monotone.
 _D_HEIGHT_LIMIT = 1 << 17
 
-# The gcd grid and the member arrays grow with the cells (denominators x
-# (height + 1)).  The cap is the grid of S = {2} just below the height
-# limit, 17 x 2^17 cells: char-sum --S 2 --heights 131071 takes about
-# 1.4 s and a 300 MB peak RSS on a 2-core machine.  More primes admit lower
-# heights.
+# The coprimality grid and the member arrays grow with the cells
+# (denominators x (height + 1)).  The cap is the grid of S = {2} just below
+# the height limit, 17 x 2^17 cells: char-sum --S 2 --heights 131071 takes
+# about 0.8 s and a 160 MB peak RSS on a 2-core machine.  More primes admit
+# lower heights.
 _D_CELL_LIMIT = 17 * _D_HEIGHT_LIMIT
 
 
@@ -398,9 +435,11 @@ def _d_members(S: Sequence[int], height: int) -> tuple[np.ndarray, ...]:
     Returns (b, vb, a, row, h).  The denominators b are built as products of
     the primes of S, so their valuation vectors vb (v_p(b) for p in sorted
     S) are known from construction.  Member k is a[k] / b[row[k]], of height
-    h[k].  Coprimality is read off one (denominators x 0..height) gcd grid,
-    whose cells (b, |a|) give the members a/b and -a/b.  A grid of more
-    than _D_CELL_LIMIT cells is refused before it is built.
+    h[k].  The cells (b, |a|) of a (denominators x 0..height) grid give the
+    members a/b and -a/b; since b is S-smooth, a cell is coprime unless a
+    prime of S divides both b and a, so the grid is cleared prime by prime
+    from vb.  A grid of more than _D_CELL_LIMIT cells is refused before it
+    is built.
     """
     import numpy as np
 
@@ -426,14 +465,33 @@ def _d_members(S: Sequence[int], height: int) -> tuple[np.ndarray, ...]:
         denoms.extend(extra)
     b = np.array([d for d, _ in denoms], dtype=np.int64)
     vb = np.array([v for _, v in denoms], dtype=np.int64)
-    row, col = np.nonzero(np.gcd(b[:, None], np.arange(height + 1, dtype=np.int64)) == 1)
+    coprime = np.ones((len(b), height + 1), dtype=bool)
+    for i, p in enumerate(primes):
+        # the columns 0, p, 2p, ... of the rows that p divides
+        coprime[vb[:, i] > 0, ::p] = False
+    row, col = np.nonzero(coprime)
+    del coprime
     pos = col > 0
     a = np.concatenate((col, -col[pos]))
     row = np.concatenate((row, row[pos]))
+    del col, pos
     den = b[row]
     h = np.maximum(np.abs(a), den)
-    order = np.lexsort((a / den, h))
-    return b, vb, a[order], row[order], h[order]
+    # Below the height limit distinct members have distinct floats a/b, so
+    # ranking them by value and then sorting the integer key h * n + rank
+    # gives the order of np.lexsort((a / den, h)) with one float sort.
+    by_value = np.argsort(a / den)
+    del den
+    n = len(a)
+    key = np.empty(n, dtype=np.int64)
+    key[by_value] = np.arange(n)
+    del by_value
+    key += h * n
+    order = np.argsort(key)
+    del key
+    a = a[order]
+    row = row[order]
+    return b, vb, a, row, h[order]
 
 
 @dataclass(frozen=True)
@@ -489,33 +547,40 @@ def rational_char_sum(
             raise ParameterError("height schedule must contain positive integers")
         top = schedule[-1]
         b, vb, a, row, h = _d_members(spec.S, top)
-        rf = spec.real_factor
+        cuts = np.searchsorted(h, schedule, side="right").tolist()
+        del h
         # one value per cell (b, |a|): the terms at a and -a are equal, since
         # the real factor reads |a/b| and v_p(-a) = v_p(a)
         cell = a >= 0
         cell_row, cell_col = row[cell], a[cell]
-        value = np.array([rf.transform(y) for y in (cell_col / b[cell_row]).tolist()])
+        value = _real_transforms(spec.real_factor, cell_col / b[cell_row])
         # at r = 0 every finite factor is char_fn(y=0) = 1.0
         nz = cell_col > 0
         nz_row, nz_col = cell_row[nz], cell_col[nz]
         for i, (p, f) in enumerate(sorted(spec.finite_factors.items())):
-            # a is prime to p whenever p divides b: v_p(a/b) = v_p(a) - v_p(b)
-            v = -vb[nz_row, i]
+            # v_p of 0..top, one slice per power of p
+            vp = np.zeros(top + 1, dtype=np.int64)
             k = p
             while k <= top:
-                v += nz_col % k == 0
+                vp[::k] += 1
                 k *= p
+            # a is prime to p whenever p divides b: v_p(a/b) = v_p(a) - v_p(b)
+            v = vp[nz_col] - vb[nz_row, i]
             lo = int(v.min())
             table = np.array([f.transform(Fraction(p) ** u) for u in range(lo, int(v.max()) + 1)])
             value[nz] *= table[v - lo]
         grid = np.zeros((len(b), top + 1))
         grid[cell_row, cell_col] = value
+        del cell, cell_row, cell_col, value, nz, nz_row, nz_col, v
         terms = grid[row, np.abs(a)]
+        del grid, a, row
         acc = CompensatedSum()
         partials = []
         idx = 0
-        for cut in np.searchsorted(h, schedule, side="right").tolist():
-            acc.extend(terms[idx:cut])
+        for cut in cuts:
+            # extend is add term by term, so chunks sum as one call would
+            for lo in range(idx, cut, _CHUNK):
+                acc.extend(terms[lo : min(lo + _CHUNK, cut)])
             partials.append(acc.value)
             idx = cut
         diffs = [partials[0]] + [b - a for a, b in zip(partials, partials[1:])]

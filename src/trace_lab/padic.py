@@ -80,11 +80,15 @@ def _norm_ratio(components: Iterable[tuple[int, Fraction]]) -> tuple[int, int]:
     num = den = 1
     for p, x in components:
         a, b = x.as_integer_ratio()
-        v = _int_valuation(a, p) - _int_valuation(b, p)
-        if v > 0:
-            den *= p**v
-        elif v < 0:
-            num *= p ** (-v)
+        # in lowest terms p divides at most one of a and b
+        if a % p == 0:
+            while a % p == 0:
+                a //= p
+                den *= p
+        else:
+            while b % p == 0:
+                b //= p
+                num *= p
     return num, den
 
 

@@ -8,6 +8,7 @@ import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -517,7 +518,7 @@ def test_enumerate_d_matches_fraction_oracle_for_any_s(S, height):
 
 def test_height_at_the_cap_is_refused_before_the_grid_is_built(capsys):
     # at 2^17 the float a/b no longer provably orders one height's members;
-    # the gcd grid for S = {2} would hold 18 x (2^17 + 1) cells
+    # the coprimality grid for S = {2} would hold 18 x (2^17 + 1) cells
     tracemalloc.start()
     try:
         with pytest.raises(ParameterError, match="height must be < 131072"):
@@ -533,7 +534,7 @@ def test_height_at_the_cap_is_refused_before_the_grid_is_built(capsys):
 
 def test_d_past_the_cell_cap_is_refused_before_the_grid_is_built(capsys, monkeypatch):
     # S = {2, ..., 13} has 2,040 denominators below 2^17: a 267-million-cell
-    # gcd grid, refused after at most 18 denominators
+    # coprimality grid, refused after at most 18 denominators
     cap = adeles._D_CELL_LIMIT
     tracemalloc.start()
     try:
@@ -552,6 +553,81 @@ def test_d_past_the_cell_cap_is_refused_before_the_grid_is_built(capsys, monkeyp
     assert len(_d_fractions([2], 512)) == len(_enumerate_D_oracle([2], 512))
     with pytest.raises(ParameterError, match="more than 5130 cells"):
         adeles._d_members([2], 513)
+
+
+@pytest.mark.parametrize("S", _D_PRIMES, ids=str)
+def test_d_members_match_the_gcd_grid_and_lexsort(S):
+    # the coprimality grid read off S-smoothness against np.gcd, and the
+    # one-float-sort order against np.lexsort((a / den, h))
+    for height in (1, 2, 12, 97, 512):
+        b, vb, a, row, h = adeles._d_members(S, height)
+        gcd_grid = np.gcd(b[:, None], np.arange(height + 1, dtype=np.int64)) == 1
+        cells = np.zeros_like(gcd_grid)
+        cells[row[a >= 0], a[a >= 0]] = True
+        assert np.array_equal(cells, gcd_grid), (S, height)
+        # every nonzero cell gives the members a/b and -a/b once each
+        assert len(a) == 2 * int(gcd_grid.sum()) - 1
+        assert sorted(zip(row[a < 0].tolist(), (-a[a < 0]).tolist())) == sorted(
+            zip(row[a > 0].tolist(), a[a > 0].tolist())
+        )
+        den = b[row]
+        assert np.array_equal(h, np.maximum(np.abs(a), den))
+        assert np.array_equal(np.lexsort((a / den, h)), np.arange(len(a))), (S, height)
+        # vb holds v_p(b) for p in sorted S
+        for i, p in enumerate(sorted(set(S))):
+            assert [padic.valuation(Fraction(d), p) for d in b.tolist()] == vb[:, i].tolist()
+
+
+def _bits(values) -> list[str]:
+    return [float(v).hex() for v in values]
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 1.3, 2.0])
+def test_real_transforms_equal_the_scalar_transform_bit_for_bit(alpha):
+    # y = 0, the smallest subnormal, the cells of D to height 512, values
+    # where w = t sigma y^alpha passes 745, and more than one chunk of them
+    rng = np.random.default_rng(27)
+    ys = np.concatenate(
+        (
+            [0.0, 5e-324, 1e-300, 1.0],
+            np.arange(513) / 7.0,
+            rng.uniform(0.0, 200.0, adeles._CHUNK + 5),
+            745.0 ** (1.0 / alpha) * np.array([0.999, 1.0, 1.001]),
+            [131071.0],
+        )
+    )
+    for t, sigma in ((1.0, 1.0), (0.01, math.pi), (3.5, 2.0), (1e300, 1.0), (1e308, 10.0)):
+        rf = stable_factor(alpha, sigma, t)
+        got = adeles._real_transforms(rf, ys)
+        assert _bits(got) == _bits(rf.transform(y) for y in ys.tolist()), (alpha, t, sigma)
+        with np.errstate(all="ignore"):
+            w = t * sigma * ys**alpha
+        assert (got[w >= 745.0] == 0.0).all()
+        assert got[0] == 1.0
+
+
+def test_real_transform_at_zero_is_one_where_t_sigma_overflows(capsys):
+    # t sigma = inf and |y|^alpha = 0 once made w = inf * 0.0 = nan and the
+    # transform 0.0; e^0 = 1 at every t
+    for alpha in (0.5, 1.0, 2.0):
+        rf = stable_factor(alpha, 10.0, 1e308)
+        assert rf.transform(0.0) == 1.0
+        # (1e-300)^2 underflows to 0.0
+        assert rf.transform(1e-300) == (1.0 if alpha == 2.0 else 0.0)
+        assert rf.transform(0.5) == 0.0
+    code, rep = run_request(CommandRequest("char-sum", {"t": "1e308", "sigma": "10", "heights": "8,16"}))
+    assert code == 0
+    rows = {r["name"]: r["value"] for r in rep["results"]}
+    assert rows["H=8"] == rows["H=16"] == 1.0
+    code, rep = run_request(
+        CommandRequest("adele-eval", {"side": "transform", "x": "inf=0", "t": "1e308", "sigma": "10"})
+    )
+    assert code == 0
+    assert rep["results"][0]["value"] == 1.0
+    # one step below the overflow the values were already these
+    code, rep = run_request(CommandRequest("char-sum", {"t": "1e300", "sigma": "10", "heights": "8,16"}))
+    assert code == 0
+    assert {r["name"]: r["value"] for r in rep["results"]}["H=8"] == 1.0
 
 
 _SNAPSHOT = Path(__file__).resolve().parents[1] / "perfbench" / "reference"

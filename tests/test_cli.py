@@ -662,6 +662,42 @@ def test_mc_haar_at_both_caps_stays_within_chunk_memory(capsys):
     capsys.readouterr()
 
 
+_CHAR_SUM_EXTREMES = [
+    ["--heights", "1"],
+    ["--heights", "4096", "--S", "2"],
+    ["--S", "2,1000003"],
+    ["--t", "1e-300"],
+    ["--t", "1e308", "--sigma", "10"],
+    ["--gamma", "1e-300"],
+    ["--gamma", "1e300"],
+    ["--C", "1e-300"],
+    ["--C", "1e300"],
+    ["--gamma", "1e-300", "--C", "1e300"],
+    ["--gamma", "1e300", "--C", "1e-300"],
+    ["--S", "2,3,5,7,11,13", "--heights", "131071"],
+]
+
+
+def test_char_sum_at_extreme_values_exits_cleanly_in_bounded_memory(capsys):
+    # --heights 4096 --S 2 has 57,345 members and peaks near 4.2 MiB, about
+    # nine int64 arrays of them; the default heights stop at 512, and the
+    # last case is refused at the cell cap before its grid is built
+    bound = 8 << 20
+    main(["char-sum", "--heights", "1"])
+    capsys.readouterr()
+    for argv in _CHAR_SUM_EXTREMES:
+        tracemalloc.start()
+        try:
+            code = main(["char-sum"] + argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        err = capsys.readouterr().err
+        assert code in (0, 2, 3, 4), argv
+        assert "Traceback" not in err, argv
+        assert peak < bound, (argv, peak)
+
+
 def test_padic_density_names_the_first_failure_in_x_order(capsys):
     # the series refuses x = 0, and the shell integrals of 7919^95 pass
     # double range; the shells of all x are formed together, but the

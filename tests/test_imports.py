@@ -140,8 +140,9 @@ _SIMD_LIBM = {"exp", "power", "float_power", "expm1"}
 
 
 def test_bit_exact_sums_call_no_simd_libm():
-    """The torus and Cauchy sums are bit-identical to their scalar forms only
-    while every power and exponential goes through Python ** and math.exp.
+    """The torus and Cauchy sums and the real factor of the character sum
+    over D are bit-identical to their scalar forms only while every power
+    and exponential goes through Python ** and math.exp.
 
     np.power and np.exp take SIMD paths chosen by the CPU: on an AVX-512
     machine np.power(n, -1.5) differs from n ** -1.5 at 1,038 of
@@ -150,7 +151,7 @@ def test_bit_exact_sums_call_no_simd_libm():
     and may stay.
     """
     package = Path(trace_lab.__file__).resolve().parent
-    for name in ("core.py", "lattice.py", "real_stable.py"):
+    for name in ("adeles.py", "core.py", "lattice.py", "real_stable.py"):
         tree = ast.parse((package / name).read_text(encoding="utf-8"), filename=name)
         found = [
             (node.lineno, node.attr)
