@@ -298,8 +298,9 @@ class RealFactor:
         return math.exp(-w) if w < 745.0 else 0.0
 
 
-# Cells per chunk of _real_transforms: its Python lists stay this short
-# whatever the size of the grid.
+# Cells per chunk of _real_transforms, and terms per CompensatedSum.extend
+# in rational_char_sum: their lists and temporaries stay this short whatever
+# the size of the grid.
 _CHUNK = 1 << 15
 
 
@@ -422,7 +423,7 @@ _D_HEIGHT_LIMIT = 1 << 17
 # The coprimality grid and the member arrays grow with the cells
 # (denominators x (height + 1)).  The cap is the grid of S = {2} just below
 # the height limit, 17 x 2^17 cells: char-sum --S 2 --heights 131071 takes
-# about 0.8 s and a 160 MB peak RSS on a 2-core machine.  More primes admit
+# about 1 s and a 160 MB peak RSS on a 2-core machine.  More primes admit
 # lower heights.
 _D_CELL_LIMIT = 17 * _D_HEIGHT_LIMIT
 
@@ -489,6 +490,7 @@ def _d_members(S: Sequence[int], height: int) -> tuple[np.ndarray, ...]:
     key += h * n
     order = np.argsort(key)
     del key
+    # one gather at a time, so each old array goes before the next is made
     a = a[order]
     row = row[order]
     return b, vb, a, row, h[order]
@@ -571,6 +573,7 @@ def rational_char_sum(
             value[nz] *= table[v - lo]
         grid = np.zeros((len(b), top + 1))
         grid[cell_row, cell_col] = value
+        # at the cell cap these hold tens of MB: free them before the gather
         del cell, cell_row, cell_col, value, nz, nz_row, nz_col, v
         terms = grid[row, np.abs(a)]
         del grid, a, row

@@ -682,6 +682,19 @@ def test_char_sum_direct_matches_bs_eval_oracle_at_cli_heights(S):
     assert got == _char_sum_oracle(spec, schedule)
 
 
+@pytest.mark.parametrize("S", _D_PRIMES, ids=str)
+def test_char_sum_direct_does_not_depend_on_the_chunk_size(S, monkeypatch):
+    # the real factor and the compensated sum run _CHUNK cells or terms at a
+    # time; any chunk size gives the report of one pass, which the bs_eval
+    # oracle pins above
+    spec = make_mu_spec(1.3, 1.0, 0.5, 2.0, 0.7, S)
+    schedule = (1, 7, 64, 200)
+    whole = rational_char_sum(spec, schedule, "direct")
+    for chunk in (1, 7, 1000):
+        monkeypatch.setattr(adeles, "_CHUNK", chunk)
+        assert rational_char_sum(spec, schedule, "direct") == whole, chunk
+
+
 # ---------------------------------------------------------------------------
 # global identities
 # ---------------------------------------------------------------------------
