@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -601,6 +602,8 @@ def rational_char_sum(
     A = int(A)
     if A == 0 or A % p0 == 0:
         raise ParameterError(f"A must be nonzero and coprime to p0={p0}")
+    if abs(A) > sys.float_info.max:
+        raise ParameterError("|A| exceeds double range, in which the n-series reads it")
     if M < 1:
         raise ParameterError("M must be >= 1")
     rf = spec.real_factor

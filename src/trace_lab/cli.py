@@ -332,9 +332,8 @@ def _parse_place_map(key: str, raw: str) -> dict[str, str]:
 
 def _cmd_theta(P: _Params) -> list[ResultRow]:
     t = P.float_("t", required=True, positive=True)
-    tol_shell = P.float_("tol-shell", ShellSumPlan.tail_tolerance, positive=True)
-    tol = P.float_("tol", tol_shell, positive=True)
-    plan = ShellSumPlan(tol_shell)
+    plan = ShellSumPlan(P.float_("tol-shell", ShellSumPlan.tail_tolerance, positive=True))
+    tol = P.float_("tol", ShellSumPlan.tail_tolerance, positive=True)
     r = theta(t, plan)
     rinv = theta(1.0 / t, plan)
     rows = [_info_row("theta", r), _info_row("theta_inv", rinv)]
@@ -352,9 +351,8 @@ def _cmd_theta(P: _Params) -> list[ResultRow]:
 
 
 def _cmd_theta_integral(P: _Params) -> list[ResultRow]:
-    tol_quad = P.float_("tol-quad", QuadratureConfig.abs_tol, positive=True)
-    tol = P.float_("tol", tol_quad, positive=True)
-    quad = QuadratureConfig(tol_quad)
+    quad = QuadratureConfig(P.float_("tol-quad", QuadratureConfig.abs_tol, positive=True))
+    tol = P.float_("tol", QuadratureConfig.abs_tol, positive=True)
     lower = theta_potential_integral(quad, "lower")
     upper = theta_potential_integral(quad, "upper")
     rows = [_info_row("lower_piece", lower), _info_row("upper_piece", upper)]
@@ -396,9 +394,8 @@ def _cmd_psf_check(P: _Params) -> list[ResultRow]:
     xs = tuple(parse_number(part, "exact", "--x") for part in P.str_("x", "0").split(","))
     if len(xs) != spec.d:
         raise ParameterError(f"--x needs {spec.d} coordinates, got {len(xs)}")
-    tol_shell = P.float_("tol-shell", ShellSumPlan.tail_tolerance, positive=True)
-    tol = P.float_("tol", tol_shell if closed else QuadratureConfig.abs_tol, positive=True)
-    plan = ShellSumPlan(tol_shell)
+    plan = ShellSumPlan(P.float_("tol-shell", ShellSumPlan.tail_tolerance, positive=True))
+    tol = P.float_("tol", ShellSumPlan.tail_tolerance if closed else QuadratureConfig.abs_tol, positive=True)
     lat = wrapped_density(spec, t, xs, "lattice", plan)
     sp = wrapped_density(spec, t, xs, "spectral", plan)
     return [
@@ -411,13 +408,9 @@ def _cmd_psf_check(P: _Params) -> list[ResultRow]:
 def _cmd_trace_check(P: _Params) -> list[ResultRow]:
     spec, closed = _lattice_spec(P)
     ts = P.floats_("t", "0.1,0.5,1,4")
-    tol_shell = P.float_("tol-shell", ShellSumPlan.tail_tolerance, positive=True)
-    if closed:
-        default_tol = tol_shell if spec.alpha == 2.0 else QuadratureConfig.abs_tol
-    else:
-        default_tol = 1e-6
-    tol = P.float_("tol", default_tol, positive=True)
-    plan = ShellSumPlan(tol_shell)
+    plan = ShellSumPlan(P.float_("tol-shell", ShellSumPlan.tail_tolerance, positive=True))
+    closed_tol = ShellSumPlan.tail_tolerance if spec.alpha == 2.0 else QuadratureConfig.abs_tol
+    tol = P.float_("tol", closed_tol if closed else 1e-6, positive=True)
     rows = []
     for t in ts:
         rep = trace_defect(spec, t, plan)
@@ -455,9 +448,9 @@ def _cmd_padic_gamma(P: _Params) -> list[ResultRow]:
     p = P.int_("p", required=True, minimum=2)
     ss = P.floats_("s", "0.5")
     mode = P.str_("mode", "both", choices=("closed", "shell", "both"))
-    tol_shell = P.float_("tol-shell", ShellSumPlan.tail_tolerance, positive=True)
-    tol = P.float_("tol", tol_shell, positive=True)
-    plan = ShellSumPlan(tol_shell)
+    if mode != "closed":
+        plan = ShellSumPlan(P.float_("tol-shell", ShellSumPlan.tail_tolerance, positive=True))
+    tol = P.float_("tol", ShellSumPlan.tail_tolerance, positive=True)
     rows = []
     for s in ss:
         label = f"s={_g(s)}"
@@ -491,9 +484,10 @@ def _cmd_padic_integral(P: _Params) -> list[ResultRow]:
     tau = P.float_("tau", required=True, positive=True)
     domain = P.str_("domain", "both", choices=("unit_ball", "full", "both"))
     mode = P.str_("mode", "both", choices=("closed", "generic", "both"))
-    tol_shell = P.float_("tol-shell", ShellSumPlan.tail_tolerance, positive=True)
-    tol = P.float_("tol", tol_shell, positive=True)
-    plan = ShellSumPlan(tol_shell)
+    if mode != "closed":
+        plan = ShellSumPlan(P.float_("tol-shell", ShellSumPlan.tail_tolerance, positive=True))
+    if mode == "both":
+        tol = P.float_("tol", ShellSumPlan.tail_tolerance, positive=True)
     domains = ("unit_ball", "full") if domain == "both" else (domain,)
     rows = []
     for dom in domains:
@@ -515,11 +509,12 @@ def _cmd_padic_density(P: _Params) -> list[ResultRow]:
     t = P.float_("t", 1.0, positive=True)
     xs = P.rationals_("x", "1")
     method = P.str_("method", "both", choices=("series", "shell", "both"))
-    exponent = P.str_("series-exponent", "n", choices=("n", "n-gamma"))
-    variant = "plain" if exponent == "n" else "gamma-power"
-    tol_shell = P.float_("tol-shell", ShellSumPlan.tail_tolerance, positive=True)
-    tol = P.float_("tol", QuadratureConfig.abs_tol, positive=True)
-    plan = ShellSumPlan(tol_shell)
+    if method != "shell":
+        exponent = P.str_("series-exponent", "n", choices=("n", "n-gamma"))
+        variant = "plain" if exponent == "n" else "gamma-power"
+    plan = ShellSumPlan(P.float_("tol-shell", ShellSumPlan.tail_tolerance, positive=True))
+    if method == "both":
+        tol = P.float_("tol", QuadratureConfig.abs_tol, positive=True)
     law = SemistableLaw(p, gamma, c_coef)
     # with both methods the series at x = 0 raises before any later shell
     # is formed, so the shells stop there and the same error is raised
@@ -544,10 +539,9 @@ def _cmd_padic_mass(P: _Params) -> list[ResultRow]:
     gamma = P.float_("gamma", required=True, positive=True)
     c_coef = P.float_("C", 1.0, positive=True)
     t = P.float_("t", 1.0, positive=True)
-    tol_shell = P.float_("tol-shell", ShellSumPlan.tail_tolerance, positive=True)
-    tol = P.float_("tol", tol_shell, positive=True)
-    law = SemistableLaw(p, gamma, c_coef)
-    mc = mass_check(law, t, ShellSumPlan(tol_shell))
+    plan = ShellSumPlan(P.float_("tol-shell", ShellSumPlan.tail_tolerance, positive=True))
+    tol = P.float_("tol", ShellSumPlan.tail_tolerance, positive=True)
+    mc = mass_check(SemistableLaw(p, gamma, c_coef), t, plan)
     res = mc.result
     rows = [
         _identity_row("mass", res.value, res.error_bound, 1.0, tol, converged=res.converged)
@@ -567,22 +561,27 @@ def _cmd_padic_mass(P: _Params) -> list[ResultRow]:
     return rows
 
 
-# Declared maxima of --count and of mc-haar's --depth, named in --help; a
-# larger value exits 2 before any work.  At each cap on a 2-core machine:
+# Declared maxima of integer flags, by (subcommand, flag), named in --help;
+# a larger value exits 2 before any work.  At each cap on a 2-core machine:
 # mc-haar draws in 0.06-0.15 s at any p and either depth cap, and its
 # memory does not grow with --count (the sampler draws in fixed chunks;
-# the depth only sizes the histogram), and rr-check --parts product
-# answers in about 3 s without growing its memory.
-_COUNT_MAX = {"mc-haar": 1 << 22, "rr-check": 100_000}
-_DEPTH_MAX = 1 << 16
+# the depth only sizes the histogram), rr-check --parts product answers
+# in about 3 s without growing its memory, and char-sum --mode paper_bound
+# sums its two series in 0.2-0.4 s.
+_CAPS = {
+    ("mc-haar", "count"): 1 << 22,
+    ("mc-haar", "depth"): 1 << 16,
+    ("rr-check", "count"): 100_000,
+    ("char-sum", "M"): 100_000,
+}
 
 
 def _cmd_mc_haar(P: _Params) -> list[ResultRow]:
     import numpy as np
 
     p = P.int_("p", required=True, minimum=2)
-    depth = P.int_("depth", 64, minimum=1, maximum=_DEPTH_MAX)
-    count = P.int_("count", 100_000, minimum=1, maximum=_COUNT_MAX["mc-haar"])
+    depth = P.int_("depth", 64, minimum=1, maximum=_CAPS["mc-haar", "depth"])
+    count = P.int_("count", 100_000, minimum=1, maximum=_CAPS["mc-haar", "count"])
     seed = P.int_("seed", 0, minimum=0)
     gamma = P.float_("gamma", None, positive=True)
     tau = P.float_("tau", None, positive=True)
@@ -615,7 +614,8 @@ def _cmd_mc_haar(P: _Params) -> list[ResultRow]:
 
 def _cmd_cauchy_report(P: _Params) -> list[ResultRow]:
     convention = P.str_("convention", "consistent", choices=("paper", "consistent"))
-    tol = P.float_("tol", ShellSumPlan.tail_tolerance, positive=True)
+    if convention == "consistent":
+        tol = P.float_("tol", ShellSumPlan.tail_tolerance, positive=True)
     rep = cauchy_psf_report(convention)
     if convention == "paper":
         return [
@@ -680,19 +680,21 @@ def _cmd_adele_eval(P: _Params) -> list[ResultRow]:
     gamma = P.float_("gamma", 1.0, positive=True)
     c_coef = P.float_("C", 1.0, positive=True)
     s_primes = P.ints_("S", "2", minimum=2)
-    tol_shell = P.float_("tol-shell", ShellSumPlan.tail_tolerance, positive=True)
-    tol_quad = P.float_("tol-quad", QuadratureConfig.abs_tol, positive=True)
     if kind == "gaussian":
-        _gaussian_pin(P)
-        real = gaussian_factor(t)
+        alpha, sigma = _gaussian_pin(P)
     else:
         alpha = P.float_("alpha", 1.0, positive=True)
         sigma = P.float_("sigma", 1.0, positive=True)
-        real = stable_factor(alpha, sigma, t)
     factors = {q: FiniteFactor(SemistableLaw(q, gamma, c_coef), t) for q in s_primes}
-    spec = BruhatSchwartzSpec(real, factors)
-    res = bs_eval(spec, x, side, ShellSumPlan(tol_shell), QuadratureConfig(tol_quad))
-    return [_info_row(side, res)]
+    spec = BruhatSchwartzSpec(stable_factor(alpha, sigma, t), factors)
+    if side == "transform":
+        return [_info_row(side, bs_eval(spec, x, side))]
+    plan = ShellSumPlan(P.float_("tol-shell", ShellSumPlan.tail_tolerance, positive=True))
+    if alpha in (1.0, 2.0):
+        # the real density is a closed form: no quadrature
+        return [_info_row(side, bs_eval(spec, x, side, plan))]
+    quad = QuadratureConfig(P.float_("tol-quad", QuadratureConfig.abs_tol, positive=True))
+    return [_info_row(side, bs_eval(spec, x, side, plan, quad))]
 
 
 def _cmd_rr_check(P: _Params) -> list[ResultRow]:
@@ -708,7 +710,7 @@ def _cmd_rr_check(P: _Params) -> list[ResultRow]:
             raise ParameterError("--lams entries must be positive")
         tol = P.float_("tol", ShellSumPlan.tail_tolerance, positive=True)
     if "product" in parts:
-        count = P.int_("count", 100, minimum=1, maximum=_COUNT_MAX["rr-check"])
+        count = P.int_("count", 100, minimum=1, maximum=_CAPS["rr-check", "count"])
         seed = P.int_("seed", 7, minimum=0)
     if "scaling" in parts:
         gamma = P.float_("gamma", 1.0, positive=True)
@@ -808,7 +810,7 @@ def _cmd_char_sum(P: _Params) -> list[ResultRow]:
         heights = P.ints_("heights", "8,16,32,64,128,256,512", minimum=1)
     else:
         a_coef = P.int_("A", 1)
-        m_terms = P.int_("M", 100, minimum=1)
+        m_terms = P.int_("M", 100, minimum=1, maximum=_CAPS["char-sum", "M"])
     P.finish()
     rows: list[ResultRow] = []
     if mode == "direct":
@@ -1100,15 +1102,11 @@ def _usage_text(sub: str | None = None) -> str:
         for name, command in _COMMANDS.items():
             flags = "--" + ", --".join(command.flags) if command.flags else "(no flags)"
             lines.append(f"  {name:20s} {flags}")
-        lines += ["", "limits:"] + [f"  {name:20s} --count <= {cap}" for name, cap in _COUNT_MAX.items()]
-        lines.append(f"  {'mc-haar':20s} --depth <= {_DEPTH_MAX}")
+        lines += ["", "limits:"] + [f"  {name:20s} --{flag} <= {cap}" for (name, flag), cap in _CAPS.items()]
         return "\n".join(lines)
     text = f"usage: trace-lab {sub} " + " ".join(f"[--{f} VALUE]" for f in _COMMANDS[sub].flags)
-    if sub in _COUNT_MAX:
-        text += f"\n--count is at most {_COUNT_MAX[sub]}"
-    if sub == "mc-haar":
-        text += f"\n--depth is at most {_DEPTH_MAX}"
-    return text
+    caps = [f"--{flag} is at most {cap}" for (name, flag), cap in _CAPS.items() if name == sub]
+    return "\n".join([text, *caps])
 
 
 def main(argv: Sequence[str] | None = None) -> int:

@@ -34,14 +34,6 @@ class EvalResult:
     terms_used: int
     converged: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "value": self.value,
-            "error_bound": self.error_bound,
-            "terms_used": self.terms_used,
-            "converged": self.converged,
-        }
-
 
 # The shell window and term cap of every shell and lattice series: norm
 # exponents (or lattice radii) run over [N_MIN, N_MAX], and no series sums

@@ -78,10 +78,12 @@ def theta(t: float, plan: ShellSumPlan = _DEFAULT_PLAN) -> EvalResult:
         raise ParameterError("theta needs t > 0")
     acc = CompensatedSum()
     acc.add(1.0)
+    # the n-th term, carried from the tail test of step n - 1
+    nxt = 2.0 * _safe_exp(-t * math.pi)
     n = 0
     while n < MAX_TERMS:
         n += 1
-        acc.add(2.0 * _safe_exp(-t * math.pi * n * n))
+        acc.add(nxt)
         # consecutive-term ratio is e^{-t pi (2n+1)} < 1, decreasing in n
         nxt = 2.0 * _safe_exp(-t * math.pi * (n + 1) * (n + 1))
         ratio = math.exp(-t * math.pi * (2 * n + 3))

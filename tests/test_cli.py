@@ -596,10 +596,10 @@ def test_every_flag_refuses_malformed_values(capsys):
         ["rr-check", "--parts", "product,bogus"],
         # counts and D past their declared maxima
         ["mc-haar", "--p", "2", "--count", "1000000000"],
-        ["mc-haar", "--p", "3", "--count", str(cli._COUNT_MAX["mc-haar"] + 1)],
+        ["mc-haar", "--p", "3", "--count", str(cli._CAPS["mc-haar", "count"] + 1)],
         ["mc-haar", "--p", "2", "--count", "1000", "--depth", "10000000000000"],
         ["rr-check", "--parts", "product", "--count", "10000000"],
-        ["rr-check", "--count", str(cli._COUNT_MAX["rr-check"] + 1)],
+        ["rr-check", "--count", str(cli._CAPS["rr-check", "count"] + 1)],
         ["char-sum", "--S", "2,3,5,7,11,13", "--heights", "131071"],
     ],
 )
@@ -610,7 +610,7 @@ def test_malformed_coordinates_and_place_maps_exit_2(argv, capsys):
 
 @pytest.mark.parametrize("sub, extra", [("mc-haar", ["--p", "2"]), ("rr-check", ["--parts", "product"])])
 def test_count_above_its_maximum_is_refused_before_any_work(sub, extra, capsys, monkeypatch):
-    cap = cli._COUNT_MAX[sub]
+    cap = cli._CAPS[sub, "count"]
     tracemalloc.start()
     try:
         assert main([sub, *extra, "--count", "1000000000"]) == 2
@@ -622,14 +622,14 @@ def test_count_above_its_maximum_is_refused_before_any_work(sub, extra, capsys, 
     assert f"--count is at most {cap}" in cli._usage_text(sub)
     assert f"--count <= {cap}" in cli._usage_text()
     # the cap itself is admitted, one more is not
-    monkeypatch.setitem(cli._COUNT_MAX, sub, 50)
+    monkeypatch.setitem(cli._CAPS, (sub, "count"), 50)
     assert main([sub, *extra, "--count", "50"]) == 0
     assert main([sub, *extra, "--count", "51"]) == 2
     capsys.readouterr()
 
 
 def test_depth_above_its_maximum_is_refused_before_any_draw(capsys, monkeypatch):
-    cap = cli._DEPTH_MAX
+    cap = cli._CAPS["mc-haar", "depth"]
     assert f"--depth <= {cap}" in cli._usage_text()
     assert f"--depth is at most {cap}" in cli._usage_text("mc-haar")
     # the cap itself is admitted
@@ -650,7 +650,8 @@ def test_mc_haar_at_both_caps_stays_within_chunk_memory(capsys):
     # eight int64 arrays of one Haar chunk, as in test_padic_integrals; at
     # --depth 2^16 the histogram adds 0.5 MB to the chunk's 0.56 MB
     bound = 8 * 8 * _HAAR_CHUNK
-    argv = ["mc-haar", "--p", "2", "--count", str(cli._COUNT_MAX["mc-haar"]), "--depth", str(cli._DEPTH_MAX)]
+    count, depth = cli._CAPS["mc-haar", "count"], cli._CAPS["mc-haar", "depth"]
+    argv = ["mc-haar", "--p", "2", "--count", str(count), "--depth", str(depth)]
     tracemalloc.start()
     try:
         code = main(argv)
@@ -678,7 +679,7 @@ _CHAR_SUM_EXTREMES = [
 ]
 
 
-def test_char_sum_at_extreme_values_exits_cleanly_in_bounded_memory(capsys):
+def test_char_sum_at_extreme_values_exits_cleanly_in_bounded_memory(capsys, monkeypatch):
     # --heights 4096 --S 2 has 57,345 members and peaks near 4.2 MiB, about
     # nine int64 arrays of them; the default heights stop at 512, and the
     # last case is refused at the cell cap before its grid is built
@@ -696,6 +697,21 @@ def test_char_sum_at_extreme_values_exits_cleanly_in_bounded_memory(capsys):
         assert code in (0, 2, 3, 4), argv
         assert "Traceback" not in err, argv
         assert peak < bound, (argv, peak)
+    # an A past double range once raised OverflowError out of main
+    bound_mode = ["char-sum", "--mode", "paper_bound"]
+    assert main([*bound_mode, "--A", str(10**400 + 1)]) == 2
+    assert "exceeds double range" in capsys.readouterr().err
+    cap = cli._CAPS["char-sum", "M"]
+    assert main([*bound_mode, "--M", str(cap + 1)]) == 2
+    assert f"--M must be <= {cap}" in capsys.readouterr().err
+    assert f"--M is at most {cap}" in cli._usage_text("char-sum")
+    assert f"--M <= {cap}" in cli._usage_text()
+    # the cap itself is admitted, one more is not (from M = 92 on the
+    # n-series passes 90, so the request exits 0)
+    monkeypatch.setitem(cli._CAPS, ("char-sum", "M"), 200)
+    assert main([*bound_mode, "--M", "200"]) == 0
+    assert main([*bound_mode, "--M", "201"]) == 2
+    capsys.readouterr()
 
 
 def test_padic_density_names_the_first_failure_in_x_order(capsys):
@@ -764,10 +780,25 @@ def test_a_flag_the_mode_does_not_read_is_refused_before_any_work(monkeypatch, c
         ["potential-identity", "--alpha", "1.5", "--tol-quad", "1e-3"],
         ["cauchy-report", "--tol-shell", "1e-3"],
         ["adelic-theta", "--lam", "1", "--tol-shell", "1e-3"],
+        # flags that the chosen mode does not read
+        ["padic-gamma", "--p", "2", "--mode", "closed", "--tol-shell", "1e-3"],
+        ["padic-integral", "--p", "2", "--gamma", "1", "--tau", "1", "--mode", "closed", "--tol", "1e-3"],
+        ["padic-integral", "--p", "2", "--gamma", "1", "--tau", "1", "--mode", "generic", "--tol", "1e-3"],
+        ["padic-integral", "--p", "2", "--gamma", "1", "--tau", "1", "--mode", "closed", "--tol-shell", "1e-3"],
+        ["padic-density", "--p", "2", "--gamma", "1", "--method", "series", "--tol", "1e-3"],
+        ["padic-density", "--p", "2", "--gamma", "1", "--method", "shell", "--tol", "1e-3"],
+        ["padic-density", "--p", "2", "--gamma", "1", "--method", "shell", "--series-exponent", "n-gamma"],
+        ["cauchy-report", "--convention", "paper", "--tol", "1e-3"],
+        ["adele-eval", "--side", "transform", "--x", "inf=0", "--tol-shell", "1e-3"],
+        ["adele-eval", "--side", "transform", "--x", "inf=0", "--tol-quad", "1e-3"],
+        ["adele-eval", "--x", "inf=0", "--kind", "gaussian", "--tol-quad", "1e-3"],
+        ["adele-eval", "--x", "inf=0", "--alpha", "1", "--tol-quad", "1e-3"],
+        ["adele-eval", "--x", "inf=0", "--alpha", "2", "--tol-quad", "1e-3"],
     ],
 )
 def test_a_tolerance_flag_that_sets_nothing_is_refused(argv, capsys):
-    # no sum or quadrature of these commands reads the flag
+    # no sum or quadrature of these commands, or of the chosen mode, reads
+    # the flag
     assert main(argv) == 2
     assert f"unknown parameter(s): {argv[-2][2:]}" in capsys.readouterr().err
 
@@ -785,6 +816,23 @@ def test_tol_sets_the_tolerance_of_the_rows_it_judges():
         code, rep = run_request(CommandRequest(sub, {**params, "tol": "1e-7"}))
         assert code == 0, sub
         assert {r["name"]: r.get("tolerance") for r in rep["results"]}[name] == 1e-7, sub
+    # --tol-shell and --tol-quad set a sum or a quadrature, never the
+    # default of --tol
+    for sub, params, default in (
+        ("theta", {"t": "1", "tol-shell": "1e-6"}, 1e-12),
+        ("theta-integral", {"tol-quad": "1e-6"}, 1e-8),
+        ("psf-check", {"tol-shell": "1e-6"}, 1e-12),
+        ("psf-check", {"kind": "stable", "alpha": "1.5", "tol-shell": "1e-6"}, 1e-8),
+        ("trace-check", {"kind": "gaussian", "t": "1", "tol-shell": "1e-6"}, 1e-12),
+        ("trace-check", {"kind": "stable", "alpha": "1", "t": "1", "tol-shell": "1e-6"}, 1e-8),
+        ("trace-check", {"kind": "stable", "alpha": "1.5", "t": "1", "tol-shell": "1e-9"}, 1e-6),
+        ("padic-gamma", {"p": "2", "tol-shell": "1e-6"}, 1e-12),
+        ("padic-integral", {"p": "2", "gamma": "1", "tau": "1", "tol-shell": "1e-6"}, 1e-12),
+        ("padic-mass", {"p": "2", "gamma": "1", "tol-shell": "1e-6"}, 1e-12),
+    ):
+        _, rep = run_request(CommandRequest(sub, params))
+        tols = {r["tolerance"] for r in rep["results"] if "tolerance" in r}
+        assert tols == {default}, (sub, params, tols)
     # rr-check judges its reduction rows at --tol alone, and its scaling
     # rows at --tol-quad
     code, rep = run("rr-check", parts="reduction,scaling", grid_points="2", tol_shell="1e-10", tol_quad="1e-7")

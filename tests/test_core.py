@@ -210,11 +210,6 @@ def test_parse_number_past_double_range():
         parse_number("1e999", "exact")
 
 
-def test_eval_result_dict():
-    d = EvalResult(1.5, 1e-9, 12, True).to_dict()
-    assert d == {"value": 1.5, "error_bound": 1e-9, "terms_used": 12, "converged": True}
-
-
 def test_product_results_bound():
     a = EvalResult(2.0, 1e-9, 1, True)
     b = EvalResult(3.0, 1e-8, 1, True)

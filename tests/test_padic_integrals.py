@@ -410,9 +410,9 @@ _HAAR_PEAK_BOUND = 8 * 8 * _HAAR_CHUNK
 @pytest.mark.parametrize("p", [2, 3, 7919])
 def test_mc_haar_memory_at_the_count_cap(p):
     # one int64 array of all count rows took the peak to 71 MB here
-    from trace_lab.cli import _COUNT_MAX
+    from trace_lab.cli import _CAPS
 
-    cap = _COUNT_MAX["mc-haar"]
+    cap = _CAPS["mc-haar", "count"]
     tracemalloc.start()
     try:
         sample = mc_haar_zp(p, 64, cap)
