@@ -14,12 +14,10 @@ and the character sums over the S-smooth rationals D.
 from __future__ import annotations
 
 import math
-import operator
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import repeat
 from typing import Callable, ClassVar, Mapping, Sequence
 
 from .core import (
@@ -30,8 +28,11 @@ from .core import (
     ParameterError,
     QuadratureConfig,
     ShellSumPlan,
+    exp_neg,
+    exp_neg_each,
     format_rational,
     parse_number,
+    pow_each,
     product_results,
     require_prime,
 )
@@ -135,18 +136,18 @@ class _PlaceMap:
     def component(self, p: int) -> Fraction:
         return self.finite.get(p, self.fill)
 
-    def _combine(self, other: "_PlaceMap", op: Callable, cls: type):
-        """cls built componentwise from op(self, other); the real part is
-        exact when both real parts are Fractions, a float otherwise."""
+    def _times(self, other: "_PlaceMap", cls: type):
+        """cls built as the componentwise product of self and other; the real
+        part is exact when both real parts are Fractions, a float otherwise."""
         ps = set(self.support) | set(other.support)
         if isinstance(self.real, Fraction) and isinstance(other.real, Fraction):
-            real = op(self.real, other.real)
+            real = self.real * other.real
         else:
-            real = op(float(self.real), float(other.real))
+            real = float(self.real) * float(other.real)
         return cls(
             real,
-            {p: op(self.component(p), other.component(p)) for p in ps},
-            fill=op(self.fill, other.fill),
+            {p: self.component(p) * other.component(p) for p in ps},
+            fill=self.fill * other.fill,
         )
 
     def to_dict(self) -> dict:
@@ -190,11 +191,6 @@ class AdelePoint(_PlaceMap):
     def diagonal(q: Rational) -> "AdelePoint":
         return AdelePoint._diagonal(_as_fraction(q))
 
-    def __add__(self, other: "AdelePoint") -> "AdelePoint":
-        if not isinstance(other, AdelePoint):
-            return NotImplemented
-        return self._combine(other, operator.add, AdelePoint)
-
 
 @dataclass(frozen=True)
 class Idele(_PlaceMap):
@@ -223,7 +219,7 @@ class Idele(_PlaceMap):
     def __mul__(self, other: "Idele") -> "Idele":
         if not isinstance(other, Idele):
             return NotImplemented
-        return self._combine(other, operator.mul, Idele)
+        return self._times(other, Idele)
 
 
 def idele_norm(a: Idele) -> float | Fraction:
@@ -241,7 +237,7 @@ def idele_norm(a: Idele) -> float | Fraction:
 
 def scale_point(a: Idele, x: AdelePoint) -> AdelePoint:
     """Componentwise product ax."""
-    return a._combine(x, operator.mul, AdelePoint)
+    return a._times(x, AdelePoint)
 
 
 def adele_char(y: AdelePoint, x: AdelePoint) -> complex:
@@ -295,8 +291,7 @@ class RealFactor:
         if u == 0.0:
             # e^0 = 1 even where t * sigma overflows, and inf * 0.0 is nan
             return 1.0
-        w = self.t * self.sigma * u
-        return math.exp(-w) if w < 745.0 else 0.0
+        return exp_neg(self.t * self.sigma * u)
 
 
 # Cells per chunk of _real_transforms, and terms per CompensatedSum.extend
@@ -306,13 +301,7 @@ _CHUNK = 1 << 15
 
 
 def _real_transforms(rf: RealFactor, y: np.ndarray) -> np.ndarray:
-    """rf.transform at each y >= 0 of the float array y, bit for bit.
-
-    The power and the exponential stay scalar (Python pow and math.exp),
-    because np.power and np.exp take CPU-dependent SIMD paths that differ
-    in the last bit; the product with t * sigma is one correctly rounded
-    multiply either way.
-    """
+    """rf.transform at each y >= 0 of the float array y, bit for bit."""
     import numpy as np
 
     c = rf.t * rf.sigma
@@ -320,13 +309,9 @@ def _real_transforms(rf: RealFactor, y: np.ndarray) -> np.ndarray:
     # Python float arithmetic warns about nothing (inf * 0.0 is nan)
     with np.errstate(all="ignore"):
         for lo in range(0, len(y), _CHUNK):
-            ys = y[lo : lo + _CHUNK].tolist()
-            u = np.fromiter(map(pow, ys, repeat(rf.alpha)), np.float64, len(ys))
-            w = c * u
-            e = np.fromiter(map(math.exp, (-w).tolist()), np.float64, len(ys))
-            # not w < 745 rather than w >= 745: w is nan where c is inf and
-            # u is 0, and those cells are e^0 = 1
-            e[~(w < 745.0)] = 0.0
+            u = pow_each(y[lo : lo + _CHUNK], rf.alpha)
+            # w is nan where c is inf and u is 0, and those cells are e^0 = 1
+            e = exp_neg_each(c * u)
             e[u == 0.0] = 1.0
             out[lo : lo + _CHUNK] = e
     return out
@@ -618,15 +603,14 @@ def rational_char_sum(
     g = f0.law.gamma
     term = 0.0
     for m in range(1, M + 1):
-        w = ct * norm_float(p0, m * g)
-        term = math.exp(-w) if w < 745.0 else 0.0
+        term = exp_neg(ct * norm_float(p0, m * g))
         second.add(term)
     nxt = ct * norm_float(p0, (M + 1) * g)
     # ratio of consecutive omitted terms keeps shrinking, so once it is
     # below 1/2 the whole tail is under twice the first omitted term
     drop = nxt * (norm_float(p0, g) - 1.0)
     if drop >= math.log(2.0):
-        tail = math.exp(-nxt) * 2.0 if nxt < 745.0 else 0.0
+        tail = exp_neg(nxt) * 2.0
     else:
         tail = math.inf
     return PaperBoundReport(p0, A, M, first.value, last, second.value, tail)
@@ -634,8 +618,6 @@ def rational_char_sum(
 
 @dataclass(frozen=True)
 class ThetaReductionReport:
-    lam: float
-    height: int
     lhs: EvalResult
     rhs: EvalResult
 
@@ -674,7 +656,7 @@ def adelic_theta_reduction(t: float, lam: float, height: int = 64) -> ThetaReduc
 
     lhs = summed(lambda u: gaussian_density(t, lam * u))
     rhs = summed(lambda u: transform(u / lam) / lam)
-    return ThetaReductionReport(lam, height, lhs, rhs)
+    return ThetaReductionReport(lhs, rhs)
 
 
 def _real_scaled_mass(rf: RealFactor, a_inf: float, quad: QuadratureConfig) -> EvalResult:

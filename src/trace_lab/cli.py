@@ -37,7 +37,6 @@ from .adeles import (
     make_mu_spec,
     rational_char_sum,
     scale_by_idele,
-    stable_factor,
 )
 from .core import (
     CapabilityError,
@@ -577,8 +576,6 @@ _CAPS = {
 
 
 def _cmd_mc_haar(P: _Params) -> list[ResultRow]:
-    import numpy as np
-
     p = P.int_("p", required=True, minimum=2)
     depth = P.int_("depth", 64, minimum=1, maximum=_CAPS["mc-haar", "depth"])
     count = P.int_("count", 100_000, minimum=1, maximum=_CAPS["mc-haar", "count"])
@@ -597,7 +594,7 @@ def _cmd_mc_haar(P: _Params) -> list[ResultRow]:
     freq, se = sample.ball_frequency(k)
     rows.append(_identity_row(f"ball_norm<=p^-{k}", freq, 3.0 * se, norm_float(p, -k), 0.0))
     if gamma is not None:
-        mean, se = sample.mean_of(lambda u: np.exp(-tau * np.power(u, gamma)))
+        mean, se = sample.mean_of(exp_norm_function(tau, gamma))
         closed = exp_radial_closed(p, gamma, tau, "unit_ball")
         rows.append(
             _identity_row(
@@ -685,8 +682,7 @@ def _cmd_adele_eval(P: _Params) -> list[ResultRow]:
     else:
         alpha = P.float_("alpha", 1.0, positive=True)
         sigma = P.float_("sigma", 1.0, positive=True)
-    factors = {q: FiniteFactor(SemistableLaw(q, gamma, c_coef), t) for q in s_primes}
-    spec = BruhatSchwartzSpec(stable_factor(alpha, sigma, t), factors)
+    spec = make_mu_spec(alpha, sigma, gamma, c_coef, t, s_primes)
     if side == "transform":
         return [_info_row(side, bs_eval(spec, x, side))]
     plan = ShellSumPlan(P.float_("tol-shell", ShellSumPlan.tail_tolerance, positive=True))

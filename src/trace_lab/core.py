@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 from typing import Iterable
 
 
@@ -41,6 +42,40 @@ class EvalResult:
 N_MIN = -60
 N_MAX = 60
 MAX_TERMS = 200_000
+
+
+# e^{-w} reads 0.0 from w = EXP_CUT on (and at w = nan): every weight,
+# transform and density of the package takes its exponential from
+# exp_neg, or from exp_neg_each on arrays.
+EXP_CUT = 745.0
+
+
+def exp_neg(w: float) -> float:
+    """e^{-w}, or 0.0 unless w < EXP_CUT."""
+    return math.exp(-w) if w < EXP_CUT else 0.0
+
+
+# The array forms run Python pow and math.exp element by element, bit for
+# bit with their scalar forms on any CPU: np.power and np.exp take SIMD
+# paths chosen by the CPU that differ from libm in the last bit.  np.sqrt,
+# +, -, * and / are correctly rounded, so array code may use them freely.
+
+
+def exp_neg_each(w):
+    """exp_neg(x) for each x of the 1-d float array w, as a float64 array."""
+    import numpy as np
+
+    e = np.fromiter(map(math.exp, (-w).tolist()), np.float64, w.size)
+    e[~(w < EXP_CUT)] = 0.0
+    return e
+
+
+def pow_each(xs, a: float):
+    """x ** a for each x of the 1-d float array xs, as a float64 array."""
+    import numpy as np
+
+    xs = xs.tolist()
+    return np.fromiter(map(pow, xs, repeat(a)), np.float64, len(xs))
 
 
 @dataclass(frozen=True)

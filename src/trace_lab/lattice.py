@@ -17,7 +17,6 @@ import math
 from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import repeat
 
 from .core import (
     MAX_TERMS,
@@ -27,6 +26,9 @@ from .core import (
     ParameterError,
     QuadratureConfig,
     ShellSumPlan,
+    exp_neg,
+    exp_neg_each,
+    pow_each,
     product_results,
 )
 from .quadrature import hurwitz_zeta, stretched_exp_tail
@@ -106,8 +108,7 @@ def _shell_tail_head(d: int, c: float, alpha: float, m_next: float) -> tuple[flo
     # at most 2 d 3^{d-1} m^{d-1} of them; the m-sum is bounded by its
     # first term plus the integral once u^{d-1} e^{-c u^alpha} decreases
     pref = 2.0 * d * 3.0 ** (d - 1)
-    w = c * m_next**alpha
-    return pref, m_next ** (d - 1) * (math.exp(-w) if w < 745.0 else 0.0)
+    return pref, m_next ** (d - 1) * exp_neg(c * m_next**alpha)
 
 
 def _normalize_point(x, d: int) -> tuple[float, ...]:
@@ -132,24 +133,15 @@ def _weight(sym: StableSymbol, t: float, k: int) -> float:
     (tests/test_lattice.py checks it), so this is the per-point
     math.exp(-t * eta(n)) bit for bit.
     """
-    w = t * sym.eta(math.sqrt(k))
-    return math.exp(-w) if w < 745.0 else 0.0
+    return exp_neg(t * sym.eta(math.sqrt(k)))
 
 
 def _weights(sym: StableSymbol, t: float, ks: np.ndarray) -> np.ndarray:
-    """_weight(sym, t, k) for each k of ks, bit for bit.
-
-    np.sqrt is correctly rounded, as math.sqrt is; the power and the
-    exponential stay scalar (Python ** and math.exp), because np.power and
-    np.exp take CPU-dependent SIMD paths that differ in the last bit.
-    """
+    """_weight(sym, t, k) for each k of ks, bit for bit (np.sqrt is
+    correctly rounded, as math.sqrt is)."""
     import numpy as np
 
-    r = np.sqrt(ks).tolist()
-    w = t * (sym.sigma * np.fromiter(map(pow, r, repeat(sym.alpha)), np.float64, len(r)))
-    e = np.fromiter(map(math.exp, (-w).tolist()), np.float64, len(r))
-    e[w >= 745.0] = 0.0
-    return e
+    return exp_neg_each(t * (sym.sigma * pow_each(np.sqrt(ks), sym.alpha)))
 
 
 def _shell_sums(e: np.ndarray, phase: np.ndarray | None) -> np.ndarray:
@@ -239,8 +231,7 @@ def _wrapped_gauss_1d(a: float, x0: float, plan: ShellSumPlan) -> EvalResult:
     q = math.pi * math.pi / a
 
     def f(u: float) -> float:
-        w = q * u * u
-        return pref * math.exp(-w) if w < 745.0 else 0.0
+        return pref * exp_neg(q * u * u)
 
     acc = CompensatedSum()
     acc.add(f(x0))
@@ -420,8 +411,7 @@ def potential_identity(alpha: float, sigma: float) -> PotentialReport:
 
     cutoff = 20_000
     acc = CompensatedSum()
-    ns = np.arange(1.0, cutoff + 1).tolist()
-    acc.extend(np.fromiter(map(pow, ns, repeat(-alpha)), np.float64, cutoff))
+    acc.extend(pow_each(np.arange(1.0, cutoff + 1), -alpha))
     # Euler-Maclaurin continuation from the cutoff
     nf = float(cutoff)
     tail = nf ** (1.0 - alpha) / (alpha - 1.0) - 0.5 * nf ** (-alpha)

@@ -36,6 +36,7 @@ from .core import (
     EvalResult,
     ParameterError,
     ShellSumPlan,
+    exp_neg,
     require_prime,
 )
 from .padic import Rational, valuation
@@ -71,7 +72,7 @@ def exp_norm_function(tau: float, gamma: float) -> RadialFunction:
             w = tau * u**gamma
         except OverflowError:
             return 0.0
-        return math.exp(-w) if w < 745.0 else 0.0
+        return exp_neg(w)
 
     return g
 
@@ -354,25 +355,16 @@ class HaarSample:
     def mean_of(self, g: RadialFunction) -> tuple[float, float]:
         """Empirical mean of g(|y|_p) and its standard error (count >= 2).
 
-        g is evaluated once per occupied norm; the mean and the sample
-        variance (ddof = 1) are count-weighted fsums over those norms.
+        g is called once per occupied norm, float(p) ** -k, on a float;
+        the mean and the sample variance (ddof = 1) are count-weighted
+        fsums over those norms.
         """
-        import numpy as np
-
         if self.count < 2:
             raise ParameterError("a standard error needs count >= 2")
-        k = np.flatnonzero(self.counts)
-        u = np.power(float(self.p), -k.astype(np.float64))
-        try:
-            vals = np.asarray(g(u), dtype=np.float64)
-            if vals.shape != u.shape:
-                raise TypeError
-        except (TypeError, ValueError):
-            vals = np.fromiter((g(x) for x in u), dtype=np.float64, count=len(u))
-        w = self.counts[k]
-        mean = math.fsum(w * vals) / self.count
-        d = vals - mean
-        var = math.fsum(w * (d * d)) / (self.count - 1)
+        p = float(self.p)
+        occupied = [(c, float(g(p**-k))) for k, c in enumerate(self.counts.tolist()) if c]
+        mean = math.fsum(c * v for c, v in occupied) / self.count
+        var = math.fsum(c * ((v - mean) * (v - mean)) for c, v in occupied) / (self.count - 1)
         return mean, math.sqrt(var) / math.sqrt(self.count)
 
 

@@ -19,6 +19,7 @@ from .core import (
     ParameterError,
     QuadratureConfig,
     ShellSumPlan,
+    exp_neg,
 )
 from .quadrature import ENVELOPE_CUTOFF, cos_panel, gamma, panel, stretched_exp_tail
 
@@ -61,15 +62,11 @@ class StableSymbol:
         return self.sigma * r**self.alpha
 
 
-def _safe_exp(w: float) -> float:
-    return math.exp(w) if w > -745.0 else 0.0
-
-
 def gaussian_density(t: float, x: float) -> float:
     """t^{-1/2} e^{-pi x^2 / t}; transform pair of e^{-t pi y^2}."""
     if not t > 0:
         raise ParameterError("gaussian_density needs t > 0")
-    return _safe_exp(-math.pi * x * x / t) / math.sqrt(t)
+    return exp_neg(math.pi * x * x / t) / math.sqrt(t)
 
 
 def theta(t: float, plan: ShellSumPlan = _DEFAULT_PLAN) -> EvalResult:
@@ -79,13 +76,13 @@ def theta(t: float, plan: ShellSumPlan = _DEFAULT_PLAN) -> EvalResult:
     acc = CompensatedSum()
     acc.add(1.0)
     # the n-th term, carried from the tail test of step n - 1
-    nxt = 2.0 * _safe_exp(-t * math.pi)
+    nxt = 2.0 * exp_neg(t * math.pi)
     n = 0
     while n < MAX_TERMS:
         n += 1
         acc.add(nxt)
         # consecutive-term ratio is e^{-t pi (2n+1)} < 1, decreasing in n
-        nxt = 2.0 * _safe_exp(-t * math.pi * (n + 1) * (n + 1))
+        nxt = 2.0 * exp_neg(t * math.pi * (n + 1) * (n + 1))
         ratio = math.exp(-t * math.pi * (2 * n + 3))
         tail = nxt / (1.0 - ratio)
         if tail < plan.tail_tolerance:
@@ -160,7 +157,7 @@ class StableEnvelope(dict):
         self.tail = stretched_exp_tail(1, self.a, self.alpha, self.cut)
 
     def __missing__(self, y: float) -> float:
-        v = self[y] = _safe_exp(-self.a * y**self.alpha)
+        v = self[y] = exp_neg(self.a * y**self.alpha)
         return v
 
 
@@ -200,7 +197,7 @@ def stable_density(
         raise ParameterError("stable_density evaluates one-dimensional laws")
     a = t * symbol.sigma
     if symbol.alpha == 2.0:
-        v = math.sqrt(math.pi / a) * _safe_exp(-math.pi * math.pi * x * x / a)
+        v = math.sqrt(math.pi / a) * exp_neg(math.pi * math.pi * x * x / a)
         return EvalResult(v, abs(v) * 1e-14, 1, True)
     if symbol.alpha == 1.0:
         v = 2.0 * a / (a * a + 4.0 * math.pi * math.pi * x * x)
@@ -249,7 +246,6 @@ def stable_asymptotic_density(
 class PsfSumReport:
     """Both sides of sum_n f(n) = sum_n fhat(n) for the Cauchy law."""
 
-    convention: str
     density_sum: EvalResult
     transform_sum: EvalResult
     defect: float
@@ -284,7 +280,6 @@ def cauchy_psf_report(convention: str = "consistent") -> PsfSumReport:
         lhs = (1.0 + math.pi * math.pi / 3.0) / math.pi
         rhs = 1.0 + 2.0 / (math.e - 1.0)
         return PsfSumReport(
-            "paper",
             EvalResult(lhs, 0.0, 1, True),
             EvalResult(rhs, 0.0, 1, True),
             abs(lhs - rhs),
@@ -296,5 +291,5 @@ def cauchy_psf_report(convention: str = "consistent") -> PsfSumReport:
     r = math.exp(-_TWO_PI)
     spec_val = 1.0 + 2.0 * r / (1.0 - r)
     spec = EvalResult(spec_val, 1e-15, 1, True)
-    return PsfSumReport("consistent", dens, spec, abs(dens.value - spec.value))
+    return PsfSumReport(dens, spec, abs(dens.value - spec.value))
 

@@ -38,7 +38,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import MAX_TERMS, N_MIN, CompensatedSum, EvalResult, ParameterError, ShellSumPlan
+from .core import (
+    EXP_CUT,
+    MAX_TERMS,
+    N_MIN,
+    CompensatedSum,
+    EvalResult,
+    ParameterError,
+    ShellSumPlan,
+    exp_neg,
+)
 from .padic import Rational, _valuation
 from .padic_integrals import (
     _padic_gamma_closed,
@@ -100,7 +109,7 @@ class _ShellTable:
         self._weight_fn = exp_norm_function(ct, law.gamma)
         self.gamma = law.gamma
         self._log_p = math.log(law.p)
-        self._log_cut = math.log(745.0 / ct) if ct > 0.0 else math.inf
+        self._log_cut = math.log(EXP_CUT / ct) if ct > 0.0 else math.inf
         self._base: int | None = None
         self._w: list[float] = []
         self._terms: list[float] = []
@@ -271,8 +280,8 @@ def _density_series_regrouped(
     while j < MAX_TERMS:
         scale = big_x * float(p) ** (-j)
         aj = ct * scale**gamma
-        lo = math.exp(-aj) if aj < 745.0 else 0.0
-        hi = math.exp(-pg * aj) if pg * aj < 745.0 else 0.0
+        lo = exp_neg(aj)
+        hi = exp_neg(pg * aj)
         acc.add(scale * (lo - hi))
         j += 1
         # w_j <= ct (p^gamma - 1) A_j X p^{-j}: geometric with ratio r

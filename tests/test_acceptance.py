@@ -87,7 +87,7 @@ def test_criterion_04_radial_integrals():
             sample = tl.mc_haar_zp(p, count=10**6, seed=20260814)
             for gamma in (0.5, 1.0, 2.0):
                 for tau in (0.5, 1.0, 2.0):
-                    mean, se = sample.mean_of(lambda u: np.exp(-tau * np.power(u, gamma)))
+                    mean, se = sample.mean_of(tl.exp_norm_function(tau, gamma))
                     ref = tl.exp_radial_closed(p, gamma, tau, "unit_ball").value
                     assert abs(mean - ref) <= 3.0 * se, (p, gamma, tau, mean, ref, se)
 

@@ -5,6 +5,7 @@ import ast
 import importlib.util
 import inspect
 import json
+import math
 import os
 import shlex
 import subprocess
@@ -27,7 +28,7 @@ from trace_lab.cli import (
     run_request,
 )
 from trace_lab.core import ParameterError
-from trace_lab.padic_integrals import _HAAR_CHUNK
+from trace_lab.padic_integrals import _HAAR_CHUNK, exp_norm_function, exp_radial_closed, mc_haar_zp
 
 
 def run(sub: str, **params) -> tuple[int, dict]:
@@ -210,6 +211,24 @@ def test_mc_haar_shallow_rows_are_pinned(depth):
     assert code == 4  # the depth truncation shows in the deep rows
     expected = _HAAR_ROWS[("100000", "0", depth)]
     assert _haar_rows(rep) == [tuple(map(repr, row)) for row in expected]
+
+
+@pytest.mark.parametrize("gamma, tau", [("0.3", "5"), ("1.5", "2")])
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_mc_haar_integral_row_is_the_scalar_mean(p, gamma, tau):
+    # the mean over the norm histogram in plain Python floats: no numpy
+    # exp or power, whose SIMD paths would make the digits CPU-dependent
+    code, rep = run("mc-haar", p=str(p), gamma=gamma, tau=tau)
+    sample = mc_haar_zp(p, 64, 100_000, 0)
+    g = exp_norm_function(float(tau), float(gamma))
+    hist = [(c, g(float(p) ** -k)) for k, c in enumerate(sample.counts.tolist()) if c]
+    mean = math.fsum(c * v for c, v in hist) / sample.count
+    var = math.fsum(c * ((v - mean) * (v - mean)) for c, v in hist) / (sample.count - 1)
+    (row,) = [row for row in rep["results"] if row["name"] == "mc_integral"]
+    assert code == 0 and row["pass"]
+    assert row["value"] == mean
+    closed = exp_radial_closed(p, float(gamma), float(tau), "unit_ball")
+    assert row["error_bound"] == 3.0 * (math.sqrt(var) / math.sqrt(sample.count)) + closed.error_bound
 
 
 def test_exit_3_on_nonconvergence():

@@ -16,14 +16,51 @@ from trace_lab.core import (
     EvalResult,
     ParameterError,
     QuadratureConfig,
+    EXP_CUT,
     ShellSumPlan,
+    exp_neg,
+    exp_neg_each,
     format_rational,
     is_prime,
     parse_number,
     parse_rational,
+    pow_each,
     product_results,
     require_prime,
 )
+
+
+# just below the cut, at it and above it, where math.exp(-w) is still the
+# least subnormal 5e-324 (it underflows to 0.0 only past w = 745.13)
+_BELOW_CUT = math.nextafter(EXP_CUT, 0.0)
+_CUT_POINTS = [0.0, 1.0, 700.0, _BELOW_CUT, EXP_CUT, math.nextafter(EXP_CUT, math.inf), 746.0, math.inf]
+
+
+def _bits(xs) -> list[str]:
+    return [float(x).hex() for x in xs]
+
+
+def test_exp_neg_is_math_exp_below_the_cut_and_zero_from_it():
+    for w in _CUT_POINTS:
+        assert exp_neg(w).hex() == (math.exp(-w) if w < 745.0 else 0.0).hex(), w
+    assert exp_neg(_BELOW_CUT) == math.exp(-EXP_CUT) == 5e-324
+    assert exp_neg(EXP_CUT) == 0.0 and exp_neg(math.nan) == 0.0
+
+
+def test_exp_neg_each_is_exp_neg_bit_for_bit():
+    ws = _CUT_POINTS + [math.nan] + np.linspace(0.0, 760.0, 20_001).tolist()
+    got = exp_neg_each(np.array(ws))
+    assert got.dtype == np.float64
+    assert _bits(got) == _bits(math.exp(-w) if w < 745.0 else 0.0 for w in ws)
+
+
+@pytest.mark.parametrize("a", [-1.5, -1.0, 0.3, 0.5, 1.0, 1.5, 2.0])
+def test_pow_each_is_python_pow_bit_for_bit(a):
+    xs = np.arange(1.0, 20_001.0).tolist() + np.sqrt(np.arange(1.0, 3_001.0)).tolist()
+    xs += [_BELOW_CUT, EXP_CUT, 1e-100, 1e100]
+    got = pow_each(np.array(xs), a)
+    assert got.dtype == np.float64
+    assert _bits(got) == _bits(x**a for x in xs)
 
 
 @given(st.lists(st.floats(min_value=-1e12, max_value=1e12), max_size=200))

@@ -140,9 +140,9 @@ _SIMD_LIBM = {"exp", "power", "float_power", "expm1"}
 
 
 def test_bit_exact_sums_call_no_simd_libm():
-    """The torus and Cauchy sums and the real factor of the character sum
-    over D are bit-identical to their scalar forms only while every power
-    and exponential goes through Python ** and math.exp.
+    """Every report replays bit for bit on any CPU only while every power
+    and exponential goes through Python ** and math.exp (on arrays, through
+    core.pow_each and core.exp_neg_each).
 
     np.power and np.exp take SIMD paths chosen by the CPU: on an AVX-512
     machine np.power(n, -1.5) differs from n ** -1.5 at 1,038 of
@@ -150,9 +150,7 @@ def test_bit_exact_sums_call_no_simd_libm():
     points w in [0, 700].  np.sqrt, +, -, * and / are correctly rounded
     and may stay.
     """
-    package = Path(trace_lab.__file__).resolve().parent
-    for name in ("adeles.py", "core.py", "lattice.py", "real_stable.py"):
-        tree = ast.parse((package / name).read_text(encoding="utf-8"), filename=name)
+    for name, tree in _package_trees():
         found = [
             (node.lineno, node.attr)
             for node in ast.walk(tree)
@@ -162,6 +160,18 @@ def test_bit_exact_sums_call_no_simd_libm():
             and node.attr in _SIMD_LIBM
         ]
         assert found == [], (name, found)
+
+
+def test_only_core_spells_the_exp_cut():
+    """e^{-w} reads 0.0 from w = core.EXP_CUT on; a second literal 745
+    elsewhere would let the cut drift between modules."""
+    spelled = {
+        (name, node.lineno)
+        for name, tree in _package_trees()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and type(node.value) in (int, float) and node.value == 745
+    }
+    assert [name for name, _ in spelled] == ["core.py"], spelled
 
 
 def _named(node: ast.AST) -> set[str]:
